@@ -346,13 +346,6 @@ def parse_document(
     return ParsedDocument(doc_id, sentences, concepts, positives)
 
 
-def parse_annotations(
-    text: str, concept_text: str, relation_text: str, doc_id: str = ""
-) -> list[RelationInstance]:
-    """One RelationInstance per annotated relation (see parse_document)."""
-    return parse_document(doc_id, text, concept_text, relation_text).positives
-
-
 def _instance_sort_key(inst: RelationInstance):
     return (
         inst.doc_id,

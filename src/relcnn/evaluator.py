@@ -139,19 +139,6 @@ def evaluate(
     )
 
 
-def micro_from_confusion(conf: np.ndarray) -> Micro:
-    """Micro P/R/F1 over positive types recomputed from a confusion matrix alone."""
-    if conf.shape != (N_CLASSES, N_CLASSES):
-        raise ValueError(f"expected ({N_CLASSES}, {N_CLASSES}) matrix, got {conf.shape}")
-    tp = fp = fn = 0
-    for t in POSITIVE_TYPES:
-        i = CLASS_INDEX[t]
-        tp += int(conf[i, i])
-        fp += int(conf[:, i].sum() - conf[i, i])
-        fn += int(conf[i, :].sum() - conf[i, i])
-    return Micro(*_prf(tp, fp, fn))
-
-
 def bootstrap_ci(
     gold: Sequence[RelationType],
     pred: Sequence[RelationType],

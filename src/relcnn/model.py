@@ -22,6 +22,14 @@ classes of the sample's category, so rows outside the category receive
 exactly zero gradient.  ``backward`` produces analytic gradients for every
 parameter; ``numeric.finite_diff_grad`` is the independent check.
 
+The word table grows with the vocabulary, but one sample looks up only its
+own tokens and concept words.  Its gradient is therefore a ``RowGrad``:
+the summed rows of the looked-up ids plus the L2 term as one coefficient,
+and ``apply_sgd`` applies the decay as a single in-place scale of the
+table (Bottou, "Stochastic Gradient Descent Tricks", 2012).  The update is
+still W <- W - lr (g + 2 beta W); only the float rounding differs from
+the dense form.
+
 Multi-window models (e.g. windows=(3, 4, 5)) run one filter bank per
 window size and concatenate the pooled outputs before scoring.
 """
@@ -198,11 +206,50 @@ class ForwardTrace:
     params_revision: int
 
 
-def constraint_diag(category: Category, m: int = N_CLASSES) -> np.ndarray:
-    """Diagonal of the category constraint matrix: 1 on the category's classes."""
-    diag = np.zeros(m)
-    diag[list(CATEGORY_CLASS_IDS[category])] = 1.0
-    return diag
+def _row_sums(ids: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, d) array holding, per id, the sum of its rows added in the order given.
+
+    Bit for bit what ``np.add.at`` into zeros gives, at a fraction of its
+    cost on a few dozen rows: one ``bincount`` over flat (row, column) slots.
+    """
+    d = rows.shape[1]
+    slots = (ids[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(slots, weights=rows.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
+def _sum_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ids, ascending, and the ``_row_sums`` of each."""
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    return uniq, _row_sums(inverse, rows, uniq.shape[0])
+
+
+@dataclass
+class RowGrad:
+    """Gradient of an embedding table held as its touched rows plus weight decay.
+
+    Stands for the dense gradient ``scatter_add(ids, rows) + decay * W``,
+    W being the table it belongs to.  `ids` are distinct and ascending, so
+    ``W[ids] -= ...`` writes every row exactly once.  `shape` is the
+    table's shape; `nbytes` counts only the arrays held.
+    """
+
+    ids: np.ndarray  # (r,) distinct row ids, ascending
+    rows: np.ndarray  # (r, d) summed data gradient per row
+    decay: float
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return self.ids.nbytes + self.rows.nbytes
+
+    def __add__(self, other: "RowGrad") -> "RowGrad":
+        ids, rows = _sum_rows(
+            np.concatenate([self.ids, other.ids]), np.concatenate([self.rows, other.rows])
+        )
+        return RowGrad(ids, rows, self.decay + other.decay, self.shape)
+
+    def __truediv__(self, n: float) -> "RowGrad":
+        return RowGrad(self.ids, self.rows / n, self.decay / n, self.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +402,40 @@ def forward(
 # ---------------------------------------------------------------------------
 
 
-def _l2_shared(params: ModelParams) -> float:
-    """Sum of squares of the four always-regularized matrices (biases excluded)."""
-    total = float(np.sum(params.w_word**2) + np.sum(params.w_pos**2) + np.sum(params.w_ctype**2))
+def _l2_shared(params: ModelParams, word_sq: float | None = None) -> float:
+    """Sum of squares of the four always-regularized matrices (biases excluded).
+
+    `word_sq` is ||w_word||^2 when the caller already tracks it (the
+    trainer keeps it up to date from the touched rows); by default it is
+    summed over the whole table.
+    """
+    if word_sq is None:
+        word_sq = float(np.sum(params.w_word**2))
+    total = word_sq + float(np.sum(params.w_pos**2)) + float(np.sum(params.w_ctype**2))
     for w in params.w_conv:
         total += float(np.sum(w**2))
     return total
 
 
-def loss_softmax(s: np.ndarray, gold: int, params: ModelParams, beta: float) -> float:
+def loss_softmax(
+    s: np.ndarray, gold: int, params: ModelParams, beta: float, word_sq: float | None = None
+) -> float:
     """Cross-entropy over all classes plus L2 of the five weight matrices."""
     if not 0 <= gold < s.shape[0]:
         raise ValueError(f"gold index {gold} outside [0, {s.shape[0]})")
     nll = log_sum_exp(s) - float(s[gold])
     if beta == 0.0:
         return nll
-    return nll + beta * (_l2_shared(params) + float(np.sum(params.w_classes**2)))
+    return nll + beta * (_l2_shared(params, word_sq) + float(np.sum(params.w_classes**2)))
 
 
 def loss_constrained(
-    s: np.ndarray, gold: int, category: Category, params: ModelParams, beta: float
+    s: np.ndarray,
+    gold: int,
+    category: Category,
+    params: ModelParams,
+    beta: float,
+    word_sq: float | None = None,
 ) -> float:
     """Category-masked loss: log-sum-exp over the category's classes only.
 
@@ -388,14 +449,21 @@ def loss_constrained(
     nll = log_sum_exp(s[ids]) - float(s[gold])
     if beta == 0.0:
         return nll
-    return nll + beta * (_l2_shared(params) + float(np.sum(params.w_classes[ids] ** 2)))
+    return nll + beta * (
+        _l2_shared(params, word_sq) + float(np.sum(params.w_classes[ids] ** 2))
+    )
 
 
-def loss_from_trace(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> float:
+def loss_from_trace(
+    trace: ForwardTrace, params: ModelParams, hp: HyperParams, word_sq: float | None = None
+) -> float:
+    """The configured loss of a traced sample; `word_sq` as in ``_l2_shared``."""
     gold = CLASS_INDEX[trace.enc.gold]
     if hp.loss == LOSS_CONSTRAINED:
-        return loss_constrained(trace.scores, gold, trace.enc.category, params, hp.beta)
-    return loss_softmax(trace.scores, gold, params, hp.beta)
+        return loss_constrained(
+            trace.scores, gold, trace.enc.category, params, hp.beta, word_sq
+        )
+    return loss_softmax(trace.scores, gold, params, hp.beta, word_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +473,7 @@ def loss_from_trace(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -
 
 def backward(
     trace: ForwardTrace, gold: int, params: ModelParams, hp: HyperParams
-) -> dict[str, np.ndarray]:
+) -> dict[str, np.ndarray | RowGrad]:
     """Analytic gradients of the traced loss for every parameter array.
 
     Gradient routing: pooling sends gradient only to the cached argmax
@@ -413,6 +481,11 @@ def backward(
     embedding rows accumulate from every position that looked them up.
     Under the constrained loss, class rows outside the sample's category
     get exactly zero.
+
+    ``w_word`` gets a ``RowGrad``: the deduplicated ids this sample looked
+    up (sentence tokens, <pad> included, and both concept contents), their
+    summed gradient rows, and decay 2 beta.  Every other array gets a dense
+    gradient that already includes its L2 term.
     """
     if trace.params_revision != params.revision:
         raise StaleTraceError(
@@ -433,12 +506,12 @@ def backward(
         ds[gold] -= 1.0
         active_rows = None
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    grads: dict[str, np.ndarray | RowGrad] = {"w_ctype": np.zeros_like(params.w_ctype)}
 
     if active_rows is None:
-        grads["w_classes"] += np.outer(ds, trace.rc_dropped)
-        grads["w_classes"] += 2.0 * hp.beta * params.w_classes
+        grads["w_classes"] = np.outer(ds, trace.rc_dropped) + 2.0 * hp.beta * params.w_classes
     else:
+        grads["w_classes"] = np.zeros_like(params.w_classes)
         grads["w_classes"][active_rows] = (
             np.outer(ds[active_rows], trace.rc_dropped)
             + 2.0 * hp.beta * params.w_classes[active_rows]
@@ -453,8 +526,10 @@ def backward(
     grads["w_ctype"][ct1] += dcf[: hp.d_ct]
     grads["w_ctype"][ct2] += dcf[hp.d_ct : 2 * hp.d_ct]
     content_ids = np.concatenate([enc.content1_ids, enc.content2_ids])
-    dcontent = dcf[2 * hp.d_ct :].reshape(content_ids.shape[0], hp.d_w)
-    np.add.at(grads["w_word"], content_ids, dcontent)
+    word_ids = [content_ids]
+    word_rows = [dcf[2 * hp.d_ct :].reshape(content_ids.shape[0], hp.d_w)]
+    pos_ids: list[np.ndarray] = []
+    pos_rows: list[np.ndarray] = []
 
     # Convolution stacks, one per window size.
     per = hp.pooled_per_window
@@ -469,28 +544,47 @@ def backward(
                 continue
             dZ[filt[valid], cols[valid]] += dr_w[seg * hp.d_c : (seg + 1) * hp.d_c][valid]
         dpre = dZ * (wt.Z > 0.0)
-        grads[f"w_conv_{j}"] += dpre @ wt.X.T + 2.0 * hp.beta * params.w_conv[j]
-        grads[f"b_conv_{j}"] += dpre.sum(axis=1)
+        grads[f"w_conv_{j}"] = dpre @ wt.X.T + 2.0 * hp.beta * params.w_conv[j]
+        grads[f"b_conv_{j}"] = dpre.sum(axis=1)
 
         dX = params.w_conv[j].T @ dpre  # (d_x * k, ncols)
         ncols = dX.shape[1]
         dE = np.zeros((wt.token_ids.shape[0], hp.d_x))
         for off in range(wt.k):
             dE[off : off + ncols] += dX[off * hp.d_x : (off + 1) * hp.d_x].T
-        np.add.at(grads["w_word"], wt.token_ids, dE[:, : hp.d_w])
-        np.add.at(grads["w_pos"], wt.pos1_ids, dE[:, hp.d_w : hp.d_w + hp.d_p])
-        np.add.at(grads["w_pos"], wt.pos2_ids, dE[:, hp.d_w + hp.d_p :])
+        word_ids.append(wt.token_ids)
+        word_rows.append(dE[:, : hp.d_w])
+        pos_ids += [wt.pos1_ids, wt.pos2_ids]
+        pos_rows += [dE[:, hp.d_w : hp.d_w + hp.d_p], dE[:, hp.d_w + hp.d_p :]]
 
-    grads["w_word"] += 2.0 * hp.beta * params.w_word
+    ids, rows = _sum_rows(np.concatenate(word_ids), np.concatenate(word_rows))
+    grads["w_word"] = RowGrad(ids, rows, 2.0 * hp.beta, params.w_word.shape)
+    grads["w_pos"] = _row_sums(
+        np.concatenate(pos_ids), np.concatenate(pos_rows), params.w_pos.shape[0]
+    )
     grads["w_pos"] += 2.0 * hp.beta * params.w_pos
     grads["w_ctype"] += 2.0 * hp.beta * params.w_ctype
     return grads
 
 
-def apply_sgd(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place SGD step; bumps the revision so stale traces are detectable."""
+def apply_sgd(
+    params: ModelParams, grads: dict[str, np.ndarray | RowGrad], lr: float
+) -> None:
+    """In-place SGD step W <- W - lr g; bumps the revision so stale traces are detectable.
+
+    A ``RowGrad`` is applied in closed form: the whole table is scaled by
+    1 - lr decay in place (skipped when decay is 0), then only its touched
+    rows get ``W[ids] -= lr * rows``.
+    """
     for name, arr in params.arrays().items():
-        arr -= lr * grads[name]
+        g = grads[name]
+        if isinstance(g, RowGrad):
+            scale = 1.0 - lr * g.decay
+            if scale != 1.0:
+                arr *= scale
+            arr[g.ids] -= lr * g.rows
+        else:
+            arr -= lr * g
     params.revision += 1
 
 

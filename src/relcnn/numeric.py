@@ -19,11 +19,6 @@ class ShapeError(ValueError):
     """Operands do not conform; message carries both shapes."""
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 generator: identical seed, identical draw sequence."""
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with an explicit conformance check."""
     if a.ndim != 2 or b.ndim != 2:

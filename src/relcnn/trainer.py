@@ -26,6 +26,7 @@ from .evaluator import evaluate
 from .model import (
     HyperParams,
     ModelParams,
+    RowGrad,
     apply_sgd,
     backward,
     forward,
@@ -39,7 +40,8 @@ T = TypeVar("T")
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; the learning rate is almost certainly too high."""
+    """Loss or a parameter array became non-finite; the learning rate is almost
+    certainly too high."""
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,10 @@ def _accuracy_and_f1(
     return acc, f1, preds
 
 
+def _sq_norm(rows: np.ndarray) -> float:
+    return float(np.vdot(rows, rows))
+
+
 def train(
     train_insts: Sequence[EncodedInstance],
     dev_insts: Sequence[EncodedInstance],
@@ -169,7 +175,13 @@ def train(
     (batch gradients are averaged).  After the epoch the model is scored
     in inference mode on both splits; the parameters with the highest dev
     micro-F1 so far are snapshotted.  epochs=0 returns the initialization
-    unchanged.  A non-finite loss aborts with TrainingDiverged.
+    unchanged.  A non-finite loss, or a parameter array that is not finite
+    at the end of an epoch, aborts with TrainingDiverged.
+
+    The reported loss takes ||w_word||^2 from a running value: summed over
+    the whole table at the start of each epoch, then updated after every
+    step from the rows the step touched, so no step pays for the whole
+    vocabulary.
     """
     if not train_insts:
         raise ValueError("empty training set")
@@ -194,12 +206,13 @@ def train(
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(train_insts))
         losses: list[float] = []
+        word_sq = float(np.sum(params.w_word**2))
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_insts[int(i)] for i in order[lo : lo + cfg.batch_size]]
-            summed: dict[str, np.ndarray] | None = None
+            summed: dict[str, np.ndarray | RowGrad] | None = None
             for enc in batch:
                 trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
-                loss = loss_from_trace(trace, params, hp)
+                loss = loss_from_trace(trace, params, hp, word_sq)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}: lr={hp.lr} is too high "
@@ -216,8 +229,19 @@ def train(
             if len(batch) > 1:
                 for name in summed:
                     summed[name] /= len(batch)
+            # Untouched rows are only scaled, so their squared norm scales by scale^2.
+            word = summed["w_word"]
+            touched_sq = _sq_norm(params.w_word[word.ids])
             apply_sgd(params, summed, hp.lr)
+            scale = 1.0 - hp.lr * word.decay
+            word_sq = scale * scale * (word_sq - touched_sq) + _sq_norm(params.w_word[word.ids])
 
+        for name, arr in params.arrays().items():
+            if not np.all(np.isfinite(arr)):
+                raise TrainingDiverged(
+                    f"parameter {name} is non-finite after epoch {epoch}: lr={hp.lr} "
+                    "is too high for this data/model"
+                )
         train_acc, _, _ = _accuracy_and_f1(train_insts, params, hp)
         dev_acc, dev_f1, _ = _accuracy_and_f1(dev_insts, params, hp)
         record.train_loss.append(float(np.mean(losses)))

@@ -1,10 +1,14 @@
 """Shared fixtures and builders for the test suite.
 
-Provides three things the individual test modules lean on:
+Provides the things the individual test modules lean on:
 
 * a hypothesis profile tuned for deterministic CI runs,
 * builders for random-but-valid relation instances of any label
-  (``build_instance`` / ``encoded_instance``), and
+  (``build_instance`` / ``encoded_instance``),
+* reference helpers: ``grad_max_rel_err`` compares analytic gradients
+  (row gradients densified) with finite differences, and
+  ``micro_from_confusion`` recomputes micro scores from a confusion
+  matrix alone, and
 * a small hand-written raw corpus in the classic clinical-annotation
   layout (``write_raw_corpus``) used by the CLI and end-to-end tests.
 """
@@ -19,8 +23,17 @@ from hypothesis import HealthCheck, settings
 
 from relcnn.corpus import Concept, RelationInstance, replace_concepts
 from relcnn.encoding import EncoderConfig, EncodedInstance, Vocab, build_vocab, encode
-from relcnn.model import HyperParams, ModelParams, init_params
-from relcnn.relations import CATEGORY_OF, Category, ConceptType, RelationType
+from relcnn.evaluator import Micro
+from relcnn.model import HyperParams, ModelParams, RowGrad, init_params
+from relcnn.relations import (
+    CATEGORY_OF,
+    CLASS_INDEX,
+    N_CLASSES,
+    POSITIVE_TYPES,
+    Category,
+    ConceptType,
+    RelationType,
+)
 
 settings.register_profile(
     "suite",
@@ -108,6 +121,50 @@ def toy_params(hp: HyperParams, vocab: Vocab, enc_cfg: EncoderConfig,
     rng = np.random.default_rng(seed)
     return init_params(hp, vocab.n_words, vocab.n_positions, enc_cfg.concept_len,
                        rng, n_ctypes=vocab.n_ctypes)
+
+
+# ---------------------------------------------------------------------------
+# Reference helpers
+# ---------------------------------------------------------------------------
+
+
+def densify(grad: np.ndarray | RowGrad, table: np.ndarray) -> np.ndarray:
+    """The dense gradient a row gradient stands for: decay * W plus its rows."""
+    if not isinstance(grad, RowGrad):
+        return grad
+    dense = grad.decay * table
+    np.add.at(dense, grad.ids, grad.rows)
+    return dense
+
+
+def grad_max_rel_err(analytic, numeric, params: ModelParams, floor: float = 1e-5) -> float:
+    """Largest elementwise relative error of `analytic` against `numeric`."""
+    tables = params.arrays()
+    worst = 0.0
+    for name, g in analytic.items():
+        g = densify(g, tables[name])
+        num = numeric[name]
+        rel = np.abs(g - num) / np.maximum.reduce(
+            [np.abs(g), np.abs(num), np.full_like(num, floor)]
+        )
+        worst = max(worst, float(rel.max()))
+    return worst
+
+
+def micro_from_confusion(conf: np.ndarray) -> Micro:
+    """Micro P/R/F1 over positive types recomputed from a confusion matrix alone."""
+    if conf.shape != (N_CLASSES, N_CLASSES):
+        raise ValueError(f"expected ({N_CLASSES}, {N_CLASSES}) matrix, got {conf.shape}")
+    tp = fp = fn = 0
+    for t in POSITIVE_TYPES:
+        i = CLASS_INDEX[t]
+        tp += int(conf[i, i])
+        fp += int(conf[:, i].sum() - conf[i, i])
+        fn += int(conf[i, :].sum() - conf[i, i])
+    p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
+    r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * p * r / (p + r) if p + r else 0.0
+    return Micro(p, r, f1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from relcnn.encoding import (
     encode_instances,
     segment_bounds,
 )
-from relcnn.evaluator import confusion, evaluate, micro_from_confusion
+from relcnn.evaluator import confusion, evaluate
 from relcnn.model import (
     LOSS_CONSTRAINED,
     LOSS_SOFTMAX,
@@ -56,7 +56,7 @@ from relcnn.relations import (
 from relcnn.synthgen import generate, placement_task_spec
 from relcnn.trainer import TrainConfig, split_dev, train
 
-from conftest import build_instance, write_raw_corpus
+from conftest import build_instance, grad_max_rel_err, micro_from_confusion, write_raw_corpus
 from test_corpus import NORMALIZATION_FIXTURES
 
 T = RelationType
@@ -76,17 +76,6 @@ def _toy_world(n_instances: int = 5):
     vocab = build_vocab(originals, enc_cfg)
     encs = [encode(replace_concepts(o), vocab, enc_cfg) for o in originals]
     return encs, vocab, enc_cfg
-
-
-def _grad_max_rel_err(analytic, numeric, floor=1e-5):
-    worst = 0.0
-    for name, g in analytic.items():
-        num = numeric[name]
-        rel = np.abs(g - num) / np.maximum.reduce(
-            [np.abs(g), np.abs(num), np.full_like(num, floor)]
-        )
-        worst = max(worst, float(rel.max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +107,7 @@ def test_criterion_01_gradient_check():
                     return loss_constrained(s, gold, enc.category, params, hp.beta)
 
                 numeric = finite_diff_grad(objective, params, epsilon=1e-5)
-                worst = max(worst, _grad_max_rel_err(analytic, numeric))
+                worst = max(worst, grad_max_rel_err(analytic, numeric, params))
     elapsed = time.monotonic() - started
     ok = worst < 1e-4 and elapsed < 10.0
     _report(1, "gradient check", ok,

@@ -13,7 +13,6 @@ from relcnn.evaluator import (
     evaluate,
     format_confusion,
     format_report,
-    micro_from_confusion,
 )
 from relcnn.relations import (
     NEGATIVE_TYPES,
@@ -22,6 +21,8 @@ from relcnn.relations import (
     Category,
     RelationType,
 )
+
+from conftest import micro_from_confusion
 
 T = RelationType
 labels = st.sampled_from(RELATION_TYPES)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relcnn.encoding import EncoderConfig, segment_bounds
+from relcnn.corpus import Concept, RelationInstance, replace_concepts
+from relcnn.encoding import EncoderConfig, encode, segment_bounds
 from relcnn.model import (
     CHECKPOINT_FORMAT,
     LOSS_CONSTRAINED,
@@ -18,10 +19,11 @@ from relcnn.model import (
     POOL_MULTI,
     HyperParams,
     StaleTraceError,
+    _row_sums,
+    _sum_rows,
     apply_sgd,
     backward,
     concept_features,
-    constraint_diag,
     convolve,
     embed_sentence,
     forward,
@@ -40,10 +42,19 @@ from relcnn.relations import (
     CLASS_INDEX,
     RELATION_TYPES,
     Category,
+    ConceptType,
     RelationType,
 )
 
-from conftest import TOY_ENC, encoded_instance, shared_vocab, toy_hp, toy_params
+from conftest import (
+    TOY_ENC,
+    densify,
+    encoded_instance,
+    grad_max_rel_err,
+    shared_vocab,
+    toy_hp,
+    toy_params,
+)
 
 VOCAB = shared_vocab(TOY_ENC)
 
@@ -363,7 +374,8 @@ class TestConstrainedLoss:
             loss_constrained(np.zeros(11), 0, Category.TEP, params, 0.0)
 
     def test_constraint_diag(self):
-        d = constraint_diag(Category.PP)
+        d = np.zeros(11)
+        d[list(CATEGORY_CLASS_IDS[Category.PP])] = 1.0
         np.testing.assert_array_equal(d, [0] * 9 + [1, 1])
 
 
@@ -386,18 +398,6 @@ def test_loss_from_trace_dispatch():
 # ---------------------------------------------------------------------------
 
 GRAD_TOL = 1e-4
-DENOM_FLOOR = 1e-5
-
-
-def _max_rel_err(analytic, numeric):
-    worst = 0.0
-    for name, g in analytic.items():
-        num = numeric[name]
-        rel = np.abs(g - num) / np.maximum.reduce(
-            [np.abs(g), np.abs(num), np.full_like(num, DENOM_FLOOR)]
-        )
-        worst = max(worst, float(rel.max()))
-    return worst
 
 
 def _check_gradients(pooling, loss, seed, dropout_p=0.0):
@@ -423,7 +423,7 @@ def _check_gradients(pooling, loss, seed, dropout_p=0.0):
         return loss_constrained(t.scores, gold, enc.category, params, hp.beta)
 
     numeric = finite_diff_grad(objective, params, epsilon=1e-5)
-    return _max_rel_err(analytic, numeric)
+    return grad_max_rel_err(analytic, numeric, params)
 
 
 @pytest.mark.parametrize("pooling", [POOL_MULTI, POOL_MAX])
@@ -447,7 +447,7 @@ def test_backward_multi_window():
         lambda _: loss_softmax(forward(enc, params, hp).scores, gold, params, hp.beta),
         params, epsilon=1e-5,
     )
-    assert _max_rel_err(analytic, numeric) < GRAD_TOL
+    assert grad_max_rel_err(analytic, numeric, params) < GRAD_TOL
 
 
 def test_constrained_gradient_rows_outside_category_are_zero():
@@ -481,9 +481,77 @@ def test_apply_sgd_in_place_exact_and_bumps_revision():
     apply_sgd(params, grads, lr=0.1)
     assert params.revision == rev + 1
     assert params.w_word is w_word_obj  # updated in place
+    word = grads["w_word"]
+    assert word.decay == 2.0 * hp.beta and word.shape == before["w_word"].shape
     for name, arr in params.arrays().items():
-        np.testing.assert_array_equal(arr, before[name] - 0.1 * grads[name],
-                                      err_msg=name)
+        g = grads[name]
+        if name == "w_word":
+            # closed form: the whole table decays, then the touched rows step
+            data = np.zeros(word.shape)
+            data[word.ids] = word.rows
+            expected = before[name] * (1.0 - 0.1 * word.decay) - 0.1 * data
+        else:
+            expected = before[name] - 0.1 * g
+        np.testing.assert_array_equal(arr, expected, err_msg=name)
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=40), st.integers(1, 6),
+       st.integers(0, 2 ** 31 - 1))
+def test_row_sums_match_add_at_bitwise(ids, d, seed):
+    ids = np.array(ids)
+    rows = np.random.default_rng(seed).normal(size=(ids.shape[0], d))
+    ref = np.zeros((10, d))
+    np.add.at(ref, ids, rows)
+    np.testing.assert_array_equal(_row_sums(ids, rows, 10), ref)
+    uniq, summed = _sum_rows(ids, rows)
+    np.testing.assert_array_equal(uniq, np.unique(ids))
+    np.testing.assert_array_equal(summed, ref[uniq])
+
+
+def _repeated_word_instance():
+    """tok3 occurs twice in the replaced sentence and again in concept 1's content."""
+    tokens = ["tok3", "tok7", "tok3", "ent1", "tok3", "ent2", "tok9"]
+    c1 = Concept(tokens=["tok3", "ent1"], start=3, end=4, ctype=ConceptType.TREATMENT)
+    c2 = Concept(tokens=["ent2"], start=6, end=6, ctype=ConceptType.PROBLEM)
+    inst = RelationInstance(tokens=tokens, concept1=c1, concept2=c2, gold=RelationType.TRIP)
+    enc = encode(replace_concepts(inst), VOCAB, TOY_ENC)
+    tok3 = VOCAB.word_ids["tok3"]
+    assert list(enc.token_ids).count(tok3) == 2 and tok3 in enc.content1_ids
+    return enc
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_sparse_step_matches_dense_rule(batch_size):
+    """50 sparse steps track the dense rule W <- W - lr mean(g + 2 beta W) to 1e-12.
+
+    The dense side scatter-adds every row gradient unbuffered, so an update
+    that lost the contribution of a repeated id would drift away from it.
+    """
+    hp = toy_hp(beta=0.01, lr=0.05)
+    sparse = toy_params(hp, VOCAB, TOY_ENC, seed=3)
+    dense = sparse.copy()
+    rng = np.random.default_rng(3)
+    batch = [_repeated_word_instance()] + [
+        encoded_instance(rng, RELATION_TYPES[i], VOCAB, TOY_ENC) for i in range(batch_size - 1)
+    ]
+    worst = 0.0
+    for _ in range(50):
+        summed, dense_sum = None, None
+        for enc in batch:
+            gold = CLASS_INDEX[enc.gold]
+            grads = backward(forward(enc, sparse, hp), gold, sparse, hp)
+            assert np.unique(grads["w_word"].ids).size == grads["w_word"].ids.size
+            summed = grads if summed is None else {n: summed[n] + grads[n] for n in grads}
+            ref = backward(forward(enc, dense, hp), gold, dense, hp)
+            ref = {n: densify(g, dense.arrays()[n]) for n, g in ref.items()}
+            dense_sum = ref if dense_sum is None else {n: dense_sum[n] + ref[n] for n in ref}
+        apply_sgd(sparse, {n: g / batch_size for n, g in summed.items()}, hp.lr)
+        for name, arr in dense.arrays().items():
+            arr -= hp.lr * (dense_sum[name] / batch_size)
+        dense.revision += 1
+        for name, arr in sparse.arrays().items():
+            worst = max(worst, float(np.abs(arr - dense.arrays()[name]).max()))
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,15 @@ from relcnn.numeric import (
     finite_diff_grad,
     glorot_init,
     log_sum_exp,
-    make_rng,
     matmul,
     relu,
     softmax,
 )
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Seeded PCG64 generator: identical seed, identical draw sequence."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relcnn.encoding import EncoderConfig, build_vocab, encode_instances
+from relcnn import trainer
+from relcnn.encoding import UNK_ID, EncoderConfig, build_vocab, encode_instances
 from relcnn.model import HyperParams, backward, forward, init_params, loss_from_trace
 from relcnn.relations import CLASS_INDEX
 from relcnn.synthgen import generate, placement_task_spec
@@ -118,7 +119,7 @@ def test_train_best_epoch_is_first_argmax_of_dev_f1():
 def test_train_batch_gradients_are_averaged():
     """One epoch over two instances in a single batch reproduces by hand."""
     encs, vocab = _toy_corpus(n_per_type=1)  # two instances total
-    hp = _hp()
+    hp = _hp(beta=0.001)
     rng = np.random.default_rng(9)
     init = init_params(hp, vocab.n_words, vocab.n_positions, ENC.concept_len, rng)
     cfg = TrainConfig(epochs=1, batch_size=2, seed=11)
@@ -128,20 +129,51 @@ def test_train_batch_gradients_are_averaged():
     _, shuffle_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
     order = np.random.default_rng(shuffle_ss).permutation(2)
     params = init.copy()
-    summed = None
+    summed = {}
     for i in order:
         trace = forward(encs[int(i)], params, hp, train=True)
         grads = backward(trace, CLASS_INDEX[encs[int(i)].gold], params, hp)
-        if summed is None:
-            summed = grads
-        else:
-            for name in summed:
-                summed[name] += grads[name]
-    for name in summed:
-        summed[name] /= 2
+        for name, g in grads.items():
+            if name == "w_word":
+                # the data part, scattered densely; decay is handled below
+                g = np.zeros(g.shape)
+                np.add.at(g, grads[name].ids, grads[name].rows)
+            summed[name] = g if name not in summed else summed[name] + g
     for name, arr in init.arrays().items():
-        expected = arr - hp.lr * summed[name]
+        step = hp.lr * (summed[name] / 2)
+        if name == "w_word":
+            expected = arr * (1.0 - hp.lr * 2.0 * hp.beta) - step
+        else:
+            expected = arr - step
         np.testing.assert_array_equal(res.params.arrays()[name], expected, err_msg=name)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_train_loss_running_word_norm_matches_full_sum(monkeypatch, batch_size):
+    """The running ||w_word||^2 reproduces the full-table L2 sum over 3 epochs."""
+    encs, vocab = _toy_corpus()
+    hp = _hp(beta=0.01)
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=4)
+    running = train(encs, encs, hp, cfg, vocab, ENC).record.train_loss
+    full_sum = trainer.loss_from_trace
+    monkeypatch.setattr(trainer, "loss_from_trace",
+                        lambda trace, params, hp, word_sq: full_sum(trace, params, hp))
+    full = train(encs, encs, hp, cfg, vocab, ENC).record.train_loss
+    assert len(full) == 3
+    np.testing.assert_allclose(running, full, rtol=1e-12, atol=0.0)
+
+
+def test_train_raises_when_a_parameter_goes_non_finite():
+    """A NaN no sample looks up never reaches the loss; the epoch-end check names it."""
+    encs, vocab = _toy_corpus(n_per_type=2)
+    assert all(UNK_ID not in e.token_ids and UNK_ID not in e.content1_ids
+               and UNK_ID not in e.content2_ids for e in encs)
+    hp = _hp()  # beta=0: the L2 term, which would carry the NaN, is off
+    init = init_params(hp, vocab.n_words, vocab.n_positions, ENC.concept_len,
+                       np.random.default_rng(0))
+    init.w_word[UNK_ID, 0] = np.nan
+    with pytest.raises(TrainingDiverged, match="w_word is non-finite after epoch 0"):
+        train(encs, encs, hp, TrainConfig(epochs=2, seed=0), vocab, ENC, init=init)
 
 
 def test_train_empty_training_set_rejected():
