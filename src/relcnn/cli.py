@@ -151,7 +151,7 @@ def _parse_windows(value) -> tuple[int, ...]:
 
 
 _HP_DEFAULTS = {k: v for k, v in HyperParams().__dict__.items()}
-_TRAIN_DEFAULTS = {"epochs": 60, "batch_size": 1, "seed": 0, "dev_fraction": 0.2}
+_TRAIN_DEFAULTS = {k: v for k, v in TrainConfig().__dict__.items() if k != "grid"}
 _ENCODER_DEFAULTS = {k: v for k, v in EncoderConfig().__dict__.items()}
 
 
@@ -423,22 +423,19 @@ def cmd_train(args) -> int:
     record = result.record
 
     save_checkpoint(ckpt_path, result.params, hp, enc_cfg, vocab_hash(vocab_path))
-    dev_gold = [e.gold for e in dev_enc]
-    dev_pred = [predict(e, result.params, hp)[0] for e in dev_enc]
-    report = evaluate(dev_gold, dev_pred)
     _write_json(
         metrics_path,
         {
             "best_epoch": record.best_epoch,
             "record": record.to_dict(include_wall_time=False),
-            "dev": report.to_dict(),
+            "dev": result.dev_report.to_dict(),
         },
     )
     if record_path:
         _write_json(record_path, record.to_dict(include_wall_time=True))
     print(
         f"epochs: {record.n_epochs}  best epoch: {record.best_epoch}  "
-        f"dev micro-F1: {report.micro.f1:.1f}"
+        f"dev micro-F1: {result.dev_report.micro.f1:.1f}"
     )
     print(f"wall time: {record.wall_time_s:.1f}s", file=sys.stderr)
     return 0
@@ -601,23 +598,23 @@ def cmd_eval(args) -> int:
     gold_path = Path(args.gold)
     pred_path = Path(args.pred)
     gold_insts = read_instances(gold_path)
-    preds: list[dict] = []
     with open(pred_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                preds.append(json.loads(line))
-    if len(gold_insts) != len(preds):
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if len(gold_insts) != len(lines):
         raise CliError(
-            f"gold/prediction length mismatch: {len(gold_insts)} vs {len(preds)}"
+            f"gold/prediction length mismatch: {len(gold_insts)} vs {len(lines)}"
         )
-    gold_labels = []
+    gold_labels = [inst.gold for inst in gold_insts]
     pred_labels = []
-    for i, (inst, rec) in enumerate(zip(gold_insts, preds), start=1):
+    for inst, (lineno, line) in zip(gold_insts, lines):
+        try:
+            rec = json.loads(line)
+            pred_labels.append(RelationType(rec["pred"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CliError(f"{pred_path}:{lineno}: bad prediction record: {exc}")
         key = _instance_key(inst)
         if "key" in rec and rec["key"] != key:
-            raise CliError(f"{pred_path}:{i}: prediction key {rec['key']!r} != gold {key!r}")
-        gold_labels.append(inst.gold)
-        pred_labels.append(RelationType(rec["pred"]))
+            raise CliError(f"{pred_path}:{lineno}: prediction key {rec['key']!r} != gold {key!r}")
 
     out = Path(args.out) if args.out else Path(str(pred_path) + ".report.json")
     write_manifest(

@@ -503,7 +503,9 @@ def instance_to_dict(inst: RelationInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> RelationInstance:
-    tokens = list(d["tokens"])
+    tokens = d["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
 
     def concept(c: dict) -> Concept:
         start, end = int(c["start"]), int(c["end"])
@@ -512,7 +514,7 @@ def instance_from_dict(d: dict) -> RelationInstance:
         )
 
     inst = RelationInstance(
-        tokens=tokens,
+        tokens=list(tokens),
         concept1=concept(d["c1"]),
         concept2=concept(d["c2"]),
         gold=RelationType(d["label"]),
@@ -537,6 +539,6 @@ def read_instances(path: str | Path) -> list[RelationInstance]:
                 continue
             try:
                 out.append(instance_from_dict(json.loads(line)))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise AnnotationError(f"{path}:{lineno}: bad instance record: {exc}") from exc
     return out

@@ -27,9 +27,11 @@ from .relations import (
     is_positive,
 )
 
-# Positive types within each category, in canonical class order.
-CATEGORY_POSITIVE_TYPES: dict[Category, tuple[RelationType, ...]] = {
-    cat: tuple(t for t in types if is_positive(t)) for cat, types in CATEGORY_TYPES.items()
+_POSITIVE_IDS = np.array([CLASS_INDEX[t] for t in POSITIVE_TYPES])
+# Positive class ids within each category, in canonical class order.
+_CATEGORY_IDS = {
+    cat: np.array([CLASS_INDEX[t] for t in types if is_positive(t)])
+    for cat, types in CATEGORY_TYPES.items()
 }
 
 
@@ -84,29 +86,32 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def _micro(scores: dict[RelationType, TypeScore], types: Sequence[RelationType]) -> Micro:
-    tp = sum(scores[t].tp for t in types)
-    fp = sum(scores[t].fp for t in types)
-    fn = sum(scores[t].fn for t in types)
+def _micro(conf: np.ndarray, class_ids: np.ndarray) -> Micro:
+    """Pool TP/FP/FN of `class_ids` from the diagonal, column and row sums."""
+    tp = int(conf[class_ids, class_ids].sum())
+    fp = int(conf[:, class_ids].sum()) - tp
+    fn = int(conf[class_ids, :].sum()) - tp
     return Micro(*_prf(tp, fp, fn))
 
 
-def _check_aligned(gold: Sequence[RelationType], pred: Sequence[RelationType]) -> None:
+def _codes(gold: Sequence[RelationType], pred: Sequence[RelationType]) -> np.ndarray:
+    """One int per instance: gold class * 11 + predicted class."""
     if len(gold) != len(pred):
         raise ValueError(f"gold/pred length mismatch: {len(gold)} vs {len(pred)}")
-    if not gold:
+    if len(gold) == 0:
         raise ValueError("nothing to evaluate: empty gold/pred sequences")
+    return np.array([CLASS_INDEX[g] * N_CLASSES + CLASS_INDEX[p] for g, p in zip(gold, pred)])
+
+
+def _confusion(codes: np.ndarray) -> np.ndarray:
+    return np.bincount(codes, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
 
 def confusion(
     gold: Sequence[RelationType], pred: Sequence[RelationType]
 ) -> np.ndarray:
     """11x11 count matrix: entry (i, j) = #(gold type i predicted as type j)."""
-    _check_aligned(gold, pred)
-    conf = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        conf[CLASS_INDEX[g], CLASS_INDEX[p]] += 1
-    return conf
+    return _confusion(_codes(gold, pred))
 
 
 def evaluate(
@@ -118,23 +123,18 @@ def evaluate(
     FN = #(gold=t and pred!=t).  The micro block pools the 8 positive
     types; category blocks pool the positive types of one category.
     """
-    _check_aligned(gold, pred)
     conf = confusion(gold, pred)
+    diag, pred_counts, gold_counts = conf.diagonal(), conf.sum(axis=0), conf.sum(axis=1)
     per_type: dict[RelationType, TypeScore] = {}
     for t in RELATION_TYPES:
         i = CLASS_INDEX[t]
-        tp = int(conf[i, i])
-        fp = int(conf[:, i].sum() - conf[i, i])
-        fn = int(conf[i, :].sum() - conf[i, i])
-        support = int(conf[i, :].sum())
-        per_type[t] = TypeScore(tp, fp, fn, support, *_prf(tp, fp, fn))
+        tp, fp, fn = int(diag[i]), int(pred_counts[i] - diag[i]), int(gold_counts[i] - diag[i])
+        per_type[t] = TypeScore(tp, fp, fn, int(gold_counts[i]), *_prf(tp, fp, fn))
     return EvalReport(
         n=len(gold),
         per_type=per_type,
-        micro=_micro(per_type, POSITIVE_TYPES),
-        category_micro={
-            cat: _micro(per_type, types) for cat, types in CATEGORY_POSITIVE_TYPES.items()
-        },
+        micro=_micro(conf, _POSITIVE_IDS),
+        category_micro={cat: _micro(conf, ids) for cat, ids in _CATEGORY_IDS.items()},
         confusion=conf,
     )
 
@@ -151,18 +151,14 @@ def bootstrap_ci(
     resample gets its own spawned seed, so intervals are deterministic in
     (gold, pred, resamples, seed) and independent of evaluation order.
     """
-    _check_aligned(gold, pred)
+    codes = _codes(gold, pred)
     if resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
-    if not gold:
-        raise ValueError("cannot bootstrap an empty sample")
-    n = len(gold)
-    gold = list(gold)
-    pred = list(pred)
+    n = len(codes)
     stats = np.empty((resamples, 3))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(resamples)):
         idx = np.random.default_rng(child).integers(0, n, size=n)
-        m = evaluate([gold[j] for j in idx], [pred[j] for j in idx]).micro
+        m = _micro(_confusion(codes[idx]), _POSITIVE_IDS)
         stats[i] = (m.p, m.r, m.f1)
     out: dict[str, tuple[float, float]] = {}
     for col, name in enumerate(("micro_p", "micro_r", "micro_f1")):

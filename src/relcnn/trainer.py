@@ -22,7 +22,7 @@ from typing import Sequence, TypeVar
 import numpy as np
 
 from .encoding import EncodedInstance, EncoderConfig, Vocab
-from .evaluator import evaluate
+from .evaluator import EvalReport, evaluate
 from .model import (
     HyperParams,
     ModelParams,
@@ -34,7 +34,7 @@ from .model import (
     loss_from_trace,
     predict,
 )
-from .relations import CLASS_INDEX, RelationType
+from .relations import CLASS_INDEX
 
 T = TypeVar("T")
 
@@ -123,6 +123,7 @@ class TrainRecord:
 class TrainResult:
     params: ModelParams
     record: TrainRecord
+    dev_report: EvalReport  # dev scores of `params`
 
 
 def split_dev(
@@ -148,12 +149,10 @@ def split_dev(
 
 def _accuracy_and_f1(
     instances: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
-) -> tuple[float, float, list[RelationType]]:
-    preds = [predict(enc, params, hp)[0] for enc in instances]
+) -> tuple[float, float, EvalReport]:
     gold = [enc.gold for enc in instances]
-    acc = float(np.mean([p == g for p, g in zip(preds, gold)])) if instances else 0.0
-    f1 = evaluate(gold, preds).micro.f1 if instances else 0.0
-    return acc, f1, preds
+    report = evaluate(gold, [predict(enc, params, hp)[0] for enc in instances])
+    return int(np.trace(report.confusion)) / report.n, report.micro.f1, report
 
 
 def _sq_norm(rows: np.ndarray) -> float:
@@ -174,9 +173,10 @@ def train(
     Each epoch: shuffle, then one forward/backward/update per batch
     (batch gradients are averaged).  After the epoch the model is scored
     in inference mode on both splits; the parameters with the highest dev
-    micro-F1 so far are snapshotted.  epochs=0 returns the initialization
-    unchanged.  A non-finite loss, or a parameter array that is not finite
-    at the end of an epoch, aborts with TrainingDiverged.
+    micro-F1 so far are snapshotted with their dev report.  epochs=0
+    returns the initialization unchanged, scored on dev once.  A non-finite
+    loss, or a parameter array that is not finite at the end of an epoch,
+    aborts with TrainingDiverged.
 
     The reported loss takes ||w_word||^2 from a running value: summed over
     the whole table at the start of each epoch, then updated after every
@@ -185,6 +185,8 @@ def train(
     """
     if not train_insts:
         raise ValueError("empty training set")
+    if not dev_insts:
+        raise ValueError("empty dev set: no split to select the best epoch on")
     started = time.perf_counter()
     init_ss, shuffle_ss, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     if init is not None:
@@ -202,7 +204,7 @@ def train(
 
     record = TrainRecord()
     best = params.copy()
-    best_f1 = -1.0
+    best_report: EvalReport | None = None
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(train_insts))
         losses: list[float] = []
@@ -243,18 +245,20 @@ def train(
                     "is too high for this data/model"
                 )
         train_acc, _, _ = _accuracy_and_f1(train_insts, params, hp)
-        dev_acc, dev_f1, _ = _accuracy_and_f1(dev_insts, params, hp)
+        dev_acc, dev_f1, dev_report = _accuracy_and_f1(dev_insts, params, hp)
         record.train_loss.append(float(np.mean(losses)))
         record.train_acc.append(train_acc)
         record.dev_acc.append(dev_acc)
         record.dev_f1.append(dev_f1)
-        if dev_f1 > best_f1:
-            best_f1 = dev_f1
+        if best_report is None or dev_f1 > best_report.micro.f1:
             best = params.copy()
+            best_report = dev_report
             record.best_epoch = epoch
 
+    if best_report is None:
+        best_report = _accuracy_and_f1(dev_insts, best, hp)[2]
     record.wall_time_s = time.perf_counter() - started
-    return TrainResult(params=best, record=record)
+    return TrainResult(params=best, record=record, dev_report=best_report)
 
 
 @dataclass

@@ -8,7 +8,8 @@ Provides the things the individual test modules lean on:
 * reference helpers: ``grad_max_rel_err`` compares analytic gradients
   (row gradients densified) with finite differences, and
   ``micro_from_confusion`` recomputes micro scores from a confusion
-  matrix alone, and
+  matrix alone, ``bootstrap_ci_reference`` resamples through ``evaluate``,
+  and
 * a small hand-written raw corpus in the classic clinical-annotation
   layout (``write_raw_corpus``) used by the CLI and end-to-end tests.
 """
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, settings
 
 from relcnn.corpus import Concept, RelationInstance, replace_concepts
 from relcnn.encoding import EncoderConfig, EncodedInstance, Vocab, build_vocab, encode
-from relcnn.evaluator import Micro
+from relcnn.evaluator import Micro, evaluate
 from relcnn.model import HyperParams, ModelParams, RowGrad, init_params
 from relcnn.relations import (
     CATEGORY_OF,
@@ -165,6 +166,21 @@ def micro_from_confusion(conf: np.ndarray) -> Micro:
     r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * p * r / (p + r) if p + r else 0.0
     return Micro(p, r, f1)
+
+
+def bootstrap_ci_reference(gold, pred, resamples: int, seed: int) -> dict[str, tuple[float, float]]:
+    """Percentile bootstrap that rebuilds label lists and calls `evaluate` per resample."""
+    n = len(gold)
+    stats = np.empty((resamples, 3))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(resamples)):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
+        m = evaluate([gold[j] for j in idx], [pred[j] for j in idx]).micro
+        stats[i] = (m.p, m.r, m.f1)
+    out: dict[str, tuple[float, float]] = {}
+    for col, name in enumerate(("micro_p", "micro_r", "micro_f1")):
+        lo, hi = np.percentile(stats[:, col], [2.5, 97.5])
+        out[name] = (float(lo), float(hi))
+    return out
 
 
 # ---------------------------------------------------------------------------

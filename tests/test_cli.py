@@ -261,6 +261,93 @@ def test_eval_with_bootstrap_ci(tmp_path, capsys):
     assert lo <= hi
 
 
+def test_train_rejects_empty_dev_set_without_output(tmp_path, capsys):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    assert run("train", "--train", corpus, "--dev", empty, "--vocab", vocab,
+               "--checkpoint", tmp_path / "m.npz", "--epochs", 1) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty dev set") and err.count("\n") == 1
+    assert not (tmp_path / "m.npz").exists()
+    assert not (tmp_path / "m.npz.metrics.json").exists()
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_metrics_dev_block_matches_rescored_checkpoint(tmp_path, epochs):
+    from relcnn.encoding import encode_instances
+    from relcnn.evaluator import evaluate
+    from relcnn.model import load_checkpoint, predict
+
+    corpus = _synth(tmp_path, n=10, noise=0.3)
+    dev = _synth(tmp_path / "dev", n=6, seed=1, noise=0.3)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    ckpt = _train_tiny(tmp_path, corpus, vocab, dev=dev, epochs=epochs)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    model = load_checkpoint(ckpt)
+    encs = encode_instances(read_instances(dev), load_vocab(vocab), model.encoder)
+    rescored = evaluate([e.gold for e in encs],
+                        [predict(e, model.params, model.hp)[0] for e in encs])
+    assert metrics["dev"] == json.loads(json.dumps(rescored.to_dict()))
+    if epochs:
+        assert metrics["dev"]["micro"]["f1"] == metrics["record"]["dev_f1"][metrics["best_epoch"]]
+
+
+def _write_preds(path: Path, corpus: Path, edit=None) -> None:
+    """One gold-copying prediction per instance; `edit(i, line)` may replace line i."""
+    from relcnn.cli import _instance_key
+
+    lines = [json.dumps({"key": _instance_key(inst), "pred": inst.gold.value})
+             for inst in read_instances(corpus)]
+    if edit is not None:
+        lines = [edit(i, line) for i, line in enumerate(lines)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    ('{"pred_label": "TeRP"}', "'pred'"),
+    ('{"pred": "TrXP"}', "'TrXP' is not a valid RelationType"),
+    ('{"pred": [1]}', "[1] is not a valid RelationType"),
+    ('{"pred": "TeRP",', "Expecting"),
+    ('["TeRP"]', "list indices"),
+    ("5", "not subscriptable"),
+], ids=["missing-pred", "unknown-label", "unhashable-label", "invalid-json",
+        "list-line", "number-line"])
+def test_eval_rejects_malformed_prediction_line(tmp_path, capsys, bad_line, message):
+    corpus = _synth(tmp_path, n=4)
+    preds = tmp_path / "p.jsonl"
+    _write_preds(preds, corpus, lambda i, line: bad_line if i == 2 else line)
+    capsys.readouterr()
+    assert run("eval", "--gold", corpus, "--pred", preds) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {preds}:3: bad prediction record: ") and message in err
+    assert err.count("\n") == 1
+    assert not Path(str(preds) + ".report.json").exists()
+
+
+def test_eval_key_mismatch_names_the_file_line_after_blank_lines(tmp_path, capsys):
+    corpus = _synth(tmp_path, n=4)
+    preds = tmp_path / "p.jsonl"
+    _write_preds(preds, corpus, lambda i, line: (
+        "\n" + line.replace('"key": "', '"key": "other') if i == 1 else line))
+    capsys.readouterr()
+    assert run("eval", "--gold", corpus, "--pred", preds) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {preds}:3: prediction key 'other")
+
+
+def test_stats_rejects_wrong_shape_record(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("[1, 2]\n")
+    assert run("stats", "--input", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: bad instance record") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # gridsearch
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,30 @@ def test_read_instances_rejects_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"not": "an instance"}\n')
     with pytest.raises((KeyError, ValueError, AnnotationError)):
+        read_instances(path)
+
+
+_GOOD_RECORD = {"doc": "d", "sent": 1, "tokens": ["a", "x", "b", "y"],
+                "c1": {"start": 2, "end": 2, "type": "test"},
+                "c2": {"start": 4, "end": 4, "type": "problem"}, "label": "TeRP"}
+
+
+@pytest.mark.parametrize("record", [
+    [1, 2],
+    5,
+    "tokens",
+    None,
+    {**_GOOD_RECORD, "tokens": 5},
+    {**_GOOD_RECORD, "tokens": "a x b y"},
+    {**_GOOD_RECORD, "tokens": ["a", 1, "b", "y"]},
+    {**_GOOD_RECORD, "c1": [2, 2]},
+    {**_GOOD_RECORD, "c2": {"start": None, "end": 4, "type": "problem"}},
+], ids=["list", "int", "string", "null", "tokens-int", "tokens-string",
+        "tokens-non-string-item", "concept-list", "start-null"])
+def test_read_instances_wrong_shape_names_file_and_line(tmp_path, record):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n\n" + json.dumps(record) + "\n")
+    with pytest.raises(AnnotationError, match=f"^{re.escape(str(path))}:3: bad instance record"):
         read_instances(path)
 
 

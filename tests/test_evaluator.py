@@ -22,7 +22,7 @@ from relcnn.relations import (
     RelationType,
 )
 
-from conftest import micro_from_confusion
+from conftest import bootstrap_ci_reference, micro_from_confusion
 
 T = RelationType
 labels = st.sampled_from(RELATION_TYPES)
@@ -183,6 +183,19 @@ def test_bootstrap_deterministic_and_ordered():
     assert a != c
     for lo, hi in a.values():
         assert lo <= hi
+
+
+@given(
+    st.lists(st.tuples(labels, labels), min_size=1, max_size=60),
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([100, 150]),
+)
+def test_bootstrap_matches_evaluate_per_resample_bitwise(pairs, seed, resamples):
+    gold = [g for g, _ in pairs]
+    pred = [p for _, p in pairs]
+    assert bootstrap_ci(gold, pred, resamples, seed) == bootstrap_ci_reference(
+        gold, pred, resamples, seed
+    )
 
 
 def test_bootstrap_rejects_too_few_resamples():

@@ -7,7 +7,8 @@ import pytest
 
 from relcnn import trainer
 from relcnn.encoding import UNK_ID, EncoderConfig, build_vocab, encode_instances
-from relcnn.model import HyperParams, backward, forward, init_params, loss_from_trace
+from relcnn.evaluator import evaluate
+from relcnn.model import HyperParams, backward, forward, init_params, loss_from_trace, predict
 from relcnn.relations import CLASS_INDEX
 from relcnn.synthgen import generate, placement_task_spec
 from relcnn.trainer import (
@@ -180,6 +181,32 @@ def test_train_empty_training_set_rejected():
     encs, vocab = _toy_corpus(n_per_type=2)
     with pytest.raises(ValueError):
         train([], encs, _hp(), TrainConfig(epochs=1), vocab, ENC)
+
+
+def test_train_empty_dev_set_rejected_before_training(monkeypatch):
+    encs, vocab = _toy_corpus(n_per_type=2)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("trained before rejecting the empty dev set")
+
+    monkeypatch.setattr(trainer, "forward", no_step)
+    with pytest.raises(ValueError, match="empty dev set"):
+        train(encs, [], _hp(), TrainConfig(epochs=1), vocab, ENC)
+
+
+@pytest.mark.parametrize("epochs", [0, 4])
+def test_train_dev_report_scores_the_returned_params(epochs):
+    encs, vocab = _toy_corpus()
+    tr, dev = split_dev(encs, 0.25, seed=1)
+    hp = _hp(beta=0.0005, lr=0.1, dropout_p=0.5)
+    res = train(tr, dev, hp, TrainConfig(epochs=epochs, seed=6), vocab, ENC)
+    rescored = evaluate([e.gold for e in dev], [predict(e, res.params, hp)[0] for e in dev])
+    assert res.dev_report.to_dict() == rescored.to_dict()
+    if epochs:
+        best = res.record.best_epoch
+        assert res.record.dev_f1[-1] < res.record.dev_f1[best]  # the last epoch is not the best
+        assert res.dev_report.micro.f1 == res.record.dev_f1[best]
+        assert np.trace(res.dev_report.confusion) / len(dev) == res.record.dev_acc[best]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
