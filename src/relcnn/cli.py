@@ -3,9 +3,10 @@
 Conventions shared by every subcommand:
 
 * JSON-lines instance files are the universal inter-stage format;
-* a run manifest (`<primary output>.manifest.json`) is written before any
-  output: command, config snapshot, seeds, sha256 of each input, output
-  paths, tool version — enough to reproduce the run bit-exactly;
+* a run manifest (`<primary output>.manifest.json`) is written after the
+  outputs, so a failed command leaves none: command, config snapshot,
+  seeds, sha256 of each input, output paths, tool version — enough to
+  reproduce the run bit-exactly;
 * configuration precedence is flags > --config file > defaults;
 * stdout carries human-readable summaries, stderr diagnostics; machine
   data goes to files only.  Exit code 0 iff no errors.
@@ -20,9 +21,10 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields
 from dataclasses import replace as dc_replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -105,7 +107,7 @@ def write_manifest(
     inputs: Sequence[Path],
     outputs: Sequence[Path],
 ) -> Path:
-    """Record the run next to its primary output, before outputs are written."""
+    """Record the run next to its primary output, once the outputs are written."""
     manifest = {
         "format": MANIFEST_FORMAT,
         "tool_version": __version__,
@@ -122,100 +124,75 @@ def write_manifest(
 
 # ---------------------------------------------------------------------------
 # Config merging (flags > config file > defaults)
+#
+# The config dataclasses declare the schema: a config-file key, a grid-file
+# axis and a flag's argparse dest are each exactly a field name.
 # ---------------------------------------------------------------------------
 
 
-def _merge_section(defaults: dict, config: dict | None, section: str, flags: dict) -> dict:
-    merged = dict(defaults)
-    file_section = (config or {}).get(section, {})
-    unknown = sorted(set(file_section) - set(merged))
+def _typed(value, tp, where: str):
+    """`value` as the field type `tp` (int, float, str or a tuple of those).
+
+    An int is a valid float; a bool is neither.  A string stands for a tuple
+    of ints as comma-separated sizes, as in `--windows 3,4,5`.
+    """
+    if get_origin(tp) is tuple:
+        elem = get_args(tp)[0]
+        if isinstance(value, str) and elem is int:
+            try:
+                value = [int(p) for p in value.split(",") if p]
+            except ValueError:
+                raise CliError(f"{where}: bad sizes {value!r}; expected e.g. '3,4,5'") from None
+        if not isinstance(value, (list, tuple)):
+            raise CliError(f"{where}: expected a list, got {value!r}")
+        return tuple(_typed(v, elem, where) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
+        raise CliError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def _typed_fields(cls, values, source: str) -> dict:
+    """`values` checked key by key against the fields of dataclass `cls`."""
+    hints = get_type_hints(cls)
+    if not isinstance(values, dict):
+        raise CliError(f"{source}: expected an object with keys {', '.join(hints)}, got {values!r}")
+    unknown = sorted(set(values) - set(hints))
     if unknown:
-        raise CliError(f"config section {section!r} has unknown keys: {', '.join(unknown)}")
-    merged.update(file_section)
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    return merged
+        raise CliError(f"{source}: unknown keys {', '.join(unknown)} (expected {', '.join(hints)})")
+    return {k: _typed(v, hints[k], f"{source}: {k}") for k, v in values.items()}
 
 
-def _parse_windows(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p]
-    else:
-        parts = list(value)
-    try:
-        windows = tuple(int(p) for p in parts)
-    except (TypeError, ValueError):
-        raise CliError(f"bad window sizes {value!r}; expected e.g. '4' or '3,4,5'")
-    if not windows:
-        raise CliError("window sizes must be nonempty")
-    return windows
+def _flags(args, cls) -> dict:
+    """The flags given for the fields of `cls`; each flag's dest is its field's name."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls)}
+    return {k: v for k, v in given.items() if v is not None}
 
 
-_HP_DEFAULTS = {k: v for k, v in HyperParams().__dict__.items()}
-_TRAIN_DEFAULTS = {k: v for k, v in TrainConfig().__dict__.items() if k != "grid"}
-_ENCODER_DEFAULTS = {k: v for k, v in EncoderConfig().__dict__.items()}
+def _resolve(cls, args, config: dict | None = None, section: str = ""):
+    """A `cls` from its flags, over the config file's `section`, over its defaults."""
+    values = {}
+    if config:
+        values = _typed_fields(cls, config.get(section, {}), f"{args.config}: {section}")
+    values.update(_typed_fields(cls, _flags(args, cls), "command line"))
+    return cls(**values)
 
 
-def _hp_flags(args) -> dict:
-    return {
-        "d_w": args.d_w,
-        "d_p": args.d_p,
-        "d_ct": args.d_ct,
-        "d_c": args.d_c,
-        "windows": args.windows,
-        "m": None,
-        "dropout_p": args.dropout,
-        "pooling": args.pooling,
-        "loss": args.loss,
-        "beta": args.beta,
-        "lr": args.lr,
-    }
-
-
-def _train_flags(args) -> dict:
-    return {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "seed": args.seed,
-        "dev_fraction": args.dev_fraction,
-    }
-
-
-def _encoder_flags(args) -> dict:
-    return {
-        "max_distance": args.max_distance,
-        "concept_len": args.concept_len,
-        "min_word_freq": args.min_word_freq,
-    }
-
-
-_CONFIG_SECTIONS = ("hyperparams", "train", "encoder")
+_CONFIG_SECTIONS = {"hyperparams": HyperParams, "train": TrainConfig, "encoder": EncoderConfig}
 
 
 def _resolve_train_setup(args) -> tuple[HyperParams, TrainConfig, EncoderConfig, dict]:
     """Merge defaults, --config file and flags into (hp, cfg, enc, snapshot)."""
-    config = _read_json(Path(args.config)) if args.config else None
-    if config is not None:
-        unknown = sorted(set(config) - set(_CONFIG_SECTIONS))
-        if unknown:
-            raise CliError(
-                f"config file has unknown sections: {', '.join(unknown)} "
-                f"(expected {', '.join(_CONFIG_SECTIONS)})"
-            )
-    hp_dict = _merge_section(_HP_DEFAULTS, config, "hyperparams", _hp_flags(args))
-    hp_dict["windows"] = _parse_windows(hp_dict["windows"])
-    tr_dict = _merge_section(_TRAIN_DEFAULTS, config, "train", _train_flags(args))
-    enc_dict = _merge_section(_ENCODER_DEFAULTS, config, "encoder", _encoder_flags(args))
-    try:
-        hp = HyperParams(**hp_dict)
-        cfg = TrainConfig(**tr_dict)
-        enc_cfg = EncoderConfig(**enc_dict)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    snapshot = {
-        "hyperparams": {**hp.__dict__, "windows": list(hp.windows)},
-        "train": dict(tr_dict),
-        "encoder": enc_cfg.__dict__,
-    }
+    config = _read_json(Path(args.config)) if args.config else {}
+    if not isinstance(config, dict):
+        raise CliError(f"{args.config}: expected an object of config sections, got {config!r}")
+    unknown = sorted(set(config) - set(_CONFIG_SECTIONS))
+    if unknown:
+        raise CliError(
+            f"{args.config}: unknown config sections {', '.join(unknown)} "
+            f"(expected {', '.join(_CONFIG_SECTIONS)})"
+        )
+    hp, cfg, enc_cfg = (_resolve(cls, args, config, name) for name, cls in _CONFIG_SECTIONS.items())
+    snapshot = {"hyperparams": asdict(hp), "train": asdict(cfg), "encoder": asdict(enc_cfg)}
     return hp, cfg, enc_cfg, snapshot
 
 
@@ -266,22 +243,11 @@ def _discover_documents(dirs: Sequence[str]) -> list[tuple[str, Path, Path, Path
 
 
 def cmd_preprocess(args) -> int:
-    enc_flags = _encoder_flags(args)
-    enc_cfg = EncoderConfig(**_merge_section(_ENCODER_DEFAULTS, None, "encoder", enc_flags))
+    enc_cfg = _resolve(EncoderConfig, args)
     docs = _discover_documents(args.input)
     out = Path(args.out)
     vocab_path = Path(args.vocab) if args.vocab else out.with_suffix(".vocab.txt")
     stats_path = Path(args.stats) if args.stats else Path(str(out) + ".stats.json")
-
-    inputs = [p for _, txt, con, rel in docs for p in (txt, con, rel)]
-    write_manifest(
-        out,
-        "preprocess",
-        {"encoder": enc_cfg.__dict__},
-        {},
-        inputs,
-        [out, vocab_path, stats_path],
-    )
 
     instances: list[RelationInstance] = []
     for doc_id, txt, con, rel in docs:
@@ -295,10 +261,19 @@ def cmd_preprocess(args) -> int:
         )
         instances.extend(document_instances(doc))
 
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_instances(out, instances)
     save_vocab(build_vocab(instances, enc_cfg), vocab_path)
     stats = corpus_stats(instances)
     _write_json(stats_path, stats.to_dict())
+    write_manifest(
+        out,
+        "preprocess",
+        {"encoder": asdict(enc_cfg)},
+        {},
+        [p for _, txt, con, rel in docs for p in (txt, con, rel)],
+        [out, vocab_path, stats_path],
+    )
 
     print(f"documents: {len(docs)}")
     print(f"instances: {stats.n_instances}")
@@ -340,11 +315,16 @@ def cmd_synth(args) -> int:
     config_snapshot: dict = {"spec": spec.to_dict()}
     outputs = [out, ledger_path]
     if vocab_path is not None:
-        enc_cfg = EncoderConfig(
-            **_merge_section(_ENCODER_DEFAULTS, None, "encoder", _encoder_flags(args))
-        )
-        config_snapshot["encoder"] = enc_cfg.__dict__
+        enc_cfg = _resolve(EncoderConfig, args)
+        config_snapshot["encoder"] = asdict(enc_cfg)
         outputs.append(vocab_path)
+    instances, ledger = generate(spec)
+    report = self_check(instances, ledger)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_instances(out, instances)
+    _write_json(ledger_path, ledger.to_dict())
+    if vocab_path is not None:
+        save_vocab(build_vocab(instances, enc_cfg), vocab_path)
     write_manifest(
         out,
         "synth",
@@ -353,12 +333,6 @@ def cmd_synth(args) -> int:
         [Path(args.spec)] if args.spec else [],
         outputs,
     )
-    instances, ledger = generate(spec)
-    report = self_check(instances, ledger)
-    write_instances(out, instances)
-    _write_json(ledger_path, ledger.to_dict())
-    if vocab_path is not None:
-        save_vocab(build_vocab(instances, enc_cfg), vocab_path)
     print(f"instances: {report.n}")
     print(f"rule-reader accuracy: {100.0 * report.rule_accuracy:.1f}")
     return 0
@@ -398,14 +372,6 @@ def cmd_train(args) -> int:
         outputs.append(record_path)
     if args.embeddings:
         inputs.append(Path(args.embeddings))
-    write_manifest(
-        ckpt_path,
-        "train",
-        snapshot,
-        {"seed": cfg.seed},
-        inputs,
-        outputs,
-    )
 
     train_enc = encode_instances(train_raw, vocab, enc_cfg)
     dev_enc = encode_instances(dev_raw, vocab, enc_cfg)
@@ -422,6 +388,7 @@ def cmd_train(args) -> int:
     result = train(train_enc, dev_enc, hp, cfg, vocab, enc_cfg, init=init)
     record = result.record
 
+    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt_path, result.params, hp, enc_cfg, vocab_hash(vocab_path))
     _write_json(
         metrics_path,
@@ -433,6 +400,7 @@ def cmd_train(args) -> int:
     )
     if record_path:
         _write_json(record_path, record.to_dict(include_wall_time=True))
+    write_manifest(ckpt_path, "train", snapshot, {"seed": cfg.seed}, inputs, outputs)
     print(
         f"epochs: {record.n_epochs}  best epoch: {record.best_epoch}  "
         f"dev micro-F1: {result.dev_report.micro.f1:.1f}"
@@ -441,26 +409,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _cell_text(value) -> str:
+    return ",".join(str(k) for k in value) if isinstance(value, tuple) else str(value)
+
+
 def cmd_gridsearch(args) -> int:
     hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args)
+    grid = GridSpec()
     if args.grid:
-        raw = _read_json(Path(args.grid))
-        unknown = sorted(set(raw) - {"d_p", "d_c", "lr", "beta", "windows"})
-        if unknown:
-            raise CliError(f"grid file has unknown axes: {', '.join(unknown)}")
-        axes = dict(raw)
-        if "windows" in axes:
-            axes["windows"] = tuple(_parse_windows(w) for w in axes["windows"])
-        for name in ("d_p", "d_c", "lr", "beta"):
-            if name in axes:
-                axes[name] = tuple(axes[name])
-        try:
-            grid = GridSpec(**axes)
-        except (TypeError, ValueError) as exc:
-            raise CliError(str(exc))
-    else:
-        grid = cfg.grid
-    cfg = dc_replace(cfg, grid=grid)
+        axes = _typed_fields(GridSpec, _read_json(Path(args.grid)), f"{args.grid}: grid axes")
+        grid = GridSpec(**axes)
 
     vocab_path = Path(args.vocab)
     vocab = load_vocab(vocab_path)
@@ -470,44 +428,20 @@ def cmd_gridsearch(args) -> int:
         inputs.append(Path(args.grid))
     out = Path(args.out)
     outputs = [out] + ([Path(args.json)] if args.json else [])
-    write_manifest(
-        out,
-        "gridsearch",
-        {
-            **snapshot,
-            "grid": {
-                "d_p": list(grid.d_p),
-                "d_c": list(grid.d_c),
-                "lr": list(grid.lr),
-                "beta": list(grid.beta),
-                "windows": [list(w) for w in grid.windows],
-            },
-        },
-        {"seed": cfg.seed},
-        inputs,
-        outputs,
-    )
 
     train_enc = encode_instances(train_raw, vocab, enc_cfg)
     dev_enc = encode_instances(dev_raw, vocab, enc_cfg)
-    results = grid_search(train_enc, dev_enc, hp, cfg, vocab, enc_cfg)
+    results = grid_search(train_enc, dev_enc, hp, grid, cfg, vocab, enc_cfg)
 
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["rank", "d_p", "d_c", "lr", "beta", "windows", "dev_f1", "best_epoch", "failed", "error"]
-        )
+        writer.writerow(["rank", *(f.name for f in fields(GridSpec)), "dev_f1", "best_epoch", "failed", "error"])
         for rank, res in enumerate(results, start=1):
-            c = res.cell
             writer.writerow(
                 [
                     rank,
-                    c["d_p"],
-                    c["d_c"],
-                    repr(c["lr"]),
-                    repr(c["beta"]),
-                    ",".join(str(k) for k in c["windows"]),
+                    *map(_cell_text, res.cell.values()),
                     "" if res.failed else repr(res.dev_f1),
                     res.best_epoch,
                     int(res.failed),
@@ -521,7 +455,7 @@ def cmd_gridsearch(args) -> int:
                 "results": [
                     {
                         "rank": rank,
-                        "cell": {**res.cell, "windows": list(res.cell["windows"])},
+                        "cell": res.cell,
                         "dev_f1": None if res.failed else res.dev_f1,
                         "best_epoch": res.best_epoch,
                         "failed": res.failed,
@@ -531,15 +465,14 @@ def cmd_gridsearch(args) -> int:
                 ]
             },
         )
+    snapshot["grid"] = asdict(grid)
+    write_manifest(out, "gridsearch", snapshot, {"seed": cfg.seed}, inputs, outputs)
     best = results[0]
     if best.failed:
         print("all grid cells failed", file=sys.stderr)
         return 1
-    c = best.cell
-    print(
-        f"best cell: d_p={c['d_p']} d_c={c['d_c']} lr={c['lr']} beta={c['beta']} "
-        f"windows={','.join(str(k) for k in c['windows'])}  dev micro-F1: {best.dev_f1:.1f}"
-    )
+    cell = " ".join(f"{name}={_cell_text(value)}" for name, value in best.cell.items())
+    print(f"best cell: {cell}  dev micro-F1: {best.dev_f1:.1f}")
     return 0
 
 
@@ -568,14 +501,6 @@ def cmd_predict(args) -> int:
     in_path = Path(args.input)
     instances = read_instances(in_path)
     out = Path(args.out)
-    write_manifest(
-        out,
-        "predict",
-        {"checkpoint": str(args.checkpoint)},
-        {},
-        [Path(args.checkpoint), vocab_path, in_path],
-        [out],
-    )
     encoded = encode_instances(instances, vocab, ckpt.encoder)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
@@ -590,6 +515,14 @@ def cmd_predict(args) -> int:
                 "probs": {t.value: float(p) for t, p in zip(RELATION_TYPES, probs)},
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_manifest(
+        out,
+        "predict",
+        {"checkpoint": str(args.checkpoint)},
+        {},
+        [Path(args.checkpoint), vocab_path, in_path],
+        [out],
+    )
     print(f"predicted {len(instances)} instances")
     return 0
 
@@ -617,6 +550,10 @@ def cmd_eval(args) -> int:
             raise CliError(f"{pred_path}:{lineno}: prediction key {rec['key']!r} != gold {key!r}")
 
     out = Path(args.out) if args.out else Path(str(pred_path) + ".report.json")
+    report = evaluate(gold_labels, pred_labels)
+    if args.bootstrap:
+        report.ci = bootstrap_ci(gold_labels, pred_labels, args.bootstrap, args.seed)
+    _write_json(out, report.to_dict())
     write_manifest(
         out,
         "eval",
@@ -625,10 +562,6 @@ def cmd_eval(args) -> int:
         [gold_path, pred_path],
         [out],
     )
-    report = evaluate(gold_labels, pred_labels)
-    if args.bootstrap:
-        report.ci = bootstrap_ci(gold_labels, pred_labels, args.bootstrap, args.seed)
-    _write_json(out, report.to_dict())
     print(format_report(report))
     return 0
 
@@ -639,8 +572,8 @@ def cmd_stats(args) -> int:
     stats = corpus_stats(instances)
     if args.out:
         out = Path(args.out)
-        write_manifest(out, "stats", {}, {}, [in_path], [out])
         _write_json(out, stats.to_dict())
+        write_manifest(out, "stats", {}, {}, [in_path], [out])
     print(f"instances: {stats.n_instances}")
     for name, count in stats.relation_counts.items():
         print(f"  {name:<6} {count}")
@@ -670,7 +603,8 @@ def _add_hp_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--windows", default=None, help="window sizes, e.g. '4' or '3,4,5'")
     p.add_argument("--pooling", choices=["max", "multi"], default=None)
     p.add_argument("--loss", choices=["softmax", "constrained"], default=None)
-    p.add_argument("--dropout", type=float, default=None, help="dropout probability on rc")
+    p.add_argument("--dropout", dest="dropout_p", type=float, default=None,
+                   help="dropout probability on rc")
     p.add_argument("--beta", type=float, default=None, help="L2 coefficient")
     p.add_argument("--lr", type=float, default=None, help="SGD learning rate")
 

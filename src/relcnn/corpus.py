@@ -507,8 +507,14 @@ def instance_from_dict(d: dict) -> RelationInstance:
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
 
+    doc, sent = d.get("doc", ""), d.get("sent", 0)
+    if not isinstance(doc, str) or type(sent) is not int:
+        raise ValueError(f"doc must be a string and sent an integer, got {doc!r} and {sent!r}")
+
     def concept(c: dict) -> Concept:
-        start, end = int(c["start"]), int(c["end"])
+        start, end = c["start"], c["end"]
+        if type(start) is not int or type(end) is not int:
+            raise ValueError(f"concept start and end must be integers, got {start!r} and {end!r}")
         return Concept(
             tokens=tokens[start - 1 : end], start=start, end=end, ctype=ConceptType(c["type"])
         )
@@ -518,8 +524,8 @@ def instance_from_dict(d: dict) -> RelationInstance:
         concept1=concept(d["c1"]),
         concept2=concept(d["c2"]),
         gold=RelationType(d["label"]),
-        doc_id=d.get("doc", ""),
-        sent_index=int(d.get("sent", 0)),
+        doc_id=doc,
+        sent_index=sent,
     )
     inst.validate()
     return inst

@@ -37,7 +37,7 @@ window size and concatenate the pooled outputs before scoring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -81,7 +81,6 @@ class HyperParams:
     d_ct: int = 5
     d_c: int = 200
     windows: tuple[int, ...] = (4,)
-    m: int = N_CLASSES
     dropout_p: float = 0.5
     pooling: str = POOL_MULTI
     loss: str = LOSS_SOFTMAX
@@ -89,9 +88,8 @@ class HyperParams:
     lr: float = 0.075
 
     def __post_init__(self) -> None:
-        sizes = (self.d_w, self.d_p, self.d_ct, self.d_c, self.m)
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"embedding/filter/class sizes must be >= 1: {self}")
+        if min(self.d_w, self.d_p, self.d_ct, self.d_c) < 1:
+            raise ValueError(f"embedding/filter sizes must be >= 1: {self}")
         if not self.windows or any(k < 1 for k in self.windows):
             raise ValueError(f"windows must be a nonempty tuple of sizes >= 1: {self.windows}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -135,7 +133,7 @@ class ModelParams:
     w_conv: list[np.ndarray]  # per window: (d_c, d_x * k)
     b_conv: list[np.ndarray]  # per window: (d_c,)
     w_ctype: np.ndarray  # (n_ctypes, d_ct)
-    w_classes: np.ndarray  # (m, rc_size)
+    w_classes: np.ndarray  # (N_CLASSES, rc_size)
     revision: int = field(default=0, compare=False)
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -174,7 +172,7 @@ def init_params(
         w_conv=[glorot_init(hp.d_c, hp.d_x * k, rng) for k in hp.windows],
         b_conv=[np.zeros(hp.d_c) for _ in hp.windows],
         w_ctype=glorot_init(n_ctypes, hp.d_ct, rng),
-        w_classes=glorot_init(hp.m, hp.rc_size(concept_len), rng),
+        w_classes=glorot_init(N_CLASSES, hp.rc_size(concept_len), rng),
     )
 
 
@@ -497,7 +495,7 @@ def backward(
         ids = np.asarray(CATEGORY_CLASS_IDS[enc.category])
         if gold not in set(int(i) for i in ids):
             raise ValueError(f"gold class {gold} is not in category {enc.category.value}")
-        ds = np.zeros(hp.m)
+        ds = np.zeros(N_CLASSES)
         ds[ids] = softmax(s[ids])
         ds[gold] -= 1.0
         active_rows: np.ndarray | None = ids
@@ -625,16 +623,17 @@ def save_checkpoint(
     encoder: EncoderConfig,
     vocab_sha256: str,
 ) -> None:
-    """Write params + config to an .npz; float64 arrays round-trip bit-exactly."""
+    """Write params + config as .npz data to exactly `path` (no suffix is added);
+    float64 arrays round-trip bit-exactly."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "tool_version": __version__,
-        "hyperparams": {**hp.__dict__, "windows": list(hp.windows)},
-        "encoder": encoder.__dict__,
+        "hyperparams": asdict(hp),
+        "encoder": asdict(encoder),
         "vocab_sha256": vocab_sha256,
     }
-    arrays = {name: arr for name, arr in params.arrays().items()}
-    np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **params.arrays())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -646,8 +645,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
         hp_dict = dict(meta["hyperparams"])
-        hp_dict["windows"] = tuple(hp_dict["windows"])
-        hp = HyperParams(**hp_dict)
+        m = hp_dict.pop("m", N_CLASSES)  # older checkpoints record the class count
+        if m != N_CLASSES:
+            raise ValueError(f"{path}: checkpoint has m={m!r} classes, not {N_CLASSES}")
+        try:
+            hp = HyperParams(**{**hp_dict, "windows": tuple(hp_dict["windows"])})
+            encoder = EncoderConfig(**meta["encoder"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: bad checkpoint config: {exc!r}") from None
         params = ModelParams(
             w_word=data["w_word"],
             w_pos=data["w_pos"],
@@ -659,6 +664,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(
         params=params,
         hp=hp,
-        encoder=EncoderConfig(**meta["encoder"]),
+        encoder=encoder,
         vocab_sha256=meta["vocab_sha256"],
     )

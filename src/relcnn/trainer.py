@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence, TypeVar
 
@@ -55,17 +55,16 @@ class GridSpec:
     windows: tuple[tuple[int, ...], ...] = ((4,),)
 
     def __post_init__(self) -> None:
-        for name in ("d_p", "d_c", "lr", "beta", "windows"):
-            if not getattr(self, name):
-                raise ValueError(f"grid axis {name} must be nonempty")
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise ValueError(f"grid axis {f.name} must be nonempty")
 
     def cells(self) -> list[dict]:
         """Cartesian product in axis order; enumeration order is the tie-break."""
+        names = [f.name for f in fields(self)]
         return [
-            {"d_p": p, "d_c": c, "lr": lr, "beta": b, "windows": tuple(w)}
-            for p, c, lr, b, w in itertools.product(
-                self.d_p, self.d_c, self.lr, self.beta, self.windows
-            )
+            dict(zip(names, values))
+            for values in itertools.product(*(getattr(self, name) for name in names))
         ]
 
 
@@ -75,7 +74,6 @@ class TrainConfig:
     batch_size: int = 1
     seed: int = 0
     dev_fraction: float = 0.2
-    grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -275,33 +273,27 @@ def grid_search(
     train_insts: Sequence[EncodedInstance],
     dev_insts: Sequence[EncodedInstance],
     base_hp: HyperParams,
+    grid: GridSpec,
     cfg: TrainConfig,
     vocab: Vocab,
     enc_cfg: EncoderConfig,
 ) -> list[GridCellResult]:
     """Train every grid cell with the same seed; rank by dev micro-F1.
 
-    Cells only vary d_p, d_c, lr, beta and windows; everything else comes
-    from base_hp.  Diverging cells are marked failed and rank last.
-    Ties keep grid enumeration order (stable sort).
+    A cell sets the GridSpec axes; every other hyperparameter comes from
+    base_hp.  A cell's score is the dev micro-F1 of the parameters `train`
+    returns (the initialization when cfg.epochs is 0).  Diverging cells are
+    marked failed and rank last.  Ties keep grid enumeration order (stable
+    sort).
     """
+    cells = grid.cells()
+    hps = [replace(base_hp, **cell) for cell in cells]  # reject a bad cell before any trains
     results: list[GridCellResult] = []
-    for order, cell in enumerate(cfg.grid.cells()):
-        hp = HyperParams(
-            **{
-                **base_hp.__dict__,
-                "d_p": cell["d_p"],
-                "d_c": cell["d_c"],
-                "lr": cell["lr"],
-                "beta": cell["beta"],
-                "windows": cell["windows"],
-            }
-        )
+    for order, (cell, hp) in enumerate(zip(cells, hps)):
         try:
             result = train(train_insts, dev_insts, hp, cfg, vocab, enc_cfg)
-            dev_f1 = result.record.dev_f1[result.record.best_epoch] if result.record.n_epochs else 0.0
             results.append(
-                GridCellResult(order, cell, dev_f1, result.record.best_epoch)
+                GridCellResult(order, cell, result.dev_report.micro.f1, result.record.best_epoch)
             )
         except TrainingDiverged as exc:
             results.append(

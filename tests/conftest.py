@@ -9,13 +9,15 @@ Provides the things the individual test modules lean on:
   (row gradients densified) with finite differences, and
   ``micro_from_confusion`` recomputes micro scores from a confusion
   matrix alone, ``bootstrap_ci_reference`` resamples through ``evaluate``,
-  and
+  ``rewrite_checkpoint_meta`` makes older-format or hand-edited
+  checkpoints, and
 * a small hand-written raw corpus in the classic clinical-annotation
   layout (``write_raw_corpus``) used by the CLI and end-to-end tests.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +255,15 @@ RAW_DOCS = {
         ),
     },
 }
+
+
+def rewrite_checkpoint_meta(src: Path, dst: Path, edit) -> None:
+    """Copy checkpoint `src` to `dst` (an .npz path) with `edit(meta)` applied to its meta."""
+    with np.load(src) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays.pop("__meta__")[()]))
+    edit(meta)
+    np.savez(dst, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def write_raw_corpus(root: Path, layout: str = "adjacent") -> Path:

@@ -49,6 +49,7 @@ from relcnn.relations import (
     CATEGORY_CLASS_IDS,
     CATEGORY_TYPES,
     CLASS_INDEX,
+    N_CLASSES,
     RELATION_TYPES,
     Category,
     RelationType,
@@ -264,7 +265,7 @@ def test_criterion_05_shape_laws_across_grid():
                                  np.random.default_rng(1))
             tr = forward(enc, params, hp)
             assert tr.rc.shape == (hp.rc_size(L),)
-            assert tr.scores.shape == (hp.m,)
+            assert tr.scores.shape == (N_CLASSES,)
     _report(5, "shape laws across grid", n_cells == 2 * 4 * 4 * 5 * 4,
             f"{n_cells} (cell, pooling) combinations verified, "
             "reference cell (d_p=10, d_c=200, lr=0.075, beta=0.0005) present")

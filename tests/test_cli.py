@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relcnn.cli import MANIFEST_FORMAT, main
+from relcnn.cli import MANIFEST_FORMAT, build_parser, main
 from relcnn.corpus import read_instances
-from relcnn.encoding import load_vocab
+from relcnn.encoding import EncoderConfig, load_vocab
+from relcnn.model import HyperParams
 from relcnn.relations import RELATION_TYPES
+from relcnn.trainer import TrainConfig
 
-from conftest import write_raw_corpus
+from conftest import rewrite_checkpoint_meta, write_raw_corpus
 
 
 def run(*argv: str) -> int:
@@ -274,6 +277,75 @@ def test_train_rejects_empty_dev_set_without_output(tmp_path, capsys):
     assert err.startswith("error: empty dev set") and err.count("\n") == 1
     assert not (tmp_path / "m.npz").exists()
     assert not (tmp_path / "m.npz.metrics.json").exists()
+    assert not (tmp_path / "m.npz.manifest.json").exists()
+
+
+def test_checkpoint_path_without_suffix_is_used_as_given(tmp_path):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    ckpt = tmp_path / "mdl"
+    assert run("train", "--train", corpus, "--vocab", vocab, "--checkpoint", ckpt,
+               "--d-w", 8, "--d-p", 2, "--d-ct", 2, "--d-c", 6, "--epochs", 1) == 0
+    preds = tmp_path / "p.jsonl"
+    assert run("predict", "--checkpoint", ckpt, "--vocab", vocab,
+               "--input", corpus, "--out", preds) == 0
+    assert not (tmp_path / "mdl.npz").exists()
+    for manifest in (Path(str(ckpt) + ".manifest.json"), Path(str(preds) + ".manifest.json")):
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert outputs and all(Path(p).exists() for p in outputs)
+
+
+@pytest.mark.parametrize("kind,content,key", [
+    ("config", {"hyperparams": 5}, "hyperparams"),
+    ("config", {"hyperparams": {"d_w": "abc"}}, "d_w"),
+    ("config", {"train": {"epochs": 1.5}}, "epochs"),
+    ("grid", {"d_p": 5}, "d_p"),
+    ("checkpoint", None, "hidden"),
+], ids=["section-not-object", "string-for-int", "float-for-int", "axis-not-list",
+        "checkpoint-unknown-key"])
+def test_wrongly_typed_input_exits_1_without_output(tmp_path, capsys, kind, content, key):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    if kind == "checkpoint":
+        bad = tmp_path / "bad.npz"
+        rewrite_checkpoint_meta(_train_tiny(tmp_path, corpus, vocab), bad,
+                                lambda meta: meta["hyperparams"].update(hidden=3))
+        argv = ["predict", "--checkpoint", bad, "--vocab", vocab, "--input", corpus,
+                "--out", work / "p.jsonl"]
+    else:
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(content))
+        out = ["--checkpoint", work / "m.npz"] if kind == "config" else ["--out", work / "g.csv"]
+        argv = ["train" if kind == "config" else "gridsearch", "--train", corpus,
+                "--vocab", vocab, f"--{kind}", bad, *out, "--epochs", 1]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and key in err and err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,schemas", [
+    ("train", (HyperParams, TrainConfig, EncoderConfig)),
+    ("gridsearch", (HyperParams, TrainConfig, EncoderConfig)),
+    ("preprocess", (EncoderConfig,)),
+    ("synth", (EncoderConfig,)),
+])
+def test_every_config_field_has_a_flag(command, schemas):
+    required = {
+        "train": ["--train", "t", "--vocab", "v", "--checkpoint", "c"],
+        "gridsearch": ["--train", "t", "--vocab", "v", "--out", "o"],
+        "preprocess": ["--input", "i", "--out", "o"],
+        "synth": ["--out", "o"],
+    }[command]
+    dests = vars(build_parser().parse_args([command, *required]))
+    for cls in schemas:
+        missing = [f.name for f in fields(cls) if f.name not in dests]
+        assert not missing, f"{command}: no flag for {cls.__name__} fields {missing}"
 
 
 @pytest.mark.parametrize("epochs", [0, 2])

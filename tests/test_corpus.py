@@ -263,8 +263,16 @@ _GOOD_RECORD = {"doc": "d", "sent": 1, "tokens": ["a", "x", "b", "y"],
     {**_GOOD_RECORD, "tokens": ["a", 1, "b", "y"]},
     {**_GOOD_RECORD, "c1": [2, 2]},
     {**_GOOD_RECORD, "c2": {"start": None, "end": 4, "type": "problem"}},
+    {**_GOOD_RECORD, "c2": {"start": 4.0, "end": 4, "type": "problem"}},
+    {**_GOOD_RECORD, "c1": {"start": 2, "end": 2.7, "type": "test"}},
+    {**_GOOD_RECORD, "c1": {"start": True, "end": 2, "type": "test"}},
+    {**_GOOD_RECORD, "doc": 7},
+    {**_GOOD_RECORD, "sent": 1.5},
+    {**_GOOD_RECORD, "sent": "1"},
+    {**_GOOD_RECORD, "sent": False},
 ], ids=["list", "int", "string", "null", "tokens-int", "tokens-string",
-        "tokens-non-string-item", "concept-list", "start-null"])
+        "tokens-non-string-item", "concept-list", "start-null", "start-float",
+        "end-float", "start-bool", "doc-int", "sent-float", "sent-string", "sent-bool"])
 def test_read_instances_wrong_shape_names_file_and_line(tmp_path, record):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(_GOOD_RECORD) + "\n\n" + json.dumps(record) + "\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from relcnn.numeric import finite_diff_grad, log_sum_exp
 from relcnn.relations import (
     CATEGORY_CLASS_IDS,
     CLASS_INDEX,
+    N_CLASSES,
     RELATION_TYPES,
     Category,
     ConceptType,
@@ -51,6 +53,7 @@ from conftest import (
     densify,
     encoded_instance,
     grad_max_rel_err,
+    rewrite_checkpoint_meta,
     shared_vocab,
     toy_hp,
     toy_params,
@@ -103,7 +106,6 @@ class TestHyperParams:
             dict(loss="hinge"),
             dict(beta=-1e-9),
             dict(lr=0.0),
-            dict(m=0),
         ],
     )
     def test_validation_rejects(self, bad):
@@ -120,7 +122,7 @@ def test_init_params_shapes_and_determinism():
     assert a.w_ctype.shape == (VOCAB.n_ctypes, hp.d_ct)
     assert [w.shape for w in a.w_conv] == [(hp.d_c, hp.d_x * 2), (hp.d_c, hp.d_x * 3)]
     assert all((bv == 0).all() for bv in a.b_conv)  # biases start at zero
-    assert a.w_classes.shape == (hp.m, hp.rc_size(TOY_ENC.concept_len))
+    assert a.w_classes.shape == (N_CLASSES, hp.rc_size(TOY_ENC.concept_len))
     for k, arr in a.arrays().items():
         np.testing.assert_array_equal(arr, b.arrays()[k], err_msg=k)
 
@@ -247,7 +249,7 @@ def test_forward_shapes_and_score_identity(pooling):
     L = TOY_ENC.concept_len
     assert tr.r_x.shape == (hp.pooled_size,)
     assert tr.rc.shape == (hp.rc_size(L),)
-    assert tr.scores.shape == (hp.m,)
+    assert tr.scores.shape == (N_CLASSES,)
     np.testing.assert_array_equal(tr.rc, np.concatenate([tr.r_x, tr.cf_x]))
     np.testing.assert_allclose(tr.scores, params.w_classes @ tr.rc, atol=1e-15)
     assert (tr.dropout_mask == 1.0).all()  # inference: identity mask
@@ -603,6 +605,36 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     save_checkpoint(p1, params, hp, TOY_ENC, vocab_sha256="00" * 32)
     save_checkpoint(p2, params, hp, TOY_ENC, vocab_sha256="00" * 32)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_recording_the_class_count_loads_and_predicts_identically(tmp_path):
+    # Older checkpoints carry "m": 11 among their hyperparams.
+    hp, params, enc = _setup(windows=(2, 3))
+    new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+    save_checkpoint(new, params, hp, TOY_ENC, vocab_sha256="00" * 32)
+    rewrite_checkpoint_meta(new, old, lambda meta: meta["hyperparams"].update(m=N_CLASSES))
+    a, b = load_checkpoint(new), load_checkpoint(old)
+    assert b.hp == a.hp == hp
+    label_a, probs_a = predict(enc, a.params, a.hp)
+    label_b, probs_b = predict(enc, b.params, b.hp)
+    assert label_a == label_b
+    np.testing.assert_array_equal(probs_a, probs_b)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda meta: meta["hyperparams"].update(m=12), "m=12"),
+    (lambda meta: meta["hyperparams"].update(hidden=3), "hidden"),
+    (lambda meta: meta["encoder"].update(max_distance="60"), "<"),
+    (lambda meta: meta["hyperparams"].pop("windows"), "windows"),
+], ids=["m-12", "unknown-key", "wrong-type", "missing-windows"])
+def test_load_checkpoint_rejects_bad_config_naming_the_file(tmp_path, edit, message):
+    hp, params, _ = _setup()
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, params, hp, TOY_ENC, vocab_sha256="00" * 32)
+    rewrite_checkpoint_meta(good, bad, edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: ") as exc:
+        load_checkpoint(bad)
+    assert message in str(exc.value)
 
 
 def test_load_checkpoint_rejects_foreign_file(tmp_path):

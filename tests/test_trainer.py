@@ -254,8 +254,8 @@ def test_grid_search_ranks_cells_and_marks_divergence():
     encs, vocab = _toy_corpus(n_per_type=6)
     tr, dev = split_dev(encs, 0.25, seed=0)
     grid = GridSpec(d_p=(2,), d_c=(6,), lr=(0.05, 1e12), beta=(0.0,), windows=((4,),))
-    cfg = TrainConfig(epochs=2, seed=0, grid=grid)
-    results = grid_search(tr, dev, _hp(), cfg, vocab, ENC)
+    cfg = TrainConfig(epochs=2, seed=0)
+    results = grid_search(tr, dev, _hp(), grid, cfg, vocab, ENC)
     assert len(results) == 2
     winner, loser = results
     assert not winner.failed
@@ -271,8 +271,8 @@ def test_grid_search_matches_single_train_run():
     base = _hp()
     grid = GridSpec(d_p=(base.d_p,), d_c=(base.d_c,), lr=(base.lr,),
                     beta=(base.beta,), windows=(base.windows,))
-    cfg = TrainConfig(epochs=2, seed=3, grid=grid)
-    [cell] = grid_search(tr, dev, base, cfg, vocab, ENC)
+    cfg = TrainConfig(epochs=2, seed=3)
+    [cell] = grid_search(tr, dev, base, grid, cfg, vocab, ENC)
     solo = train(tr, dev, base, TrainConfig(epochs=2, seed=3), vocab, ENC)
     assert cell.dev_f1 == pytest.approx(max(solo.record.dev_f1), abs=0)
     assert cell.best_epoch == solo.record.best_epoch
@@ -283,10 +283,33 @@ def test_grid_search_tie_preserves_enumeration_order():
     tr, dev = split_dev(encs, 0.25, seed=0)
     # duplicate axis value produces two identical cells -> exact tie
     grid = GridSpec(d_p=(2, 2), d_c=(6,), lr=(0.05,), beta=(0.0,), windows=((4,),))
-    cfg = TrainConfig(epochs=1, seed=0, grid=grid)
-    results = grid_search(tr, dev, _hp(), cfg, vocab, ENC)
+    cfg = TrainConfig(epochs=1, seed=0)
+    results = grid_search(tr, dev, _hp(), grid, cfg, vocab, ENC)
     assert [r.order for r in results] == [0, 1]
     assert results[0].dev_f1 == results[1].dev_f1
+
+
+def test_grid_search_at_zero_epochs_scores_each_cells_initialization():
+    encs, vocab = _toy_corpus(n_per_type=4)
+    tr, dev = split_dev(encs, 0.25, seed=0)
+    grid = GridSpec(d_p=(2, 3), d_c=(6,), lr=(0.05,), beta=(0.0,), windows=((3,), (4,)))
+    cfg = TrainConfig(epochs=0, seed=2)
+    results = grid_search(tr, dev, _hp(), grid, cfg, vocab, ENC)
+    assert len(results) == 4
+    for res in results:
+        solo = train(tr, dev, _hp(**res.cell), cfg, vocab, ENC)
+        assert res.dev_f1 == solo.dev_report.micro.f1
+        assert res.best_epoch == -1
+    assert len({res.dev_f1 for res in results}) > 1  # not one placeholder score
+
+
+def test_grid_search_rejects_an_invalid_cell_before_training_any(monkeypatch):
+    encs, vocab = _toy_corpus(n_per_type=2)
+    tr, dev = split_dev(encs, 0.25, seed=0)
+    grid = GridSpec(d_p=(2,), d_c=(6,), lr=(0.05,), beta=(0.0,), windows=((4,), ()))
+    monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("a cell was trained"))
+    with pytest.raises(ValueError, match="windows"):
+        grid_search(tr, dev, _hp(), grid, TrainConfig(epochs=1), vocab, ENC)
 
 
 # ---------------------------------------------------------------------------
