@@ -96,7 +96,10 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _read_json(path: Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: invalid JSON: {exc}") from None
 
 
 def write_manifest(
@@ -291,7 +294,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        spec = SynthSpec.from_dict(_read_json(Path(args.spec)))
+        try:
+            spec = SynthSpec.from_dict(_read_json(Path(args.spec)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{args.spec}: bad synth spec: {exc!r}") from None
     elif args.preset == "placement":
         spec = placement_task_spec()
     else:
@@ -498,6 +504,10 @@ def cmd_predict(args) -> int:
             f"{vocab_path} hashes to {actual[:12]}..."
         )
     vocab = load_vocab(vocab_path)
+    for name, rows in (("w_word", vocab.n_words), ("w_pos", vocab.n_positions)):
+        got = len(ckpt.params.arrays()[name])
+        if got != rows:
+            raise CliError(f"{args.checkpoint}: array {name} has {got} rows, {vocab_path} needs {rows}")
     in_path = Path(args.input)
     instances = read_instances(in_path)
     out = Path(args.out)

@@ -1,4 +1,4 @@
-"""The CNN classifier: forward pass, two losses, and hand-written gradients.
+"""The CNN classifier: forward pass, the loss, and hand-written gradients.
 
 Architecture per instance (sentence of n tokens with placeholders at
 p1 < p2):
@@ -16,11 +16,12 @@ p1 < p2):
   to a fixed length) and, after inverted dropout, scored against one row
   per relation type.
 
-The "softmax" loss is cross-entropy over all classes; the "constrained"
-loss restricts both the normalization and the class-row L2 penalty to the
-classes of the sample's category, so rows outside the category receive
-exactly zero gradient.  ``backward`` produces analytic gradients for every
-parameter; ``numeric.finite_diff_grad`` is the independent check.
+Both losses are one cross-entropy whose normalization and class-row L2
+penalty run over a sample's loss classes (``loss_classes``): every class
+under the "softmax" loss, the classes of the sample's category under the
+"constrained" loss, so rows outside the category receive exactly zero
+gradient.  ``backward`` produces analytic gradients for every parameter;
+``numeric.finite_diff_grad`` is the independent check.
 
 The word table grows with the vocabulary, but one sample looks up only its
 own tokens and concept words.  Its gradient is therefore a ``RowGrad``:
@@ -48,9 +49,9 @@ from .encoding import EncodedInstance, EncoderConfig, PAD_ID, segment_bounds
 from .numeric import glorot_init, log_sum_exp, matmul, relu, softmax
 from .relations import (
     CATEGORY_CLASS_IDS,
-    CATEGORY_OF,
     CLASS_INDEX,
     Category,
+    ConceptType,
     N_CLASSES,
     RELATION_TYPES,
     RelationType,
@@ -331,17 +332,9 @@ def concept_features(enc: EncodedInstance, params: ModelParams) -> np.ndarray:
     )
 
 
-def score(
-    r_x: np.ndarray,
-    cf_x: np.ndarray,
-    params: ModelParams,
-    dropout_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Class scores s = W_classes rc with rc = [r_x; cf_x] (mask applied if given)."""
-    rc = np.concatenate([r_x, cf_x])
-    if dropout_mask is not None:
-        rc = rc * dropout_mask
-    return params.w_classes @ rc
+def score(r_x: np.ndarray, cf_x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Class scores s = W_classes rc with rc = [r_x; cf_x]."""
+    return params.w_classes @ np.concatenate([r_x, cf_x])
 
 
 def forward(
@@ -400,68 +393,55 @@ def forward(
 # ---------------------------------------------------------------------------
 
 
-def _l2_shared(params: ModelParams, word_sq: float | None = None) -> float:
-    """Sum of squares of the four always-regularized matrices (biases excluded).
+def loss_classes(category: Category, hp: HyperParams) -> slice:
+    """The classes a sample's loss normalizes and regularizes over.
 
-    `word_sq` is ||w_word||^2 when the caller already tracks it (the
-    trainer keeps it up to date from the touched rows); by default it is
-    summed over the whole table.
+    All classes under the softmax loss; under the constrained loss, the
+    sample's category, whose classes the class table lists contiguously.
     """
-    if word_sq is None:
-        word_sq = float(np.sum(params.w_word**2))
-    total = word_sq + float(np.sum(params.w_pos**2)) + float(np.sum(params.w_ctype**2))
-    for w in params.w_conv:
-        total += float(np.sum(w**2))
-    return total
+    if hp.loss == LOSS_SOFTMAX:
+        return slice(0, N_CLASSES)
+    ids = CATEGORY_CLASS_IDS[category]
+    return slice(ids[0], ids[-1] + 1)
 
 
-def loss_softmax(
-    s: np.ndarray, gold: int, params: ModelParams, beta: float, word_sq: float | None = None
-) -> float:
-    """Cross-entropy over all classes plus L2 of the five weight matrices."""
-    if not 0 <= gold < s.shape[0]:
-        raise ValueError(f"gold index {gold} outside [0, {s.shape[0]})")
-    nll = log_sum_exp(s) - float(s[gold])
-    if beta == 0.0:
-        return nll
-    return nll + beta * (_l2_shared(params, word_sq) + float(np.sum(params.w_classes**2)))
-
-
-def loss_constrained(
+def loss_over(
     s: np.ndarray,
     gold: int,
-    category: Category,
+    classes: slice,
     params: ModelParams,
     beta: float,
     word_sq: float | None = None,
 ) -> float:
-    """Category-masked loss: log-sum-exp over the category's classes only.
+    """Cross-entropy of `gold` normalized over `classes`, plus beta times the L2 sum.
 
-    The class-matrix L2 penalty is likewise restricted to the category's
-    rows, so class vectors of other categories are untouched by training
-    on this sample.
+    The L2 sum covers the word, position, concept-type and convolution
+    matrices and the `classes` rows of the class matrix (biases excluded),
+    so class rows outside `classes` are untouched by training on this
+    sample.  `word_sq` is ||w_word||^2 when the caller already tracks it
+    (the trainer keeps it up to date from the touched rows); by default it
+    is summed over the whole table.
     """
-    ids = list(CATEGORY_CLASS_IDS[category])
-    if gold not in ids:
-        raise ValueError(f"gold class {gold} is not in category {category.value}")
-    nll = log_sum_exp(s[ids]) - float(s[gold])
+    if gold not in range(s.shape[0])[classes]:
+        raise ValueError(f"gold class {gold} is outside the loss classes {classes}")
+    nll = log_sum_exp(s[classes]) - float(s[gold])
     if beta == 0.0:
         return nll
-    return nll + beta * (
-        _l2_shared(params, word_sq) + float(np.sum(params.w_classes[ids] ** 2))
-    )
+    if word_sq is None:
+        word_sq = float(np.sum(params.w_word**2))
+    l2 = word_sq + float(np.sum(params.w_pos**2)) + float(np.sum(params.w_ctype**2))
+    for w in params.w_conv:
+        l2 += float(np.sum(w**2))
+    return nll + beta * (l2 + float(np.sum(params.w_classes[classes] ** 2)))
 
 
 def loss_from_trace(
     trace: ForwardTrace, params: ModelParams, hp: HyperParams, word_sq: float | None = None
 ) -> float:
-    """The configured loss of a traced sample; `word_sq` as in ``_l2_shared``."""
-    gold = CLASS_INDEX[trace.enc.gold]
-    if hp.loss == LOSS_CONSTRAINED:
-        return loss_constrained(
-            trace.scores, gold, trace.enc.category, params, hp.beta, word_sq
-        )
-    return loss_softmax(trace.scores, gold, params, hp.beta, word_sq)
+    """The configured loss of a traced sample; `word_sq` as in ``loss_over``."""
+    enc = trace.enc
+    classes = loss_classes(enc.category, hp)
+    return loss_over(trace.scores, CLASS_INDEX[enc.gold], classes, params, hp.beta, word_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +450,14 @@ def loss_from_trace(
 
 
 def backward(
-    trace: ForwardTrace, gold: int, params: ModelParams, hp: HyperParams
+    trace: ForwardTrace, params: ModelParams, hp: HyperParams
 ) -> dict[str, np.ndarray | RowGrad]:
     """Analytic gradients of the traced loss for every parameter array.
 
     Gradient routing: pooling sends gradient only to the cached argmax
     columns, relu gates on Z > 0, the dropout mask is reused, and
     embedding rows accumulate from every position that looked them up.
-    Under the constrained loss, class rows outside the sample's category
-    get exactly zero.
+    Class rows outside the sample's loss classes get exactly zero.
 
     ``w_word`` gets a ``RowGrad``: the deduplicated ids this sample looked
     up (sentence tokens, <pad> included, and both concept contents), their
@@ -490,30 +469,17 @@ def backward(
             f"trace built at revision {trace.params_revision}, params now at {params.revision}"
         )
     enc = trace.enc
-    s = trace.scores
-    if hp.loss == LOSS_CONSTRAINED:
-        ids = np.asarray(CATEGORY_CLASS_IDS[enc.category])
-        if gold not in set(int(i) for i in ids):
-            raise ValueError(f"gold class {gold} is not in category {enc.category.value}")
-        ds = np.zeros(N_CLASSES)
-        ds[ids] = softmax(s[ids])
-        ds[gold] -= 1.0
-        active_rows: np.ndarray | None = ids
-    else:
-        ds = softmax(s)
-        ds[gold] -= 1.0
-        active_rows = None
+    classes = loss_classes(enc.category, hp)
+    ds = np.zeros(N_CLASSES)
+    ds[classes] = softmax(trace.scores[classes])
+    ds[CLASS_INDEX[enc.gold]] -= 1.0
 
-    grads: dict[str, np.ndarray | RowGrad] = {"w_ctype": np.zeros_like(params.w_ctype)}
-
-    if active_rows is None:
-        grads["w_classes"] = np.outer(ds, trace.rc_dropped) + 2.0 * hp.beta * params.w_classes
-    else:
-        grads["w_classes"] = np.zeros_like(params.w_classes)
-        grads["w_classes"][active_rows] = (
-            np.outer(ds[active_rows], trace.rc_dropped)
-            + 2.0 * hp.beta * params.w_classes[active_rows]
-        )
+    grads: dict[str, np.ndarray | RowGrad] = {
+        "w_ctype": np.zeros_like(params.w_ctype),
+        "w_classes": np.zeros_like(params.w_classes),
+    }
+    active = np.outer(ds[classes], trace.rc_dropped, out=grads["w_classes"][classes])
+    active += 2.0 * hp.beta * params.w_classes[classes]
 
     drc = (params.w_classes.T @ ds) * trace.dropout_mask
     dr_x = drc[: hp.pooled_size]
@@ -535,12 +501,10 @@ def backward(
         dr_w = dr_x[j * per : (j + 1) * per]
         dZ = np.zeros_like(wt.Z)
         filt = np.arange(hp.d_c)
-        for seg in range(wt.argmax_cols.shape[0]):
-            cols = wt.argmax_cols[seg]
-            valid = cols >= 0
-            if not valid.any():
+        for seg, cols in enumerate(wt.argmax_cols):
+            if cols[0] < 0:  # an empty segment: pooled to zeros, no gradient
                 continue
-            dZ[filt[valid], cols[valid]] += dr_w[seg * hp.d_c : (seg + 1) * hp.d_c][valid]
+            dZ[filt, cols] += dr_w[seg * hp.d_c : (seg + 1) * hp.d_c]
         dpre = dZ * (wt.Z > 0.0)
         grads[f"w_conv_{j}"] = dpre @ wt.X.T + 2.0 * hp.beta * params.w_conv[j]
         grads[f"b_conv_{j}"] = dpre.sum(axis=1)
@@ -591,7 +555,7 @@ def predict(
 ) -> tuple[RelationType, np.ndarray]:
     """Most probable relation type over all classes, plus the probability vector.
 
-    Ties break toward the lowest class index.  Scoring is over all m
+    Ties break toward the lowest class index.  Scoring is over all
     classes regardless of the sample's category, mirroring single-model
     training; cross-category mistakes stay observable in evaluation.
     """
@@ -636,7 +600,24 @@ def save_checkpoint(
         np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **params.arrays())
 
 
+def _array_shapes(hp: HyperParams, encoder: EncoderConfig) -> dict[str, tuple[int | None, ...]]:
+    """The shape of each array a checkpoint holds, named as in ``ModelParams.arrays()``.
+
+    The vocabulary sets the row counts (None) of the word and position
+    tables; ``predict`` checks them against the vocabulary file.
+    """
+    shapes: dict[str, tuple[int | None, ...]] = {"w_word": (None, hp.d_w), "w_pos": (None, hp.d_p)}
+    for i, k in enumerate(hp.windows):
+        shapes[f"w_conv_{i}"] = (hp.d_c, hp.d_x * k)
+        shapes[f"b_conv_{i}"] = (hp.d_c,)
+    shapes["w_ctype"] = (len(ConceptType), hp.d_ct)
+    shapes["w_classes"] = (N_CLASSES, hp.rc_size(encoder.concept_len))
+    return shapes
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint, rejecting a missing or extra array and any array that is
+    not finite float64 of the shape its hyperparameters and encoder imply."""
     with np.load(path) as data:
         try:
             meta = json.loads(str(data["__meta__"][()]))
@@ -651,19 +632,36 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         try:
             hp = HyperParams(**{**hp_dict, "windows": tuple(hp_dict["windows"])})
             encoder = EncoderConfig(**meta["encoder"])
+            vocab_sha256 = meta["vocab_sha256"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: bad checkpoint config: {exc!r}") from None
-        params = ModelParams(
-            w_word=data["w_word"],
-            w_pos=data["w_pos"],
-            w_conv=[data[f"w_conv_{i}"] for i in range(len(hp.windows))],
-            b_conv=[data[f"b_conv_{i}"] for i in range(len(hp.windows))],
-            w_ctype=data["w_ctype"],
-            w_classes=data["w_classes"],
-        )
+        shapes = _array_shapes(hp, encoder)
+        stored = set(data.files) - {"__meta__"}
+        if stored != set(shapes):
+            raise ValueError(
+                f"{path}: arrays missing {sorted(set(shapes) - stored)}, "
+                f"unexpected {sorted(stored - set(shapes))}"
+            )
+        arrays = {name: data[name] for name in shapes}
+    for name, arr in arrays.items():
+        want = shapes[name]
+        if arr.dtype != np.float64:
+            raise ValueError(f"{path}: array {name} is {arr.dtype}, not float64")
+        if arr.ndim != len(want) or any(w not in (None, n) for n, w in zip(arr.shape, want)):
+            raise ValueError(f"{path}: array {name} has shape {arr.shape}, expected {want}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: array {name} holds non-finite values")
+    params = ModelParams(
+        w_word=arrays["w_word"],
+        w_pos=arrays["w_pos"],
+        w_conv=[arrays[f"w_conv_{i}"] for i in range(len(hp.windows))],
+        b_conv=[arrays[f"b_conv_{i}"] for i in range(len(hp.windows))],
+        w_ctype=arrays["w_ctype"],
+        w_classes=arrays["w_classes"],
+    )
     return Checkpoint(
         params=params,
         hp=hp,
         encoder=encoder,
-        vocab_sha256=meta["vocab_sha256"],
+        vocab_sha256=vocab_sha256,
     )

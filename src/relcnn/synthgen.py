@@ -245,14 +245,6 @@ class LedgerEntry:
         d["signal"] = list(self.signal)
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "LedgerEntry":
-        fields = dict(d)
-        fields["rule_label"] = RelationType(d["rule_label"])
-        fields["gold"] = RelationType(d["gold"])
-        fields["signal"] = tuple(d["signal"])
-        return LedgerEntry(**fields)
-
 
 @dataclass
 class SynthLedger:
@@ -261,13 +253,6 @@ class SynthLedger:
 
     def to_dict(self) -> dict:
         return {"spec": self.spec.to_dict(), "entries": [e.to_dict() for e in self.entries]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthLedger":
-        return SynthLedger(
-            spec=SynthSpec.from_dict(d["spec"]),
-            entries=[LedgerEntry.from_dict(e) for e in d["entries"]],
-        )
 
 
 def _signal_slot_range(placement: str, p1: int, p2: int, n: int, s: int) -> tuple[int, int]:

@@ -34,7 +34,6 @@ from .model import (
     loss_from_trace,
     predict,
 )
-from .relations import CLASS_INDEX
 
 T = TypeVar("T")
 
@@ -219,7 +218,7 @@ def train(
                         f"for this data/model (loss={loss})"
                     )
                 losses.append(loss)
-                grads = backward(trace, CLASS_INDEX[enc.gold], params, hp)
+                grads = backward(trace, params, hp)
                 if summed is None:
                     summed = grads
                 else:

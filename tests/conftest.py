@@ -257,13 +257,24 @@ RAW_DOCS = {
 }
 
 
-def rewrite_checkpoint_meta(src: Path, dst: Path, edit) -> None:
-    """Copy checkpoint `src` to `dst` (an .npz path) with `edit(meta)` applied to its meta."""
+def rewrite_checkpoint_arrays(src: Path, dst: Path, edit) -> None:
+    """Copy checkpoint `src` to `dst` (an .npz path) with `edit(arrays)` applied to
+    its dict of arrays, ``__meta__`` included."""
     with np.load(src) as data:
         arrays = {name: data[name] for name in data.files}
-    meta = json.loads(str(arrays.pop("__meta__")[()]))
-    edit(meta)
-    np.savez(dst, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    edit(arrays)
+    np.savez(dst, **arrays)
+
+
+def rewrite_checkpoint_meta(src: Path, dst: Path, edit) -> None:
+    """Copy checkpoint `src` to `dst` (an .npz path) with `edit(meta)` applied to its meta."""
+
+    def edit_meta(arrays: dict) -> None:
+        meta = json.loads(str(arrays["__meta__"][()]))
+        edit(meta)
+        arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+
+    rewrite_checkpoint_arrays(src, dst, edit_meta)
 
 
 def write_raw_corpus(root: Path, layout: str = "adjacent") -> Path:

@@ -39,8 +39,9 @@ from relcnn.model import (
     backward,
     forward,
     init_params,
-    loss_constrained,
-    loss_softmax,
+    loss_classes,
+    loss_from_trace,
+    loss_over,
     pool,
     predict,
 )
@@ -48,7 +49,6 @@ from relcnn.numeric import finite_diff_grad
 from relcnn.relations import (
     CATEGORY_CLASS_IDS,
     CATEGORY_TYPES,
-    CLASS_INDEX,
     N_CLASSES,
     RELATION_TYPES,
     Category,
@@ -97,15 +97,10 @@ def test_criterion_01_gradient_check():
                 params = init_params(hp, vocab.n_words, vocab.n_positions,
                                      enc_cfg.concept_len,
                                      np.random.default_rng(31 * i + 7))
-                gold = CLASS_INDEX[enc.gold]
-                trace = forward(enc, params, hp)
-                analytic = backward(trace, gold, params, hp)
+                analytic = backward(forward(enc, params, hp), params, hp)
 
                 def objective(_):
-                    s = forward(enc, params, hp).scores
-                    if loss == LOSS_SOFTMAX:
-                        return loss_softmax(s, gold, params, hp.beta)
-                    return loss_constrained(s, gold, enc.category, params, hp.beta)
+                    return loss_from_trace(forward(enc, params, hp), params, hp)
 
                 numeric = finite_diff_grad(objective, params, epsilon=1e-5)
                 worst = max(worst, grad_max_rel_err(analytic, numeric, params))
@@ -182,7 +177,7 @@ def test_criterion_03_constrained_updates_masked():
             params = init_params(hp, 60, vocab.n_positions, enc_cfg.concept_len,
                                  np.random.default_rng(checked))
             trace = forward(enc, params, hp)
-            grads = backward(trace, CLASS_INDEX[enc.gold], params, hp)
+            grads = backward(trace, params, hp)
             inactive = [i for i in range(11) if i not in CATEGORY_CLASS_IDS[cat]]
             # bitwise zero: compare the raw bit patterns, not a tolerance
             bits = grads["w_classes"][inactive].view(np.uint64)
@@ -211,7 +206,7 @@ def test_criterion_04_constrained_equals_standalone_softmax():
     score_sets += [forward(e, params, hp).scores for e in encs if e.category == Category.TEP]
     for s in score_sets:
         for gold in ids:
-            got = loss_constrained(s, gold, Category.TEP, params, beta=0.0)
+            got = loss_over(s, gold, loss_classes(Category.TEP, hp), params, beta=0.0)
             # independent 3-class cross entropy, stable shift form
             sub = [float(s[i]) for i in ids]
             m = max(sub)

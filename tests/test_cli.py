@@ -14,9 +14,10 @@ from relcnn.corpus import read_instances
 from relcnn.encoding import EncoderConfig, load_vocab
 from relcnn.model import HyperParams
 from relcnn.relations import RELATION_TYPES
+from relcnn.synthgen import placement_task_spec
 from relcnn.trainer import TrainConfig
 
-from conftest import rewrite_checkpoint_meta, write_raw_corpus
+from conftest import rewrite_checkpoint_arrays, rewrite_checkpoint_meta, write_raw_corpus
 
 
 def run(*argv: str) -> int:
@@ -95,13 +96,26 @@ def test_synth_vocab_output_feeds_train(tmp_path):
 
 
 def test_synth_spec_file_round_trip(tmp_path):
-    from relcnn.synthgen import placement_task_spec
-
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(placement_task_spec(sentences_per_type=3).to_dict()))
     out = tmp_path / "c.jsonl"
     assert run("synth", "--spec", spec_path, "--out", out) == 0
     assert len(read_instances(out)) == 6
+
+
+@pytest.mark.parametrize("spec", [
+    {"sentences_per_type": "many"},
+    {**placement_task_spec().to_dict(), "sentences_per_type": "3"},
+], ids=["no-rules", "string-count"])
+def test_synth_rejects_a_bad_spec_naming_the_file(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    work = tmp_path / "work"
+    work.mkdir()
+    assert run("synth", "--spec", spec_path, "--out", work / "c.jsonl") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec_path}: bad synth spec: ") and err.count("\n") == 1
+    assert list(work.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +340,52 @@ def test_wrongly_typed_input_exits_1_without_output(tmp_path, capsys, kind, cont
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}") and key in err and err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["config", "grid", "spec"])
+def test_invalid_json_file_is_named(tmp_path, capsys, flag):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    bad = tmp_path / f"{flag}.json"
+    bad.write_text('{"d_w": 8,\n')
+    argv = {
+        "config": ["train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz"],
+        "grid": ["gridsearch", "--train", corpus, "--vocab", vocab, "--out", work / "g.csv"],
+        "spec": ["synth", "--out", work / "c.jsonl"],
+    }[flag]
+    capsys.readouterr()
+    assert run(*argv, f"--{flag}", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid JSON: ") and err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit,array", [
+    (lambda a: a.update(w_classes=a["w_classes"] * np.nan), "w_classes"),
+    (lambda a: a.update(w_pos=a["w_pos"].astype(np.float32)), "w_pos"),
+    (lambda a: a.update(w_conv_7=a["w_conv_0"]), "w_conv_7"),
+    (lambda a: a.pop("w_ctype"), "w_ctype"),
+    (lambda a: a.update(w_classes=a["w_classes"][:, :-1]), "w_classes"),
+    (lambda a: a.update(w_word=a["w_word"][:-1]), "w_word"),
+    (lambda a: a.update(w_pos=a["w_pos"][1:]), "w_pos"),
+], ids=["nan", "float32", "extra-array", "missing-array", "narrowed", "word-rows", "position-rows"])
+def test_predict_rejects_a_broken_checkpoint_array(tmp_path, capsys, edit, array):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    bad = tmp_path / "bad.npz"
+    rewrite_checkpoint_arrays(_train_tiny(tmp_path, corpus, vocab), bad, edit)
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", bad, "--vocab", vocab, "--input", corpus,
+               "--out", work / "p.jsonl") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and array in err and err.count("\n") == 1
     assert list(work.iterdir()) == []
 
 

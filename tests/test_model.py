@@ -30,9 +30,9 @@ from relcnn.model import (
     forward,
     init_params,
     load_checkpoint,
-    loss_constrained,
+    loss_classes,
     loss_from_trace,
-    loss_softmax,
+    loss_over,
     pool,
     predict,
     save_checkpoint,
@@ -323,6 +323,18 @@ def _reg_terms(params):
     return shared, float(np.sum(params.w_classes ** 2))
 
 
+ALL_CLASSES = loss_classes(Category.TEP, toy_hp(loss=LOSS_SOFTMAX))
+TEP_CLASSES = loss_classes(Category.TEP, toy_hp(loss=LOSS_CONSTRAINED))
+
+
+@pytest.mark.parametrize("loss", [LOSS_SOFTMAX, LOSS_CONSTRAINED])
+def test_loss_classes_are_all_classes_or_the_category_block(loss):
+    hp = toy_hp(loss=loss)
+    for cat in Category:
+        want = CATEGORY_CLASS_IDS[cat] if loss == LOSS_CONSTRAINED else range(N_CLASSES)
+        assert list(range(N_CLASSES))[loss_classes(cat, hp)] == list(want)
+
+
 class TestSoftmaxLoss:
     def test_matches_hand_formula(self):
         hp, params, enc = _setup()
@@ -331,21 +343,22 @@ class TestSoftmaxLoss:
         shared, cls = _reg_terms(params)
         expected = (math.log(sum(math.exp(v) for v in s)) - s[gold]
                     + hp.beta * (shared + cls))
-        assert loss_softmax(s, gold, params, hp.beta) == pytest.approx(expected, rel=1e-12)
+        got = loss_over(s, gold, ALL_CLASSES, params, hp.beta)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_bias_excluded_from_regularizer(self):
         hp, params, enc = _setup()
         s = np.zeros(11)
-        before = loss_softmax(s, 0, params, beta=10.0)
+        before = loss_over(s, 0, ALL_CLASSES, params, beta=10.0)
         for b in params.b_conv:
             b += 123.456
-        after = loss_softmax(s, 0, params, beta=10.0)
+        after = loss_over(s, 0, ALL_CLASSES, params, beta=10.0)
         assert after == pytest.approx(before, rel=1e-15)
 
     def test_gold_out_of_range(self):
         _, params, _ = _setup()
         with pytest.raises(ValueError):
-            loss_softmax(np.zeros(11), 11, params, 0.0)
+            loss_over(np.zeros(11), 11, ALL_CLASSES, params, 0.0)
 
 
 class TestConstrainedLoss:
@@ -359,21 +372,21 @@ class TestConstrainedLoss:
         cat_rows = float(np.sum(params.w_classes[list(ids)] ** 2))
         expected = (math.log(sum(math.exp(s[i]) for i in ids)) - s[gold]
                     + hp.beta * (shared + cat_rows))
-        got = loss_constrained(s, gold, cat, params, hp.beta)
+        got = loss_over(s, gold, TEP_CLASSES, params, hp.beta)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_ignores_scores_outside_category(self):
         _, params, _ = _setup()
         s = np.zeros(11)
-        base = loss_constrained(s, 6, Category.TEP, params, 0.0)
+        base = loss_over(s, 6, TEP_CLASSES, params, 0.0)
         s2 = s.copy()
         s2[[0, 1, 2, 3, 4, 5, 9, 10]] = 1e6  # other categories: irrelevant
-        assert loss_constrained(s2, 6, Category.TEP, params, 0.0) == base
+        assert loss_over(s2, 6, TEP_CLASSES, params, 0.0) == base
 
     def test_rejects_gold_outside_category(self):
         _, params, _ = _setup()
         with pytest.raises(ValueError):
-            loss_constrained(np.zeros(11), 0, Category.TEP, params, 0.0)
+            loss_over(np.zeros(11), 0, TEP_CLASSES, params, 0.0)
 
     def test_constraint_diag(self):
         d = np.zeros(11)
@@ -382,17 +395,14 @@ class TestConstrainedLoss:
 
 
 def test_loss_from_trace_dispatch():
-    hp, params, enc = _setup(loss=LOSS_SOFTMAX)
-    tr = forward(enc, params, hp)
+    _, params, enc = _setup()
     gold = CLASS_INDEX[enc.gold]
-    assert loss_from_trace(tr, params, hp) == pytest.approx(
-        loss_softmax(tr.scores, gold, params, hp.beta), rel=1e-15
-    )
-    hp2 = toy_hp(loss=LOSS_CONSTRAINED)
-    tr2 = forward(enc, params, hp2)
-    assert loss_from_trace(tr2, params, hp2) == pytest.approx(
-        loss_constrained(tr2.scores, gold, enc.category, params, hp2.beta), rel=1e-15
-    )
+    for loss in (LOSS_SOFTMAX, LOSS_CONSTRAINED):
+        hp = toy_hp(loss=loss)
+        tr = forward(enc, params, hp)
+        assert loss_from_trace(tr, params, hp) == pytest.approx(
+            loss_over(tr.scores, gold, loss_classes(enc.category, hp), params, hp.beta), rel=1e-15
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +417,6 @@ def _check_gradients(pooling, loss, seed, dropout_p=0.0):
     params = toy_params(hp, VOCAB, TOY_ENC, seed=seed)
     enc = encoded_instance(np.random.default_rng(seed + 100), RelationType.TECP,
                            VOCAB, TOY_ENC)
-    gold = CLASS_INDEX[enc.gold]
 
     def run_forward():
         if dropout_p > 0:
@@ -415,16 +424,10 @@ def _check_gradients(pooling, loss, seed, dropout_p=0.0):
                            dropout_rng=np.random.default_rng(55))
         return forward(enc, params, hp)
 
-    tr = run_forward()
-    analytic = backward(tr, gold, params, hp)
-
-    def objective(_):
-        t = run_forward()
-        if loss == LOSS_SOFTMAX:
-            return loss_softmax(t.scores, gold, params, hp.beta)
-        return loss_constrained(t.scores, gold, enc.category, params, hp.beta)
-
-    numeric = finite_diff_grad(objective, params, epsilon=1e-5)
+    analytic = backward(run_forward(), params, hp)
+    numeric = finite_diff_grad(
+        lambda _: loss_from_trace(run_forward(), params, hp), params, epsilon=1e-5
+    )
     return grad_max_rel_err(analytic, numeric, params)
 
 
@@ -442,12 +445,9 @@ def test_backward_multi_window():
     hp = toy_hp(windows=(2, 3))
     params = toy_params(hp, VOCAB, TOY_ENC, seed=5)
     enc = encoded_instance(np.random.default_rng(50), RelationType.TRAP, VOCAB, TOY_ENC)
-    gold = CLASS_INDEX[enc.gold]
-    tr = forward(enc, params, hp)
-    analytic = backward(tr, gold, params, hp)
+    analytic = backward(forward(enc, params, hp), params, hp)
     numeric = finite_diff_grad(
-        lambda _: loss_softmax(forward(enc, params, hp).scores, gold, params, hp.beta),
-        params, epsilon=1e-5,
+        lambda _: loss_from_trace(forward(enc, params, hp), params, hp), params, epsilon=1e-5
     )
     assert grad_max_rel_err(analytic, numeric, params) < GRAD_TOL
 
@@ -457,7 +457,7 @@ def test_constrained_gradient_rows_outside_category_are_zero():
     params = toy_params(hp, VOCAB, TOY_ENC, seed=6)
     enc = encoded_instance(np.random.default_rng(60), RelationType.PIP, VOCAB, TOY_ENC)
     tr = forward(enc, params, hp)
-    grads = backward(tr, CLASS_INDEX[enc.gold], params, hp)
+    grads = backward(tr, params, hp)
     g = grads["w_classes"]
     inactive = [i for i in range(11) if i not in CATEGORY_CLASS_IDS[Category.PP]]
     assert g[inactive].view(np.uint64).max() == 0  # bitwise zero
@@ -467,16 +467,16 @@ def test_constrained_gradient_rows_outside_category_are_zero():
 def test_backward_rejects_stale_trace():
     hp, params, enc = _setup()
     tr = forward(enc, params, hp)
-    grads = backward(tr, CLASS_INDEX[enc.gold], params, hp)
+    grads = backward(tr, params, hp)
     apply_sgd(params, grads, lr=0.01)
     with pytest.raises(StaleTraceError):
-        backward(tr, CLASS_INDEX[enc.gold], params, hp)
+        backward(tr, params, hp)
 
 
 def test_apply_sgd_in_place_exact_and_bumps_revision():
     hp, params, enc = _setup()
     tr = forward(enc, params, hp)
-    grads = backward(tr, CLASS_INDEX[enc.gold], params, hp)
+    grads = backward(tr, params, hp)
     before = {k: v.copy() for k, v in params.arrays().items()}
     rev = params.revision
     w_word_obj = params.w_word
@@ -540,11 +540,10 @@ def test_sparse_step_matches_dense_rule(batch_size):
     for _ in range(50):
         summed, dense_sum = None, None
         for enc in batch:
-            gold = CLASS_INDEX[enc.gold]
-            grads = backward(forward(enc, sparse, hp), gold, sparse, hp)
+            grads = backward(forward(enc, sparse, hp), sparse, hp)
             assert np.unique(grads["w_word"].ids).size == grads["w_word"].ids.size
             summed = grads if summed is None else {n: summed[n] + grads[n] for n in grads}
-            ref = backward(forward(enc, dense, hp), gold, dense, hp)
+            ref = backward(forward(enc, dense, hp), dense, hp)
             ref = {n: densify(g, dense.arrays()[n]) for n, g in ref.items()}
             dense_sum = ref if dense_sum is None else {n: dense_sum[n] + ref[n] for n in ref}
         apply_sgd(sparse, {n: g / batch_size for n, g in summed.items()}, hp.lr)
@@ -626,7 +625,8 @@ def test_checkpoint_recording_the_class_count_loads_and_predicts_identically(tmp
     (lambda meta: meta["hyperparams"].update(hidden=3), "hidden"),
     (lambda meta: meta["encoder"].update(max_distance="60"), "<"),
     (lambda meta: meta["hyperparams"].pop("windows"), "windows"),
-], ids=["m-12", "unknown-key", "wrong-type", "missing-windows"])
+    (lambda meta: meta.pop("vocab_sha256"), "vocab_sha256"),
+], ids=["m-12", "unknown-key", "wrong-type", "missing-windows", "missing-vocab-hash"])
 def test_load_checkpoint_rejects_bad_config_naming_the_file(tmp_path, edit, message):
     hp, params, _ = _setup()
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"

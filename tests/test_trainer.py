@@ -9,7 +9,6 @@ from relcnn import trainer
 from relcnn.encoding import UNK_ID, EncoderConfig, build_vocab, encode_instances
 from relcnn.evaluator import evaluate
 from relcnn.model import HyperParams, backward, forward, init_params, loss_from_trace, predict
-from relcnn.relations import CLASS_INDEX
 from relcnn.synthgen import generate, placement_task_spec
 from relcnn.trainer import (
     GridSpec,
@@ -133,7 +132,7 @@ def test_train_batch_gradients_are_averaged():
     summed = {}
     for i in order:
         trace = forward(encs[int(i)], params, hp, train=True)
-        grads = backward(trace, CLASS_INDEX[encs[int(i)].gold], params, hp)
+        grads = backward(trace, params, hp)
         for name, g in grads.items():
             if name == "w_word":
                 # the data part, scattered densely; decay is handled below
