@@ -3,10 +3,14 @@
 Conventions shared by every subcommand:
 
 * JSON-lines instance files are the universal inter-stage format;
-* a run manifest (`<primary output>.manifest.json`) is written after the
-  outputs, so a failed command leaves none: command, config snapshot,
-  seeds, sha256 of each input, output paths, tool version — enough to
-  reproduce the run bit-exactly;
+* every output is written to a staging file beside its target and moved
+  onto it with `os.replace` only once the command has finished its work
+  (`Run`), so an existing file is either replaced whole or left untouched,
+  and a command that fails or is interrupted leaves no output behind;
+  `gridsearch` writes its ranking and then exits 1 when every cell diverged;
+* a run manifest (`<primary output>.manifest.json`) records the command,
+  config snapshot, seeds, sha256 of each input read and the outputs
+  written, and tool version — enough to reproduce the run bit-exactly;
 * configuration precedence is flags > --config file > defaults;
 * stdout carries human-readable summaries, stderr diagnostics; machine
   data goes to files only.  Exit code 0 iff no errors.
@@ -20,17 +24,15 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from dataclasses import replace as dc_replace
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from . import __version__
 from .corpus import (
-    AnnotationError,
     RelationInstance,
     corpus_stats,
     document_instances,
@@ -40,6 +42,7 @@ from .corpus import (
 )
 from .encoding import (
     EncoderConfig,
+    Vocab,
     build_vocab,
     encode_instances,
     load_vocab,
@@ -49,12 +52,10 @@ from .encoding import (
 from .evaluator import bootstrap_ci, evaluate, format_report
 from .model import (
     HyperParams,
-    init_params,
     load_checkpoint,
     predict,
     save_checkpoint,
 )
-from .numeric import ShapeError
 from .relations import RELATION_TYPES, RelationType
 from .synthgen import SynthSpec, SynthCheckError, generate, placement_task_spec, self_check
 from .trainer import (
@@ -62,6 +63,7 @@ from .trainer import (
     TrainConfig,
     TrainingDiverged,
     grid_search,
+    initial_params,
     load_word_vectors,
     split_dev,
     train,
@@ -88,7 +90,6 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -103,14 +104,14 @@ def _read_json(path: Path) -> dict:
 
 
 def write_manifest(
-    primary_output: Path,
+    path: Path,
     command: str,
     config: dict,
     seeds: dict,
     inputs: Sequence[Path],
     outputs: Sequence[Path],
-) -> Path:
-    """Record the run next to its primary output, once the outputs are written."""
+) -> None:
+    """Write the record of one run to `path`."""
     manifest = {
         "format": MANIFEST_FORMAT,
         "tool_version": __version__,
@@ -120,9 +121,49 @@ def write_manifest(
         "inputs": {str(p): _sha256(Path(p)) for p in sorted(inputs, key=str)},
         "outputs": [str(p) for p in outputs],
     }
-    path = Path(str(primary_output) + ".manifest.json")
     _write_json(path, manifest)
-    return path
+
+
+class Run:
+    """How one command touches files.
+
+    `input` records a file the command reads.  `output` creates the
+    target's directory and returns a staging file beside the target, which
+    the command writes in place of it.  `commit` writes the manifest from
+    what was recorded, then moves each staged file onto its target with
+    `os.replace`, in staging order and the manifest last.  `discard`
+    removes whatever is staged and not committed, so a command that fails
+    changes no target.
+    """
+
+    def __init__(self, command: str) -> None:
+        self.command = command
+        self.inputs: list[Path] = []
+        self.staged: list[tuple[Path, Path]] = []  # (staging file, target)
+
+    def input(self, path: str | Path) -> Path:
+        self.inputs.append(Path(path))
+        return self.inputs[-1]
+
+    def output(self, path: str | Path) -> Path:
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        staging = target.with_name(f".{target.name}.{os.getpid()}-{len(self.staged)}.tmp")
+        self.staged.append((staging, target))
+        return staging
+
+    def commit(self, primary: Path, config: dict, seeds: dict) -> None:
+        outputs = [target for _, target in self.staged]
+        manifest = self.output(str(primary) + ".manifest.json")
+        write_manifest(manifest, self.command, config, seeds, self.inputs, outputs)
+        for staging, target in self.staged:
+            os.replace(staging, target)
+        self.staged.clear()
+
+    def discard(self) -> None:
+        for staging, _ in self.staged:
+            staging.unlink(missing_ok=True)
+        self.staged.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +212,12 @@ def _flags(args, cls) -> dict:
     return {k: v for k, v in given.items() if v is not None}
 
 
-def _resolve(cls, args, config: dict | None = None, section: str = ""):
-    """A `cls` from its flags, over the config file's `section`, over its defaults."""
-    values = {}
+def _resolve(cls, args, config: dict | None = None, section: str = "", **defaults):
+    """A `cls` from its flags, over the config file's `section`, over `defaults`,
+    over the defaults of `cls`."""
+    values = defaults
     if config:
-        values = _typed_fields(cls, config.get(section, {}), f"{args.config}: {section}")
+        values.update(_typed_fields(cls, config.get(section, {}), f"{args.config}: {section}"))
     values.update(_typed_fields(cls, _flags(args, cls), "command line"))
     return cls(**values)
 
@@ -183,8 +225,12 @@ def _resolve(cls, args, config: dict | None = None, section: str = ""):
 _CONFIG_SECTIONS = {"hyperparams": HyperParams, "train": TrainConfig, "encoder": EncoderConfig}
 
 
-def _resolve_train_setup(args) -> tuple[HyperParams, TrainConfig, EncoderConfig, dict]:
-    """Merge defaults, --config file and flags into (hp, cfg, enc, snapshot)."""
+def _resolve_train_setup(args, vocab: Vocab) -> tuple[HyperParams, TrainConfig, EncoderConfig, dict]:
+    """Merge defaults, --config file and flags into (hp, cfg, enc, snapshot).
+
+    The vocabulary sets the position table, so its radius is the encoder's
+    `max_distance`; an explicit value that disagrees is an error.
+    """
     config = _read_json(Path(args.config)) if args.config else {}
     if not isinstance(config, dict):
         raise CliError(f"{args.config}: expected an object of config sections, got {config!r}")
@@ -194,7 +240,14 @@ def _resolve_train_setup(args) -> tuple[HyperParams, TrainConfig, EncoderConfig,
             f"{args.config}: unknown config sections {', '.join(unknown)} "
             f"(expected {', '.join(_CONFIG_SECTIONS)})"
         )
-    hp, cfg, enc_cfg = (_resolve(cls, args, config, name) for name, cls in _CONFIG_SECTIONS.items())
+    hp = _resolve(HyperParams, args, config, "hyperparams")
+    cfg = _resolve(TrainConfig, args, config, "train")
+    enc_cfg = _resolve(EncoderConfig, args, config, "encoder", max_distance=vocab.max_distance)
+    if enc_cfg.max_distance != vocab.max_distance:
+        raise CliError(
+            f"max_distance {enc_cfg.max_distance} disagrees with {args.vocab}, "
+            f"which was built with max_distance {vocab.max_distance}"
+        )
     snapshot = {"hyperparams": asdict(hp), "train": asdict(cfg), "encoder": asdict(enc_cfg)}
     return hp, cfg, enc_cfg, snapshot
 
@@ -245,38 +298,28 @@ def _discover_documents(dirs: Sequence[str]) -> list[tuple[str, Path, Path, Path
     return sorted(docs)
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args, run: Run) -> int:
     enc_cfg = _resolve(EncoderConfig, args)
     docs = _discover_documents(args.input)
     out = Path(args.out)
-    vocab_path = Path(args.vocab) if args.vocab else out.with_suffix(".vocab.txt")
-    stats_path = Path(args.stats) if args.stats else Path(str(out) + ".stats.json")
 
     instances: list[RelationInstance] = []
     for doc_id, txt, con, rel in docs:
         doc = parse_document(
             doc_id,
-            txt.read_text(encoding="utf-8"),
-            con.read_text(encoding="utf-8"),
-            rel.read_text(encoding="utf-8"),
+            run.input(txt).read_text(encoding="utf-8"),
+            run.input(con).read_text(encoding="utf-8"),
+            run.input(rel).read_text(encoding="utf-8"),
             concept_source=str(con),
             relation_source=str(rel),
         )
         instances.extend(document_instances(doc))
 
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_instances(out, instances)
-    save_vocab(build_vocab(instances, enc_cfg), vocab_path)
+    write_instances(run.output(out), instances)
+    save_vocab(build_vocab(instances, enc_cfg), run.output(args.vocab or out.with_suffix(".vocab.txt")))
     stats = corpus_stats(instances)
-    _write_json(stats_path, stats.to_dict())
-    write_manifest(
-        out,
-        "preprocess",
-        {"encoder": asdict(enc_cfg)},
-        {},
-        [p for _, txt, con, rel in docs for p in (txt, con, rel)],
-        [out, vocab_path, stats_path],
-    )
+    _write_json(run.output(args.stats or f"{out}.stats.json"), stats.to_dict())
+    run.commit(out, {"encoder": asdict(enc_cfg)}, {})
 
     print(f"documents: {len(docs)}")
     print(f"instances: {stats.n_instances}")
@@ -292,10 +335,10 @@ def cmd_preprocess(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, run: Run) -> int:
     if args.spec:
         try:
-            spec = SynthSpec.from_dict(_read_json(Path(args.spec)))
+            spec = SynthSpec.from_dict(_read_json(run.input(args.spec)))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{args.spec}: bad synth spec: {exc!r}") from None
     elif args.preset == "placement":
@@ -316,29 +359,17 @@ def cmd_synth(args) -> int:
             raise CliError(str(exc))
 
     out = Path(args.out)
-    ledger_path = Path(args.ledger) if args.ledger else Path(str(out) + ".ledger.json")
-    vocab_path = Path(args.vocab) if args.vocab else None
     config_snapshot: dict = {"spec": spec.to_dict()}
-    outputs = [out, ledger_path]
-    if vocab_path is not None:
+    if args.vocab:
         enc_cfg = _resolve(EncoderConfig, args)
         config_snapshot["encoder"] = asdict(enc_cfg)
-        outputs.append(vocab_path)
     instances, ledger = generate(spec)
     report = self_check(instances, ledger)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_instances(out, instances)
-    _write_json(ledger_path, ledger.to_dict())
-    if vocab_path is not None:
-        save_vocab(build_vocab(instances, enc_cfg), vocab_path)
-    write_manifest(
-        out,
-        "synth",
-        config_snapshot,
-        {"seed": spec.seed},
-        [Path(args.spec)] if args.spec else [],
-        outputs,
-    )
+    write_instances(run.output(out), instances)
+    _write_json(run.output(args.ledger or f"{out}.ledger.json"), ledger.to_dict())
+    if args.vocab:
+        save_vocab(build_vocab(instances, enc_cfg), run.output(args.vocab))
+    run.commit(out, config_snapshot, {"seed": spec.seed})
     print(f"instances: {report.n}")
     print(f"rule-reader accuracy: {100.0 * report.rule_accuracy:.1f}")
     return 0
@@ -349,64 +380,43 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_split(args, cfg: TrainConfig) -> tuple[list, list, list[Path]]:
-    """Training and dev instance lists plus the input files used."""
-    train_path = Path(args.train)
-    train_insts = read_instances(train_path)
-    inputs = [train_path]
+def _load_split(args, cfg: TrainConfig, run: Run) -> tuple[list, list]:
+    """Training and dev instance lists."""
+    train_insts = read_instances(run.input(args.train))
     if args.dev:
-        dev_path = Path(args.dev)
-        dev_insts = read_instances(dev_path)
-        inputs.append(dev_path)
-    else:
-        train_insts, dev_insts = split_dev(train_insts, cfg.dev_fraction, cfg.seed)
-    return train_insts, dev_insts, inputs
+        return train_insts, read_instances(run.input(args.dev))
+    return split_dev(train_insts, cfg.dev_fraction, cfg.seed)
 
 
-def cmd_train(args) -> int:
-    hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args)
-    vocab_path = Path(args.vocab)
-    vocab = load_vocab(vocab_path)
-    train_raw, dev_raw, inputs = _load_split(args, cfg)
-    inputs.append(vocab_path)
-
-    ckpt_path = Path(args.checkpoint)
-    metrics_path = Path(args.metrics) if args.metrics else Path(str(ckpt_path) + ".metrics.json")
-    outputs = [ckpt_path, metrics_path]
-    record_path = Path(args.record) if args.record else None
-    if record_path:
-        outputs.append(record_path)
-    if args.embeddings:
-        inputs.append(Path(args.embeddings))
-
+def cmd_train(args, run: Run) -> int:
+    vocab = load_vocab(run.input(args.vocab))
+    hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args, vocab)
+    train_raw, dev_raw = _load_split(args, cfg, run)
     train_enc = encode_instances(train_raw, vocab, enc_cfg)
     dev_enc = encode_instances(dev_raw, vocab, enc_cfg)
 
     init = None
     if args.embeddings:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
-        init = init_params(
-            hp, vocab.n_words, vocab.n_positions, enc_cfg.concept_len, rng
-        )
-        n_loaded = load_word_vectors(args.embeddings, vocab, init.w_word)
+        init = initial_params(hp, cfg, vocab, enc_cfg)
+        n_loaded = load_word_vectors(run.input(args.embeddings), vocab, init.w_word)
         print(f"loaded {n_loaded} pre-trained word vectors", file=sys.stderr)
 
     result = train(train_enc, dev_enc, hp, cfg, vocab, enc_cfg, init=init)
     record = result.record
 
-    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(ckpt_path, result.params, hp, enc_cfg, vocab_hash(vocab_path))
+    ckpt_path = Path(args.checkpoint)
+    save_checkpoint(run.output(ckpt_path), result.params, hp, enc_cfg, vocab_hash(args.vocab))
     _write_json(
-        metrics_path,
+        run.output(args.metrics or f"{ckpt_path}.metrics.json"),
         {
             "best_epoch": record.best_epoch,
             "record": record.to_dict(include_wall_time=False),
             "dev": result.dev_report.to_dict(),
         },
     )
-    if record_path:
-        _write_json(record_path, record.to_dict(include_wall_time=True))
-    write_manifest(ckpt_path, "train", snapshot, {"seed": cfg.seed}, inputs, outputs)
+    if args.record:
+        _write_json(run.output(args.record), record.to_dict(include_wall_time=True))
+    run.commit(ckpt_path, snapshot, {"seed": cfg.seed})
     print(
         f"epochs: {record.n_epochs}  best epoch: {record.best_epoch}  "
         f"dev micro-F1: {result.dev_report.micro.f1:.1f}"
@@ -419,28 +429,21 @@ def _cell_text(value) -> str:
     return ",".join(str(k) for k in value) if isinstance(value, tuple) else str(value)
 
 
-def cmd_gridsearch(args) -> int:
-    hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args)
+def cmd_gridsearch(args, run: Run) -> int:
+    vocab = load_vocab(run.input(args.vocab))
+    hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args, vocab)
     grid = GridSpec()
     if args.grid:
-        axes = _typed_fields(GridSpec, _read_json(Path(args.grid)), f"{args.grid}: grid axes")
+        axes = _typed_fields(GridSpec, _read_json(run.input(args.grid)), f"{args.grid}: grid axes")
         grid = GridSpec(**axes)
 
-    vocab_path = Path(args.vocab)
-    vocab = load_vocab(vocab_path)
-    train_raw, dev_raw, inputs = _load_split(args, cfg)
-    inputs.append(vocab_path)
-    if args.grid:
-        inputs.append(Path(args.grid))
-    out = Path(args.out)
-    outputs = [out] + ([Path(args.json)] if args.json else [])
-
+    train_raw, dev_raw = _load_split(args, cfg, run)
     train_enc = encode_instances(train_raw, vocab, enc_cfg)
     dev_enc = encode_instances(dev_raw, vocab, enc_cfg)
     results = grid_search(train_enc, dev_enc, hp, grid, cfg, vocab, enc_cfg)
 
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    out = Path(args.out)
+    with open(run.output(out), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", *(f.name for f in fields(GridSpec)), "dev_f1", "best_epoch", "failed", "error"])
         for rank, res in enumerate(results, start=1):
@@ -456,7 +459,7 @@ def cmd_gridsearch(args) -> int:
             )
     if args.json:
         _write_json(
-            Path(args.json),
+            run.output(args.json),
             {
                 "results": [
                     {
@@ -472,7 +475,7 @@ def cmd_gridsearch(args) -> int:
             },
         )
     snapshot["grid"] = asdict(grid)
-    write_manifest(out, "gridsearch", snapshot, {"seed": cfg.seed}, inputs, outputs)
+    run.commit(out, snapshot, {"seed": cfg.seed})
     best = results[0]
     if best.failed:
         print("all grid cells failed", file=sys.stderr)
@@ -494,9 +497,9 @@ def _instance_key(inst: RelationInstance) -> str:
     )
 
 
-def cmd_predict(args) -> int:
-    ckpt = load_checkpoint(Path(args.checkpoint))
-    vocab_path = Path(args.vocab)
+def cmd_predict(args, run: Run) -> int:
+    ckpt = load_checkpoint(run.input(args.checkpoint))
+    vocab_path = run.input(args.vocab)
     actual = vocab_hash(vocab_path)
     if actual != ckpt.vocab_sha256:
         raise CliError(
@@ -508,12 +511,10 @@ def cmd_predict(args) -> int:
         got = len(ckpt.params.arrays()[name])
         if got != rows:
             raise CliError(f"{args.checkpoint}: array {name} has {got} rows, {vocab_path} needs {rows}")
-    in_path = Path(args.input)
-    instances = read_instances(in_path)
-    out = Path(args.out)
+    instances = read_instances(run.input(args.input))
     encoded = encode_instances(instances, vocab, ckpt.encoder)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    out = Path(args.out)
+    with open(run.output(out), "w", encoding="utf-8") as fh:
         for inst, enc in zip(instances, encoded):
             label, probs = predict(enc, ckpt.params, ckpt.hp)
             rec = {
@@ -525,22 +526,14 @@ def cmd_predict(args) -> int:
                 "probs": {t.value: float(p) for t, p in zip(RELATION_TYPES, probs)},
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    write_manifest(
-        out,
-        "predict",
-        {"checkpoint": str(args.checkpoint)},
-        {},
-        [Path(args.checkpoint), vocab_path, in_path],
-        [out],
-    )
+    run.commit(out, {"checkpoint": str(args.checkpoint)}, {})
     print(f"predicted {len(instances)} instances")
     return 0
 
 
-def cmd_eval(args) -> int:
-    gold_path = Path(args.gold)
-    pred_path = Path(args.pred)
-    gold_insts = read_instances(gold_path)
+def cmd_eval(args, run: Run) -> int:
+    pred_path = run.input(args.pred)
+    gold_insts = read_instances(run.input(args.gold))
     with open(pred_path, "r", encoding="utf-8") as fh:
         lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
     if len(gold_insts) != len(lines):
@@ -559,31 +552,21 @@ def cmd_eval(args) -> int:
         if "key" in rec and rec["key"] != key:
             raise CliError(f"{pred_path}:{lineno}: prediction key {rec['key']!r} != gold {key!r}")
 
-    out = Path(args.out) if args.out else Path(str(pred_path) + ".report.json")
+    out = Path(args.out or f"{pred_path}.report.json")
     report = evaluate(gold_labels, pred_labels)
     if args.bootstrap:
         report.ci = bootstrap_ci(gold_labels, pred_labels, args.bootstrap, args.seed)
-    _write_json(out, report.to_dict())
-    write_manifest(
-        out,
-        "eval",
-        {"bootstrap": args.bootstrap},
-        {"seed": args.seed},
-        [gold_path, pred_path],
-        [out],
-    )
+    _write_json(run.output(out), report.to_dict())
+    run.commit(out, {"bootstrap": args.bootstrap}, {"seed": args.seed})
     print(format_report(report))
     return 0
 
 
-def cmd_stats(args) -> int:
-    in_path = Path(args.input)
-    instances = read_instances(in_path)
-    stats = corpus_stats(instances)
+def cmd_stats(args, run: Run) -> int:
+    stats = corpus_stats(read_instances(run.input(args.input)))
     if args.out:
-        out = Path(args.out)
-        _write_json(out, stats.to_dict())
-        write_manifest(out, "stats", {}, {}, [in_path], [out])
+        _write_json(run.output(args.out), stats.to_dict())
+        run.commit(Path(args.out), {}, {})
     print(f"instances: {stats.n_instances}")
     for name, count in stats.relation_counts.items():
         print(f"  {name:<6} {count}")
@@ -705,19 +688,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run = Run(args.command)
     try:
-        return args.func(args)
-    except (
-        CliError,
-        AnnotationError,
-        SynthCheckError,
-        TrainingDiverged,
-        ShapeError,
-        ValueError,
-        OSError,
-    ) as exc:
+        return args.func(args, run)
+    except (CliError, SynthCheckError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        run.discard()
 
 
 if __name__ == "__main__":

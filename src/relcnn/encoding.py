@@ -197,24 +197,39 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _header(path: str | Path, lines: list[str], lineno: int, key: str) -> list[str]:
+    """The tab-separated values of header line `lineno`, which must be named `key`."""
+    parts = lines[lineno - 1].split("\t") if lineno <= len(lines) else []
+    if parts[:1] != [key]:
+        raise ValueError(f"{path}:{lineno}: expected the '{key}' header line")
+    return parts[1:]
+
+
 def load_vocab(path: str | Path) -> Vocab:
+    """Read a `save_vocab` file; a malformed line is reported as `<file>:<line>: ...`."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != VOCAB_FORMAT:
         raise ValueError(f"{path}: not a {VOCAB_FORMAT} file")
-    max_distance = int(lines[1].split("\t")[1])
-    ctypes = lines[2].split("\t")[1:]
+    radius = "\t".join(_header(path, lines, 2, "max_distance"))
+    if not radius.isdecimal() or int(radius) < 1:
+        raise ValueError(f"{path}:2: max_distance must be a positive integer, got {radius!r}")
+    ctypes = _header(path, lines, 3, "ctypes")
+    if ctypes != [t.value for t in ConceptType]:
+        raise ValueError(f"{path}:3: concept types {ctypes} are not {[t.value for t in ConceptType]}")
     word_ids: dict[str, int] = {}
-    for line in lines[3:]:
+    for lineno, line in enumerate(lines[3:], start=4):
         if not line:
             continue
-        tok, idx = line.rsplit("\t", 1)
+        tok, tab, idx = line.rpartition("\t")
+        if not tab or not idx.isdecimal():
+            raise ValueError(f"{path}:{lineno}: expected '<token>\\t<id>', got {line!r}")
         word_ids[tok] = int(idx)
     ids = sorted(word_ids.values())
     if ids != list(range(len(ids))):
         raise ValueError(f"{path}: word ids are not dense from 0")
     return Vocab(
         word_ids=word_ids,
-        max_distance=max_distance,
+        max_distance=int(radius),
         ctype_ids={name: i for i, name in enumerate(ctypes)},
     )
 

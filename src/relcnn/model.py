@@ -38,6 +38,7 @@ window size and concatenate the pooled outputs before scoring.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .encoding import EncodedInstance, EncoderConfig, PAD_ID, segment_bounds
-from .numeric import glorot_init, log_sum_exp, matmul, relu, softmax
+from .numeric import glorot_init, log_sum_exp, relu, softmax
 from .relations import (
     CATEGORY_CLASS_IDS,
     CLASS_INDEX,
@@ -291,7 +292,7 @@ def embed_sentence(enc: EncodedInstance, params: ModelParams, k: int) -> np.ndar
 
 def convolve(X: np.ndarray, w_conv: np.ndarray, b_conv: np.ndarray) -> np.ndarray:
     """Z = relu(W_conv X + b), bias broadcast per column."""
-    return relu(matmul(w_conv, X) + b_conv[:, None])
+    return relu(w_conv @ X + b_conv[:, None])
 
 
 def pool(
@@ -618,31 +619,30 @@ def _array_shapes(hp: HyperParams, encoder: EncoderConfig) -> dict[str, tuple[in
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint, rejecting a missing or extra array and any array that is
     not finite float64 of the shape its hyperparameters and encoder imply."""
-    with np.load(path) as data:
-        try:
-            meta = json.loads(str(data["__meta__"][()]))
-        except KeyError as exc:
-            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file") from exc
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    try:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("__meta__")[()]))
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file: {exc!r}") from None
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    try:
         hp_dict = dict(meta["hyperparams"])
         m = hp_dict.pop("m", N_CLASSES)  # older checkpoints record the class count
         if m != N_CLASSES:
             raise ValueError(f"{path}: checkpoint has m={m!r} classes, not {N_CLASSES}")
-        try:
-            hp = HyperParams(**{**hp_dict, "windows": tuple(hp_dict["windows"])})
-            encoder = EncoderConfig(**meta["encoder"])
-            vocab_sha256 = meta["vocab_sha256"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: bad checkpoint config: {exc!r}") from None
-        shapes = _array_shapes(hp, encoder)
-        stored = set(data.files) - {"__meta__"}
-        if stored != set(shapes):
-            raise ValueError(
-                f"{path}: arrays missing {sorted(set(shapes) - stored)}, "
-                f"unexpected {sorted(stored - set(shapes))}"
-            )
-        arrays = {name: data[name] for name in shapes}
+        hp = HyperParams(**{**hp_dict, "windows": tuple(hp_dict["windows"])})
+        encoder = EncoderConfig(**meta["encoder"])
+        vocab_sha256 = meta["vocab_sha256"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad checkpoint config: {exc!r}") from None
+    shapes = _array_shapes(hp, encoder)
+    if set(arrays) != set(shapes):
+        raise ValueError(
+            f"{path}: arrays missing {sorted(set(shapes) - set(arrays))}, "
+            f"unexpected {sorted(set(arrays) - set(shapes))}"
+        )
     for name, arr in arrays.items():
         want = shapes[name]
         if arr.dtype != np.float64:

@@ -1,4 +1,4 @@
-"""Dense float64 numerics: products, nonlinearities, init, finite differences.
+"""Dense float64 numerics: nonlinearities, init, finite differences.
 
 All arrays are numpy float64.  The model is small enough that double
 precision everywhere is cheap, and it makes the finite-difference gradient
@@ -17,15 +17,6 @@ ArrayMap = Mapping[str, np.ndarray]
 
 class ShapeError(ValueError):
     """Operands do not conform; message carries both shapes."""
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformance check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def relu(x: np.ndarray) -> np.ndarray:

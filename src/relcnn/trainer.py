@@ -156,6 +156,24 @@ def _sq_norm(rows: np.ndarray) -> float:
     return float(np.vdot(rows, rows))
 
 
+def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
+    """The root seed's independent streams: initialization, shuffling, dropout."""
+    return np.random.SeedSequence(seed).spawn(3)
+
+
+def initial_params(
+    hp: HyperParams, cfg: TrainConfig, vocab: Vocab, enc_cfg: EncoderConfig
+) -> ModelParams:
+    """The parameters `train` starts from when it is given no `init`."""
+    return init_params(
+        hp,
+        n_words=vocab.n_words,
+        n_positions=vocab.n_positions,
+        concept_len=enc_cfg.concept_len,
+        rng=np.random.default_rng(_seed_streams(cfg.seed)[0]),
+    )
+
+
 def train(
     train_insts: Sequence[EncodedInstance],
     dev_insts: Sequence[EncodedInstance],
@@ -185,17 +203,8 @@ def train(
     if not dev_insts:
         raise ValueError("empty dev set: no split to select the best epoch on")
     started = time.perf_counter()
-    init_ss, shuffle_ss, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    if init is not None:
-        params = init.copy()
-    else:
-        params = init_params(
-            hp,
-            n_words=vocab.n_words,
-            n_positions=vocab.n_positions,
-            concept_len=enc_cfg.concept_len,
-            rng=np.random.default_rng(init_ss),
-        )
+    _, shuffle_ss, dropout_ss = _seed_streams(cfg.seed)
+    params = init.copy() if init is not None else initial_params(hp, cfg, vocab, enc_cfg)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
 

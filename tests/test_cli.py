@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relcnn.cli as cli
 from relcnn.cli import MANIFEST_FORMAT, build_parser, main
 from relcnn.corpus import read_instances
 from relcnn.encoding import EncoderConfig, load_vocab
@@ -22,6 +24,14 @@ from conftest import rewrite_checkpoint_arrays, rewrite_checkpoint_meta, write_r
 
 def run(*argv: str) -> int:
     return main([str(a) for a in argv])
+
+
+@pytest.fixture(autouse=True)
+def _no_staged_file_left(tmp_path):
+    """Every command, failed or not, leaves no staging file behind."""
+    yield
+    leftover = sorted(tmp_path.rglob("*.tmp"))
+    assert not leftover, f"staged files left behind: {leftover}"
 
 
 def _synth(out_dir: Path, n=10, seed=0, noise=None) -> Path:
@@ -587,3 +597,218 @@ def test_unknown_subcommand_and_version(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "relcnn" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# position radius
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_train_records_the_vocabulary_radius(tmp_path, with_config):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab, max_distance=30)
+    flags = {}
+    if with_config:  # a config file without an encoder radius
+        flags["config"] = tmp_path / "cfg.json"
+        flags["config"].write_text(json.dumps({"encoder": {"concept_len": 3}}))
+    ckpt = _train_tiny(tmp_path, corpus, vocab, **flags)  # no --max-distance: the default is 60
+    from relcnn.model import load_checkpoint
+
+    model = load_checkpoint(ckpt)
+    assert model.encoder.max_distance == 30
+    assert len(model.params.w_pos) == 2 * 30 + 1
+    manifest = json.loads(Path(f"{ckpt}.manifest.json").read_text())
+    assert manifest["config"]["encoder"]["max_distance"] == 30
+
+
+@pytest.mark.parametrize("command,via", [
+    ("train", "flag"), ("train", "config"), ("gridsearch", "flag"), ("gridsearch", "config"),
+])
+def test_explicit_radius_that_disagrees_with_the_vocabulary_exits_1(tmp_path, capsys, command, via):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab, max_distance=30)
+    work = tmp_path / "work"
+    work.mkdir()
+    if via == "flag":
+        radius = ["--max-distance", 60]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"encoder": {"max_distance": 60}}))
+        radius = ["--config", config]
+    out = ["--checkpoint", work / "m.npz"] if command == "train" else ["--out", work / "g.csv"]
+    capsys.readouterr()
+    assert run(command, "--train", corpus, "--vocab", vocab, *out, *radius, "--epochs", 1) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_distance 60 disagrees with ") and err.count("\n") == 1
+    assert str(vocab) in err and "max_distance 30" in err
+    assert list(work.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# unreadable vocabularies and checkpoints
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("edit,lineno", [
+    (lambda lines: lines[:1], 2),
+    (lambda lines: [lines[0], "max_distance\tx", *lines[2:]], 2),
+    (lambda lines: [*lines[:5], "no-tab-here", *lines[5:]], 6),
+    (lambda lines: [lines[0], lines[1], "ctypes\tproblem", *lines[3:]], 3),
+], ids=["header-only", "radius-not-int", "token-without-id", "wrong-concept-types"])
+def test_malformed_vocabulary_line_is_named(tmp_path, capsys, edit, lineno):
+    corpus = _synth(tmp_path, n=4)
+    good = tmp_path / "good.txt"
+    _mk_vocab(corpus, good)
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert run("train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {vocab}:{lineno}: ") and err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
+def _npy_bytes(data: bytes) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[: len(data) // 2],
+    lambda data: b"",
+    lambda data: b"relcnn-checkpoint v1\n",
+    _npy_bytes,
+], ids=["truncated", "empty", "not-a-zip", "single-array"])
+def test_predict_rejects_an_unreadable_checkpoint(tmp_path, capsys, damage):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(damage(_train_tiny(tmp_path, corpus, vocab).read_bytes()))
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", bad, "--vocab", vocab, "--input", corpus,
+               "--out", work / "p.jsonl") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not a relcnn-checkpoint v1 file: ")
+    assert err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# one output path: staged writes, committed together with the manifest
+# ---------------------------------------------------------------------------
+
+
+def _snapshot(paths) -> dict[Path, bytes]:
+    return {Path(p): Path(p).read_bytes() for p in paths}
+
+
+def test_failed_checkpoint_write_leaves_the_previous_run_intact(tmp_path, capsys, monkeypatch):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    ckpt = _train_tiny(tmp_path, corpus, vocab)
+    before = _snapshot([ckpt, tmp_path / "metrics.json", f"{ckpt}.manifest.json"])
+
+    def savez_then_fail(fh, **arrays):
+        fh.write(b"PK\x03\x04 half a checkpoint")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    capsys.readouterr()
+    assert run("train", "--train", corpus, "--vocab", vocab, "--checkpoint", ckpt,
+               "--metrics", tmp_path / "metrics.json", "--d-w", 8, "--d-p", 2, "--d-ct", 2,
+               "--d-c", 6, "--epochs", 1, "--seed", 5) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert _snapshot(before) == before
+
+
+def test_interrupted_predict_keeps_the_old_predictions(tmp_path, monkeypatch):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    ckpt = _train_tiny(tmp_path, corpus, vocab)
+    preds = tmp_path / "p.jsonl"
+    argv = ["predict", "--checkpoint", ckpt, "--vocab", vocab, "--input", corpus, "--out", preds]
+    assert run(*argv) == 0
+    before = _snapshot([preds, f"{preds}.manifest.json"])
+    calls = []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return predict(*args)
+
+    predict = cli.predict
+    monkeypatch.setattr(cli, "predict", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(*argv)
+    assert _snapshot(before) == before
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+def test_side_outputs_into_missing_directories(tmp_path, raw_corpus, command):
+    out = tmp_path / "out" / "c.jsonl"
+    vocab = tmp_path / "vocab-dir" / "v.txt"
+    side = tmp_path / "side-dir" / "s.json"
+    if command == "synth":
+        argv = ["synth", "--preset", "placement", "--sentences-per-type", 3,
+                "--out", out, "--vocab", vocab, "--ledger", side]
+        outputs = [out, side, vocab]
+    else:
+        argv = ["preprocess", "--input", raw_corpus, "--out", out, "--vocab", vocab, "--stats", side]
+        outputs = [out, vocab, side]
+    assert run(*argv) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["outputs"] == [str(p) for p in outputs]
+    assert all(p.is_file() for p in outputs)
+
+
+def _command_argv(command: str, src: Path, raw: Path, out: Path) -> list:
+    """argv for `command` reading the artifacts under `src`, writing under `out`."""
+    corpus, vocab, ckpt, preds = src / "corpus.jsonl", src / "v.txt", src / "model.npz", src / "p.jsonl"
+    tiny = ["--d-w", 8, "--d-p", 2, "--d-ct", 2, "--d-c", 6, "--epochs", 1]
+    return {
+        "preprocess": ["preprocess", "--input", raw, "--out", out / "i.jsonl"],
+        "synth": ["synth", "--preset", "placement", "--sentences-per-type", 3,
+                  "--out", out / "c.jsonl", "--vocab", out / "v.txt"],
+        "train": ["train", "--train", corpus, "--vocab", vocab, "--checkpoint", out / "m.npz",
+                  "--record", out / "r.json", *tiny],
+        "gridsearch": ["gridsearch", "--train", corpus, "--vocab", vocab,
+                       "--out", out / "g.csv", "--json", out / "g.json", "--lr", 0.05, *tiny],
+        "predict": ["predict", "--checkpoint", ckpt, "--vocab", vocab, "--input", corpus,
+                    "--out", out / "p.jsonl"],
+        "eval": ["eval", "--gold", corpus, "--pred", preds, "--out", out / "r.json",
+                 "--bootstrap", 100],
+        "stats": ["stats", "--input", corpus, "--out", out / "s.json"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", [
+    "preprocess", "synth", "train", "gridsearch", "predict", "eval", "stats",
+])
+def test_manifest_outputs_are_exactly_the_files_created(tmp_path, raw_corpus, command):
+    src = tmp_path / "src"
+    corpus = _synth(src, n=4)
+    _mk_vocab(corpus, src / "v.txt")
+    ckpt = _train_tiny(src, corpus, src / "v.txt")
+    assert run("predict", "--checkpoint", ckpt, "--vocab", src / "v.txt",
+               "--input", corpus, "--out", src / "p.jsonl") == 0
+    before = set(tmp_path.rglob("*"))
+    out = tmp_path / "out" / "nested"
+    assert run(*_command_argv(command, src, raw_corpus, out)) == 0
+    created = {p for p in set(tmp_path.rglob("*")) - before if p.is_file()}
+    manifests = [p for p in created if p.name.endswith(".manifest.json")]
+    assert len(manifests) == 1
+    outputs = json.loads(manifests[0].read_text())["outputs"]
+    assert len(outputs) == len(set(outputs))
+    assert {Path(p) for p in outputs} == created - set(manifests)

@@ -1,4 +1,4 @@
-"""Tests for the numeric core: dense ops, stable softmax, finite differences."""
+"""Tests for the numeric core: relu, stable softmax, init, finite differences."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relcnn.numeric import (
-    ShapeError,
     finite_diff_grad,
     glorot_init,
     log_sum_exp,
-    matmul,
     relu,
     softmax,
 )
@@ -23,43 +21,6 @@ from relcnn.numeric import (
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator: identical seed, identical draw sequence."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Independent triple-loop oracle for the dense product."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
-    def test_matches_triple_loop_oracle(self, n, k, m, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, k))
-        b = rng.normal(size=(k, m))
-        np.testing.assert_allclose(matmul(a, b), _matmul_loops(a, b), rtol=1e-12, atol=1e-12)
-
-    def test_known_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_inner_dim_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 class TestRelu:
