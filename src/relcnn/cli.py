@@ -26,9 +26,11 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from dataclasses import replace as dc_replace
+from enum import Enum
 from pathlib import Path
+from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
@@ -38,6 +40,7 @@ from .corpus import (
     document_instances,
     parse_document,
     read_instances,
+    read_text,
     write_instances,
 )
 from .encoding import (
@@ -96,11 +99,10 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _read_json(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}") from None
 
 
 def write_manifest(
@@ -175,21 +177,38 @@ class Run:
 
 
 def _typed(value, tp, where: str):
-    """`value` as the field type `tp` (int, float, str or a tuple of those).
+    """`value` as the field type `tp`: int, float, str, an enum, a dataclass,
+    `X | None` or a tuple of those.
 
     An int is a valid float; a bool is neither.  A string stands for a tuple
-    of ints as comma-separated sizes, as in `--windows 3,4,5`.
+    of ints as comma-separated sizes, as in `--windows 3,4,5`.  An enum takes
+    one of its values and a dataclass an object of its fields.
     """
+    if isinstance(tp, UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
     if get_origin(tp) is tuple:
-        elem = get_args(tp)[0]
-        if isinstance(value, str) and elem is int:
+        args = get_args(tp)
+        if isinstance(value, str) and args[0] is int:
             try:
                 value = [int(p) for p in value.split(",") if p]
             except ValueError:
                 raise CliError(f"{where}: bad sizes {value!r}; expected e.g. '3,4,5'") from None
         if not isinstance(value, (list, tuple)):
             raise CliError(f"{where}: expected a list, got {value!r}")
-        return tuple(_typed(v, elem, where) for v in value)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise CliError(f"{where}: expected {len(args)} items, got {value!r}")
+        return tuple(_typed(v, arg, where) for v, arg in zip(value, args))
+    if is_dataclass(tp):
+        return tp(**_typed_fields(tp, value, where))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        values = [member.value for member in tp]
+        if value not in values:
+            raise CliError(f"{where}: expected one of {', '.join(values)}, got {value!r}")
+        return tp(value)
     if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
         raise CliError(f"{where}: expected {tp.__name__}, got {value!r}")
     return value
@@ -208,7 +227,7 @@ def _typed_fields(cls, values, source: str) -> dict:
 
 def _flags(args, cls) -> dict:
     """The flags given for the fields of `cls`; each flag's dest is its field's name."""
-    given = {f.name: getattr(args, f.name) for f in fields(cls)}
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     return {k: v for k, v in given.items() if v is not None}
 
 
@@ -307,9 +326,9 @@ def cmd_preprocess(args, run: Run) -> int:
     for doc_id, txt, con, rel in docs:
         doc = parse_document(
             doc_id,
-            run.input(txt).read_text(encoding="utf-8"),
-            run.input(con).read_text(encoding="utf-8"),
-            run.input(rel).read_text(encoding="utf-8"),
+            read_text(run.input(txt)),
+            read_text(run.input(con)),
+            read_text(run.input(rel)),
             concept_source=str(con),
             relation_source=str(rel),
         )
@@ -337,36 +356,27 @@ def cmd_preprocess(args, run: Run) -> int:
 
 def cmd_synth(args, run: Run) -> int:
     if args.spec:
+        where = f"{args.spec}: bad synth spec"
+        data = _read_json(run.input(args.spec))
         try:
-            spec = SynthSpec.from_dict(_read_json(run.input(args.spec)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{args.spec}: bad synth spec: {exc!r}") from None
+            spec = SynthSpec(**_typed_fields(SynthSpec, data, where))
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{where}: {exc!r}") from None
     elif args.preset == "placement":
         spec = placement_task_spec()
     else:
         raise CliError("provide --spec FILE or --preset placement")
-    overrides = {}
-    if args.sentences_per_type is not None:
-        overrides["sentences_per_type"] = args.sentences_per_type
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.noise_rate is not None:
-        overrides["noise_rate"] = args.noise_rate
-    if overrides:
-        try:
-            spec = dc_replace(spec, **overrides)
-        except ValueError as exc:
-            raise CliError(str(exc))
+    spec = dc_replace(spec, **_flags(args, SynthSpec))
 
     out = Path(args.out)
-    config_snapshot: dict = {"spec": spec.to_dict()}
+    config_snapshot: dict = {"spec": asdict(spec)}
     if args.vocab:
         enc_cfg = _resolve(EncoderConfig, args)
         config_snapshot["encoder"] = asdict(enc_cfg)
     instances, ledger = generate(spec)
     report = self_check(instances, ledger)
     write_instances(run.output(out), instances)
-    _write_json(run.output(args.ledger or f"{out}.ledger.json"), ledger.to_dict())
+    _write_json(run.output(args.ledger or f"{out}.ledger.json"), asdict(ledger))
     if args.vocab:
         save_vocab(build_vocab(instances, enc_cfg), run.output(args.vocab))
     run.commit(out, config_snapshot, {"seed": spec.seed})
@@ -534,8 +544,11 @@ def cmd_predict(args, run: Run) -> int:
 def cmd_eval(args, run: Run) -> int:
     pred_path = run.input(args.pred)
     gold_insts = read_instances(run.input(args.gold))
-    with open(pred_path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(read_text(pred_path).split("\n"), start=1)
+        if line.strip()
+    ]
     if len(gold_insts) != len(lines):
         raise CliError(
             f"gold/prediction length mismatch: {len(gold_insts)} vs {len(lines)}"

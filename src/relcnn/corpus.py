@@ -531,6 +531,26 @@ def instance_from_dict(d: dict) -> RelationInstance:
     return inst
 
 
+def not_utf8(path: str | Path) -> ValueError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    return ValueError(f"{path}: not UTF-8 text")
+
+
+def read_text(path: str | Path) -> str:
+    """The text of UTF-8 file `path`, newlines translated as by `open`; see `not_utf8`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
 def write_instances(path: str | Path, instances: Iterable[RelationInstance]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
@@ -539,12 +559,11 @@ def write_instances(path: str | Path, instances: Iterable[RelationInstance]) -> 
 
 def read_instances(path: str | Path) -> list[RelationInstance]:
     out: list[RelationInstance] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(instance_from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise AnnotationError(f"{path}:{lineno}: bad instance record: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(instance_from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise AnnotationError(f"{path}:{lineno}: bad instance record: {exc}") from exc
     return out

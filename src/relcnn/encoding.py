@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import PLACEHOLDER, RelationInstance, ReplacedInstance, replace_concepts
+from .corpus import PLACEHOLDER, RelationInstance, ReplacedInstance, read_text, replace_concepts
 from .relations import Category, ConceptType, RelationType
 
 PAD = "<pad>"
@@ -26,6 +26,7 @@ SPECIAL_TOKENS = (PAD, UNK) + tuple(PLACEHOLDER[t] for t in ConceptType)
 
 PAD_ID = 0
 UNK_ID = 1
+CTYPE_IDS: dict[ConceptType, int] = {t: i for i, t in enumerate(ConceptType)}
 
 VOCAB_FORMAT = "relcnn-vocab v1"
 
@@ -54,11 +55,10 @@ class EncoderConfig:
 
 @dataclass
 class Vocab:
-    """Word, position, and concept-type id maps."""
+    """Word and position id maps; concept types take their ``CTYPE_IDS``."""
 
     word_ids: dict[str, int]
     max_distance: int
-    ctype_ids: dict[str, int]
 
     @property
     def n_words(self) -> int:
@@ -67,10 +67,6 @@ class Vocab:
     @property
     def n_positions(self) -> int:
         return 2 * self.max_distance + 1
-
-    @property
-    def n_ctypes(self) -> int:
-        return len(self.ctype_ids)
 
     def word_id(self, token: str) -> int:
         return self.word_ids.get(token, UNK_ID)
@@ -116,8 +112,7 @@ def build_vocab(train_instances: Sequence[RelationInstance], cfg: EncoderConfig)
     for tok in sorted(counts):
         if counts[tok] >= cfg.min_word_freq and tok not in word_ids:
             word_ids[tok] = len(word_ids)
-    ctype_ids = {t.value: i for i, t in enumerate(ConceptType)}
-    return Vocab(word_ids=word_ids, max_distance=cfg.max_distance, ctype_ids=ctype_ids)
+    return Vocab(word_ids=word_ids, max_distance=cfg.max_distance)
 
 
 def _content_ids(vocab: Vocab, tokens: Sequence[str], concept_len: int) -> np.ndarray:
@@ -144,10 +139,7 @@ def encode(inst: ReplacedInstance, vocab: Vocab, cfg: EncoderConfig) -> EncodedI
         token_ids=token_ids,
         pos1_ids=pos1_ids,
         pos2_ids=pos2_ids,
-        ctype_ids=(
-            vocab.ctype_ids[orig.concept1.ctype.value],
-            vocab.ctype_ids[orig.concept2.ctype.value],
-        ),
+        ctype_ids=(CTYPE_IDS[orig.concept1.ctype], CTYPE_IDS[orig.concept2.ctype]),
         content1_ids=_content_ids(vocab, orig.concept1.tokens, cfg.concept_len),
         content2_ids=_content_ids(vocab, orig.concept2.tokens, cfg.concept_len),
         p1=inst.p1,
@@ -191,7 +183,7 @@ def segment_bounds(p1: int, p2: int, n: int, k: int) -> list[tuple[int, int] | N
 def save_vocab(vocab: Vocab, path: str | Path) -> None:
     """Versioned text format: header lines, then one `<token>\\t<id>` per word."""
     lines = [VOCAB_FORMAT, f"max_distance\t{vocab.max_distance}"]
-    lines.append("ctypes\t" + "\t".join(t for t, _ in sorted(vocab.ctype_ids.items(), key=lambda kv: kv[1])))
+    lines.append("\t".join(["ctypes", *(t.value for t in ConceptType)]))
     for tok, idx in sorted(vocab.word_ids.items(), key=lambda kv: kv[1]):
         lines.append(f"{tok}\t{idx}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -207,7 +199,7 @@ def _header(path: str | Path, lines: list[str], lineno: int, key: str) -> list[s
 
 def load_vocab(path: str | Path) -> Vocab:
     """Read a `save_vocab` file; a malformed line is reported as `<file>:<line>: ...`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != VOCAB_FORMAT:
         raise ValueError(f"{path}: not a {VOCAB_FORMAT} file")
     radius = "\t".join(_header(path, lines, 2, "max_distance"))
@@ -227,11 +219,7 @@ def load_vocab(path: str | Path) -> Vocab:
     ids = sorted(word_ids.values())
     if ids != list(range(len(ids))):
         raise ValueError(f"{path}: word ids are not dense from 0")
-    return Vocab(
-        word_ids=word_ids,
-        max_distance=int(radius),
-        ctype_ids={name: i for i, name in enumerate(ctypes)},
-    )
+    return Vocab(word_ids=word_ids, max_distance=int(radius))
 
 
 def vocab_hash(path: str | Path) -> str:

@@ -134,9 +134,23 @@ class ModelParams:
     w_pos: np.ndarray  # (2 * max_distance + 1, d_p)
     w_conv: list[np.ndarray]  # per window: (d_c, d_x * k)
     b_conv: list[np.ndarray]  # per window: (d_c,)
-    w_ctype: np.ndarray  # (n_ctypes, d_ct)
+    w_ctype: np.ndarray  # (len(ConceptType), d_ct)
     w_classes: np.ndarray  # (N_CLASSES, rc_size)
     revision: int = field(default=0, compare=False)
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], revision: int = 0) -> "ModelParams":
+        """The parameters holding `arrays`, named as ``arrays()`` names them."""
+        n_windows = sum(name.startswith("w_conv_") for name in arrays)
+        return cls(
+            w_word=arrays["w_word"],
+            w_pos=arrays["w_pos"],
+            w_conv=[arrays[f"w_conv_{i}"] for i in range(n_windows)],
+            b_conv=[arrays[f"b_conv_{i}"] for i in range(n_windows)],
+            w_ctype=arrays["w_ctype"],
+            w_classes=arrays["w_classes"],
+            revision=revision,
+        )
 
     def arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {"w_word": self.w_word, "w_pos": self.w_pos}
@@ -148,15 +162,29 @@ class ModelParams:
         return out
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            w_word=self.w_word.copy(),
-            w_pos=self.w_pos.copy(),
-            w_conv=[w.copy() for w in self.w_conv],
-            b_conv=[b.copy() for b in self.b_conv],
-            w_ctype=self.w_ctype.copy(),
-            w_classes=self.w_classes.copy(),
-            revision=self.revision,
+        return ModelParams.from_arrays(
+            {name: arr.copy() for name, arr in self.arrays().items()}, self.revision
         )
+
+
+def param_shapes(
+    hp: HyperParams, n_words: int | None, n_positions: int | None, concept_len: int
+) -> dict[str, tuple[int | None, ...]]:
+    """The shape of each trainable array, named and ordered as in ``ModelParams.arrays()``.
+
+    A checkpoint is checked against it with None for the vocabulary-sized
+    row counts, which ``predict`` checks against the vocabulary file.
+    """
+    shapes: dict[str, tuple[int | None, ...]] = {
+        "w_word": (n_words, hp.d_w),
+        "w_pos": (n_positions, hp.d_p),
+    }
+    for i, k in enumerate(hp.windows):
+        shapes[f"w_conv_{i}"] = (hp.d_c, hp.d_x * k)
+        shapes[f"b_conv_{i}"] = (hp.d_c,)
+    shapes["w_ctype"] = (len(ConceptType), hp.d_ct)
+    shapes["w_classes"] = (N_CLASSES, hp.rc_size(concept_len))
+    return shapes
 
 
 def init_params(
@@ -165,16 +193,15 @@ def init_params(
     n_positions: int,
     concept_len: int,
     rng: np.random.Generator,
-    n_ctypes: int = 3,
 ) -> ModelParams:
-    """Glorot-uniform init for every matrix; convolution biases start at zero."""
-    return ModelParams(
-        w_word=glorot_init(n_words, hp.d_w, rng),
-        w_pos=glorot_init(n_positions, hp.d_p, rng),
-        w_conv=[glorot_init(hp.d_c, hp.d_x * k, rng) for k in hp.windows],
-        b_conv=[np.zeros(hp.d_c) for _ in hp.windows],
-        w_ctype=glorot_init(n_ctypes, hp.d_ct, rng),
-        w_classes=glorot_init(N_CLASSES, hp.rc_size(concept_len), rng),
+    """Glorot-uniform init for every matrix, drawn in ``param_shapes`` order;
+    convolution biases start at zero."""
+    shapes = param_shapes(hp, n_words, n_positions, concept_len)
+    return ModelParams.from_arrays(
+        {
+            name: glorot_init(*shape, rng) if len(shape) == 2 else np.zeros(shape)
+            for name, shape in shapes.items()
+        }
     )
 
 
@@ -601,21 +628,6 @@ def save_checkpoint(
         np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **params.arrays())
 
 
-def _array_shapes(hp: HyperParams, encoder: EncoderConfig) -> dict[str, tuple[int | None, ...]]:
-    """The shape of each array a checkpoint holds, named as in ``ModelParams.arrays()``.
-
-    The vocabulary sets the row counts (None) of the word and position
-    tables; ``predict`` checks them against the vocabulary file.
-    """
-    shapes: dict[str, tuple[int | None, ...]] = {"w_word": (None, hp.d_w), "w_pos": (None, hp.d_p)}
-    for i, k in enumerate(hp.windows):
-        shapes[f"w_conv_{i}"] = (hp.d_c, hp.d_x * k)
-        shapes[f"b_conv_{i}"] = (hp.d_c,)
-    shapes["w_ctype"] = (len(ConceptType), hp.d_ct)
-    shapes["w_classes"] = (N_CLASSES, hp.rc_size(encoder.concept_len))
-    return shapes
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint, rejecting a missing or extra array and any array that is
     not finite float64 of the shape its hyperparameters and encoder imply."""
@@ -631,13 +643,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         hp_dict = dict(meta["hyperparams"])
         m = hp_dict.pop("m", N_CLASSES)  # older checkpoints record the class count
         if m != N_CLASSES:
-            raise ValueError(f"{path}: checkpoint has m={m!r} classes, not {N_CLASSES}")
+            raise ValueError(f"checkpoint has m={m!r} classes, not {N_CLASSES}")
         hp = HyperParams(**{**hp_dict, "windows": tuple(hp_dict["windows"])})
         encoder = EncoderConfig(**meta["encoder"])
         vocab_sha256 = meta["vocab_sha256"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad checkpoint config: {exc!r}") from None
-    shapes = _array_shapes(hp, encoder)
+    shapes = param_shapes(hp, None, None, encoder.concept_len)
     if set(arrays) != set(shapes):
         raise ValueError(
             f"{path}: arrays missing {sorted(set(shapes) - set(arrays))}, "
@@ -651,16 +663,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ValueError(f"{path}: array {name} has shape {arr.shape}, expected {want}")
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: array {name} holds non-finite values")
-    params = ModelParams(
-        w_word=arrays["w_word"],
-        w_pos=arrays["w_pos"],
-        w_conv=[arrays[f"w_conv_{i}"] for i in range(len(hp.windows))],
-        b_conv=[arrays[f"b_conv_{i}"] for i in range(len(hp.windows))],
-        w_ctype=arrays["w_ctype"],
-        w_classes=arrays["w_classes"],
-    )
     return Checkpoint(
-        params=params,
+        params=ModelParams.from_arrays(arrays),
         hp=hp,
         encoder=encoder,
         vocab_sha256=vocab_sha256,

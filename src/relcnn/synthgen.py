@@ -125,6 +125,8 @@ class SynthSpec:
         )
         if any(c < 1 for c in counts):
             raise ValueError(f"counts must be >= 1: {self}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
         if self.n_concepts < 2:
             raise ValueError(f"n_concepts must be >= 2: {self.n_concepts}")
         if not 0.0 <= self.noise_rate < 1.0:
@@ -163,44 +165,18 @@ class SynthSpec:
                     "informative placement; the task would become ambiguous"
                 )
 
+    def geometry(self, signal_len: int) -> tuple[int, int, int]:
+        """(p1_lo, gap, tail): the lowest first-placeholder position, the least
+        placeholder distance and the least count of positions after the second
+        placeholder that fit the signal in any region and keep all three
+        pooling segments at least window-size wide."""
+        k = self.window
+        return max(signal_len, k) + 1, max(k, signal_len + 1), max(2 * k - 2, signal_len)
+
     def min_length(self, signal_len: int) -> int:
         """Shortest replaced sentence fitting the signal anywhere with all
         three pooling segments at least window-size wide."""
-        k = self.window
-        p1_lo = max(signal_len, k) + 1
-        gap = max(k, signal_len + 1)
-        tail = max(2 * k - 2, signal_len)
-        return p1_lo + gap + tail
-
-    def to_dict(self) -> dict:
-        return {
-            "rules": [
-                {"label": r.label.value, "placement": r.placement, "signal": list(r.signal)}
-                for r in self.rules
-            ],
-            "concept_types": [t.value for t in self.concept_types],
-            "sentences_per_type": self.sentences_per_type,
-            "len_lo": self.len_lo,
-            "len_hi": self.len_hi,
-            "window": self.window,
-            "vocab_size": self.vocab_size,
-            "concept_vocab_size": self.concept_vocab_size,
-            "n_concepts": self.n_concepts,
-            "concept_tokens": self.concept_tokens,
-            "noise_rate": self.noise_rate,
-            "seed": self.seed,
-            "distractor_placement": self.distractor_placement,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthSpec":
-        fields = dict(d)
-        fields["rules"] = tuple(
-            LabelRule(RelationType(r["label"]), r["placement"], tuple(r["signal"]))
-            for r in d["rules"]
-        )
-        fields["concept_types"] = tuple(ConceptType(t) for t in d["concept_types"])
-        return SynthSpec(**fields)
+        return sum(self.geometry(signal_len))
 
 
 def placement_task_spec(
@@ -238,21 +214,11 @@ class LedgerEntry:
     signal_start: int  # 1-based position of the signal in the replaced sentence
     distractor_start: int | None = None
 
-    def to_dict(self) -> dict:
-        d = vars(self).copy()
-        d["rule_label"] = self.rule_label.value
-        d["gold"] = self.gold.value
-        d["signal"] = list(self.signal)
-        return d
-
 
 @dataclass
 class SynthLedger:
     spec: SynthSpec
     entries: list[LedgerEntry] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"spec": self.spec.to_dict(), "entries": [e.to_dict() for e in self.entries]}
 
 
 def _signal_slot_range(placement: str, p1: int, p2: int, n: int, s: int) -> tuple[int, int]:
@@ -281,10 +247,7 @@ def generate(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLedger]:
     idx = 0
     for rule in spec.rules:
         s = len(rule.signal)
-        k = spec.window
-        p1_lo = max(s, k) + 1
-        gap = max(k, s + 1)
-        tail = max(2 * k - 2, s)
+        p1_lo, gap, tail = spec.geometry(s)
         for _ in range(spec.sentences_per_type):
             rng = np.random.default_rng(streams[idx])
             n = int(rng.integers(spec.len_lo, spec.len_hi + 1))

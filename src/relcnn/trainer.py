@@ -21,6 +21,7 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
+from .corpus import not_utf8
 from .encoding import EncodedInstance, EncoderConfig, Vocab
 from .evaluator import EvalReport, evaluate
 from .model import (
@@ -320,20 +321,23 @@ def load_word_vectors(path: str | Path, vocab: Vocab, w_word: np.ndarray) -> int
     """
     d_w = w_word.shape[1]
     loaded = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
-                continue  # header
-            word, values = parts[0], parts[1:]
-            if len(values) != d_w:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {d_w} values for {word!r}, got {len(values)}"
-                )
-            if word not in vocab.word_ids:
-                continue
-            w_word[vocab.word_ids[word]] = np.array([float(v) for v in values])
-            loaded += 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split()
+                if not parts:
+                    continue
+                if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+                    continue  # header
+                word, values = parts[0], parts[1:]
+                if len(values) != d_w:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {d_w} values for {word!r}, got {len(values)}"
+                    )
+                if word not in vocab.word_ids:
+                    continue
+                w_word[vocab.word_ids[word]] = np.array([float(v) for v in values])
+                loaded += 1
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return loaded

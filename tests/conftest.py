@@ -122,8 +122,7 @@ def toy_hp(**overrides) -> HyperParams:
 def toy_params(hp: HyperParams, vocab: Vocab, enc_cfg: EncoderConfig,
                seed: int = 0) -> ModelParams:
     rng = np.random.default_rng(seed)
-    return init_params(hp, vocab.n_words, vocab.n_positions, enc_cfg.concept_len,
-                       rng, n_ctypes=vocab.n_ctypes)
+    return init_params(hp, vocab.n_words, vocab.n_positions, enc_cfg.concept_len, rng)
 
 
 # ---------------------------------------------------------------------------

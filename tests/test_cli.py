@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
-from dataclasses import fields
+import tempfile
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import relcnn.cli as cli
 from relcnn.cli import MANIFEST_FORMAT, build_parser, main
@@ -16,7 +20,7 @@ from relcnn.corpus import read_instances
 from relcnn.encoding import EncoderConfig, load_vocab
 from relcnn.model import HyperParams
 from relcnn.relations import RELATION_TYPES
-from relcnn.synthgen import placement_task_spec
+from relcnn.synthgen import LabelRule, SynthSpec, placement_task_spec
 from relcnn.trainer import TrainConfig
 
 from conftest import rewrite_checkpoint_arrays, rewrite_checkpoint_meta, write_raw_corpus
@@ -107,7 +111,7 @@ def test_synth_vocab_output_feeds_train(tmp_path):
 
 def test_synth_spec_file_round_trip(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(placement_task_spec(sentences_per_type=3).to_dict()))
+    spec_path.write_text(json.dumps(asdict(placement_task_spec(sentences_per_type=3))))
     out = tmp_path / "c.jsonl"
     assert run("synth", "--spec", spec_path, "--out", out) == 0
     assert len(read_instances(out)) == 6
@@ -115,7 +119,7 @@ def test_synth_spec_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize("spec", [
     {"sentences_per_type": "many"},
-    {**placement_task_spec().to_dict(), "sentences_per_type": "3"},
+    {**asdict(placement_task_spec()), "sentences_per_type": "3"},
 ], ids=["no-rules", "string-count"])
 def test_synth_rejects_a_bad_spec_naming_the_file(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
@@ -126,6 +130,101 @@ def test_synth_rejects_a_bad_spec_naming_the_file(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {spec_path}: bad synth spec: ") and err.count("\n") == 1
     assert list(work.iterdir()) == []
+
+
+def _spec_json(**overrides) -> dict:
+    """The placement spec as a spec file holds it."""
+    return json.loads(json.dumps(asdict(placement_task_spec(**overrides))))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sentences_per_type": 3},
+    {"sentences_per_type": 3, "distractor_placement": None, "noise_rate": 0.2},
+], ids=["placement", "no-distractor-noisy"])
+def test_synth_spec_from_asdict_round_trips(tmp_path, overrides):
+    spec = _spec_json(**overrides)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "c.jsonl"
+    assert run("synth", "--spec", spec_path, "--out", out) == 0
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["config"]["spec"] == spec
+    assert json.loads(Path(f"{out}.ledger.json").read_text())["spec"] == spec
+
+
+def test_synth_spec_file_matches_the_preset_with_the_same_overrides(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_json()))
+    flags = ["--sentences-per-type", 4, "--seed", 5, "--noise-rate", 0.2]
+    outputs = {}
+    for source in (["--spec", spec_path], ["--preset", "placement"]):
+        out = tmp_path / source[0].strip("-") / "c.jsonl"
+        assert run("synth", *source, "--out", out, *flags) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        outputs[source[0]] = (out.read_bytes(), Path(f"{out}.ledger.json").read_bytes(),
+                              manifest["config"])
+    assert outputs["--spec"] == outputs["--preset"]
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda spec: spec.update(seed=1.5), "seed"),
+    (lambda spec: spec.update(concept_tokens=True), "concept_tokens"),
+    (lambda spec: spec["rules"][0].update(signal="siga"), "rules"),
+    (lambda spec: spec.update(len_lo=18.5), "len_lo"),
+    (lambda spec: spec.update(window=4.0), "window"),
+    (lambda spec: spec["rules"][0].update(label="TeXP"), "rules"),
+], ids=["float-seed", "bool-count", "string-signal", "float-length", "float-window",
+        "unknown-label"])
+def test_malformed_synth_spec_names_the_key(tmp_path, capsys, edit, key):
+    spec = _spec_json(sentences_per_type=3)
+    edit(spec)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    work = tmp_path / "work"
+    work.mkdir()
+    assert run("synth", "--spec", spec_path, "--out", work / "c.jsonl") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {spec_path}: bad synth spec: {key}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(work.iterdir()) == []
+
+
+# Each spec key, as a path into the spec file, and whether it may be left out.
+_SPEC_KEYS = [((f.name,), f.default is not MISSING) for f in fields(SynthSpec)] + [
+    (("rules", 0, f.name), f.default is not MISSING) for f in fields(LabelRule)
+]
+# Each is of the wrong type, or out of range, for every key.
+_WRONG_VALUES = [True, 1.5, "x", [], [1], {}]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(_SPEC_KEYS), action=st.sampled_from(["set", "delete", "add"]),
+       value=st.sampled_from(_WRONG_VALUES))
+def test_synth_spec_fuzz_exits_cleanly(key, action, value):
+    (*parents, name), optional = key
+    spec = _spec_json(sentences_per_type=2)
+    node = spec
+    for p in parents:
+        node = node[p]
+    if action == "set":
+        node[name] = value
+    elif action == "delete":
+        del node[name]
+    else:
+        node[f"{name}_extra"] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run("synth", "--spec", spec_path, "--out", Path(tmp) / "out" / "c.jsonl")
+        files = sorted(p.name for p in Path(tmp).rglob("*") if p.is_file())
+    if action == "delete" and optional:
+        assert rc == 0
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith(f"error: {spec_path}: bad synth spec: ")
+        assert err.getvalue().count("\n") == 1
+        assert files == ["spec.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +743,58 @@ def test_explicit_radius_that_disagrees_with_the_vocabulary_exits_1(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: max_distance 60 disagrees with ") and err.count("\n") == 1
     assert str(vocab) in err and "max_distance 30" in err
+    assert list(work.iterdir()) == []
+
+
+def _break_utf8(src: Path, dst: Path, line: int) -> Path:
+    """`src` copied to `dst` with a 0xff byte, which is never UTF-8, opening line `line`."""
+    lines = src.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("kind", [
+    "eval-pred", "train-config", "train-embeddings", "train-vocab", "gridsearch-grid",
+    "preprocess-txt", "stats-input", "synth-spec",
+])
+def test_input_that_is_not_utf8_is_named(tmp_path, raw_corpus, capsys, kind):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    text = tmp_path / "text"
+    text.write_text(json.dumps({"d_p": [2], "epochs": 1}, indent=1) + "\n")
+    train = ["train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz"]
+    if kind == "eval-pred":
+        preds = tmp_path / "p.jsonl"
+        assert run("predict", "--checkpoint", _train_tiny(tmp_path, corpus, vocab),
+                   "--vocab", vocab, "--input", corpus, "--out", preds) == 0
+        bad, line = _break_utf8(preds, tmp_path / "bad.jsonl", 2), 2
+        argv = ["eval", "--gold", corpus, "--pred", bad, "--out", work / "r.json"]
+    elif kind == "train-vocab":
+        bad, line = _break_utf8(vocab, tmp_path / "bad.txt", 5), 5
+        argv = [*train[:3], "--vocab", bad, *train[5:]]
+    elif kind == "preprocess-txt":
+        bad, line = _break_utf8(*[next(raw_corpus.glob("*.txt"))] * 2, 1), 1
+        argv = ["preprocess", "--input", raw_corpus, "--out", work / "i.jsonl"]
+    elif kind == "stats-input":
+        bad, line = _break_utf8(corpus, tmp_path / "bad.jsonl", 2), 2
+        argv = ["stats", "--input", bad, "--out", work / "s.json"]
+    else:
+        bad, line = _break_utf8(text, tmp_path / "bad", 2), 2
+        argv = {
+            "train-config": [*train, "--config", bad],
+            "train-embeddings": [*train, "--embeddings", bad],
+            "gridsearch-grid": ["gridsearch", *train[1:5], "--out", work / "g.csv", "--grid", bad],
+            "synth-spec": ["synth", "--spec", bad, "--out", work / "c.jsonl"],
+        }[kind]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}:{line}: not UTF-8 text: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert list(work.iterdir()) == []
 
 

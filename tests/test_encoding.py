@@ -23,7 +23,7 @@ from relcnn.encoding import (
     segment_bounds,
     vocab_hash,
 )
-from relcnn.relations import RelationType
+from relcnn.relations import ConceptType, RelationType
 
 from conftest import TOY_ENC, build_instance, shared_vocab
 
@@ -136,7 +136,7 @@ def test_encode_arrays_well_formed(seed, gold):
         assert (arr >= 0).all() and (arr < vocab.n_positions).all()
     assert 1 <= enc.p1 < enc.p2 <= enc.n_tokens
     assert len(enc.ctype_ids) == 2
-    assert all(0 <= c < vocab.n_ctypes for c in enc.ctype_ids)
+    assert all(0 <= c < len(ConceptType) for c in enc.ctype_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_save_load_round_trip_and_hash(tmp_path):
     loaded = load_vocab(path)
     assert loaded.word_ids == vocab.word_ids
     assert loaded.max_distance == vocab.max_distance
-    assert loaded.ctype_ids == vocab.ctype_ids
+    assert loaded == vocab
     # same content -> same bytes and same hash on disk
     path2 = tmp_path / "vocab2.txt"
     save_vocab(loaded, path2)

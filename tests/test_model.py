@@ -119,7 +119,7 @@ def test_init_params_shapes_and_determinism():
     b = toy_params(hp, VOCAB, TOY_ENC, seed=4)
     assert a.w_word.shape == (VOCAB.n_words, hp.d_w)
     assert a.w_pos.shape == (VOCAB.n_positions, hp.d_p)
-    assert a.w_ctype.shape == (VOCAB.n_ctypes, hp.d_ct)
+    assert a.w_ctype.shape == (len(ConceptType), hp.d_ct)
     assert [w.shape for w in a.w_conv] == [(hp.d_c, hp.d_x * 2), (hp.d_c, hp.d_x * 3)]
     assert all((bv == 0).all() for bv in a.b_conv)  # biases start at zero
     assert a.w_classes.shape == (N_CLASSES, hp.rc_size(TOY_ENC.concept_len))
@@ -626,7 +626,11 @@ def test_checkpoint_recording_the_class_count_loads_and_predicts_identically(tmp
     (lambda meta: meta["encoder"].update(max_distance="60"), "<"),
     (lambda meta: meta["hyperparams"].pop("windows"), "windows"),
     (lambda meta: meta.pop("vocab_sha256"), "vocab_sha256"),
-], ids=["m-12", "unknown-key", "wrong-type", "missing-windows", "missing-vocab-hash"])
+    (lambda meta: meta["hyperparams"].update(pooling=5), "pooling mode 5"),
+    (lambda meta: meta["hyperparams"].update(d_w=0), "d_w=0"),
+    (lambda meta: meta["encoder"].update(max_distance=0), "max_distance=0"),
+], ids=["m-12", "unknown-key", "wrong-type", "missing-windows", "missing-vocab-hash",
+        "unknown-pooling", "zero-size", "zero-radius"])
 def test_load_checkpoint_rejects_bad_config_naming_the_file(tmp_path, edit, message):
     hp, params, _ = _setup()
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"

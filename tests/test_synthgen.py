@@ -60,6 +60,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(spec, len_lo=lo - 1, len_hi=lo - 1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            dataclasses.replace(_spec(), seed=-1)
+
     def test_len_ordering(self):
         with pytest.raises(ValueError):
             _spec(len_lo=26, len_hi=18)
@@ -77,10 +81,6 @@ class TestSpecValidation:
     def test_distractor_must_avoid_informative_placements(self):
         with pytest.raises(ValueError):
             _spec(distractor_placement=BEFORE_C1)
-
-    def test_spec_dict_round_trip(self):
-        spec = _spec(noise_rate=0.1)
-        assert SynthSpec.from_dict(spec.to_dict()) == spec
 
 
 # ---------------------------------------------------------------------------
