@@ -71,9 +71,10 @@ class Vocab:
     def word_id(self, token: str) -> int:
         return self.word_ids.get(token, UNK_ID)
 
-    def position_id(self, distance: int) -> int:
-        d = max(-self.max_distance, min(self.max_distance, distance))
-        return d + self.max_distance
+    def position_id(self, distance: int | np.ndarray) -> int | np.ndarray:
+        """Id of a signed distance, or of each entry of an integer array of them."""
+        r = self.max_distance
+        return np.maximum(np.minimum(distance, r), -r) + r
 
 
 @dataclass
@@ -129,11 +130,11 @@ def encode(inst: ReplacedInstance, vocab: Vocab, cfg: EncoderConfig) -> EncodedI
     padded with <pad> to concept_len or truncated to the first
     concept_len tokens.
     """
-    n = len(inst.tokens)
-    token_ids = np.asarray([vocab.word_id(t) for t in inst.tokens], dtype=np.int64)
-    idx = np.arange(1, n + 1)
-    pos1_ids = np.asarray([vocab.position_id(int(d)) for d in idx - inst.p1], dtype=np.int64)
-    pos2_ids = np.asarray([vocab.position_id(int(d)) for d in idx - inst.p2], dtype=np.int64)
+    word_ids = vocab.word_ids
+    token_ids = np.asarray([word_ids.get(t, UNK_ID) for t in inst.tokens], dtype=np.int64)
+    idx = np.arange(1, len(inst.tokens) + 1, dtype=np.int64)
+    pos1_ids = vocab.position_id(idx - inst.p1)
+    pos2_ids = vocab.position_id(idx - inst.p2)
     orig = inst.original
     return EncodedInstance(
         token_ids=token_ids,

@@ -33,6 +33,11 @@ the dense form.
 
 Multi-window models (e.g. windows=(3, 4, 5)) run one filter bank per
 window size and concatenate the pooled outputs before scoring.
+
+At inference the parameters are fixed, so ``predict_batch`` scores
+PREDICT_CHUNK instances at a time with one GEMM per window size
+(``score_chunk``).  Training and ``predict`` keep the per-instance
+``forward``.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ POOL_MAX = "max"
 POOL_MULTI = "multi"
 LOSS_SOFTMAX = "softmax"
 LOSS_CONSTRAINED = "constrained"
+
+# Instances per batched scoring pass (``predict_batch``).  The pass holds a
+# chunk's window matrix and feature maps at once, so peak memory grows with it.
+PREDICT_CHUNK = 16
 
 
 class StaleTraceError(RuntimeError):
@@ -591,6 +600,81 @@ def predict(
     probs = softmax(trace.scores)
     idx = int(np.argmax(trace.scores))
     return RELATION_TYPES[idx], probs
+
+
+def score_chunk(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
+) -> np.ndarray:
+    """Inference-mode class scores of a nonempty chunk of instances, one row each.
+
+    The chunk shares one GEMM per window size: every instance's valid
+    window columns are gathered into one (columns, d_x k) matrix.  Within
+    an instance the nonempty pooling segments tile its columns in order, so
+    one ``np.maximum.reduceat`` over the chunk's segment starts pools them
+    all; empty segments stay zero.  Max is exact, so the pooled values are
+    the ones ``pool`` picks; the scores equal ``forward``'s up to the
+    summation order of the products.
+    """
+    B = len(encs)
+    n_blocks = hp.n_segments * len(hp.windows)
+    pooled = np.zeros((B * n_blocks, hp.d_c))
+    for j, k in enumerate(hp.windows):
+        padded = [_padded_ids(enc, params, k) for enc in encs]
+        tok, pos1, pos2 = (np.concatenate(ids) for ids in zip(*padded))
+        E = np.concatenate([params.w_word[tok], params.w_pos[pos1], params.w_pos[pos2]], axis=1)
+        n = np.array([ids[0].shape[0] for ids in padded])
+        ncols = n - k + 1
+        # Window i of instance b starts at token row i + b (k - 1) of E.
+        rows = np.arange(ncols.sum()) + np.repeat(np.arange(B) * (k - 1), ncols)
+        X = E[rows[:, None] + np.arange(k)].reshape(-1, k * hp.d_x)
+        Zt = params.w_conv[j] @ X.T
+        Zt += params.b_conv[j][:, None]
+        np.maximum(Zt, 0.0, out=Zt)
+
+        starts: list[int] = []
+        slots: list[int] = []
+        col0 = 0
+        for b, (enc, n_b, ncols_b) in enumerate(zip(encs, n.tolist(), ncols.tolist())):
+            if hp.pooling == POOL_MULTI:
+                bounds = segment_bounds(enc.p1, enc.p2, n_b, k)
+            else:
+                bounds = [(1, ncols_b)]
+            for seg, rng in enumerate(bounds):
+                if rng is not None:
+                    starts.append(col0 + rng[0] - 1)
+                    slots.append(b * n_blocks + j * hp.n_segments + seg)
+            col0 += ncols_b
+        pooled[slots] = np.maximum.reduceat(Zt, starts, axis=1).T
+
+    ctypes = np.array([enc.ctype_ids for enc in encs])
+    contents = np.array([np.concatenate([enc.content1_ids, enc.content2_ids]) for enc in encs])
+    rc = np.concatenate(
+        [
+            pooled.reshape(B, -1),
+            params.w_ctype[ctypes].reshape(B, -1),
+            params.w_word[contents].reshape(B, -1),
+        ],
+        axis=1,
+    )
+    return rc @ params.w_classes.T
+
+
+def predict_batch(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
+) -> tuple[list[RelationType], np.ndarray]:
+    """``predict`` for every instance, scored PREDICT_CHUNK instances at a time.
+
+    Returns the labels and a (len(encs), N_CLASSES) array of probability
+    rows.  Labels and probabilities match ``predict``'s up to the last
+    float digits (``score_chunk``); the chunk size bounds the memory a
+    scoring pass takes.
+    """
+    scores = np.zeros((len(encs), N_CLASSES))
+    for lo in range(0, len(encs), PREDICT_CHUNK):
+        scores[lo : lo + PREDICT_CHUNK] = score_chunk(encs[lo : lo + PREDICT_CHUNK], params, hp)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return [RELATION_TYPES[i] for i in np.argmax(scores, axis=1)], probs
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0: {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
         if not 0.0 < self.dev_fraction < 1.0:
             raise ValueError(f"dev_fraction must lie in (0, 1): {self.dev_fraction}")
 
@@ -336,7 +338,10 @@ def load_word_vectors(path: str | Path, vocab: Vocab, w_word: np.ndarray) -> int
                     )
                 if word not in vocab.word_ids:
                     continue
-                w_word[vocab.word_ids[word]] = np.array([float(v) for v in values])
+                try:
+                    w_word[vocab.word_ids[word]] = [float(v) for v in values]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 loaded += 1
     except UnicodeDecodeError:
         raise not_utf8(path) from None

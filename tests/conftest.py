@@ -64,16 +64,24 @@ def build_instance(
     *,
     swap_ok: bool = True,
     max_span: int = 3,
+    pre: int | None = None,
+    post: int | None = None,
 ) -> RelationInstance:
-    """Random valid instance whose concept pair matches ``gold``'s category."""
+    """Random valid instance whose concept pair matches ``gold``'s category.
+
+    `pre` and `post`, when given, fix the number of tokens before the first
+    and after the second concept.
+    """
     ct1, ct2 = CATEGORY_PAIR[CATEGORY_OF[gold]]
     if swap_ok and ct1 != ct2 and rng.random() < 0.5:
         ct1, ct2 = ct2, ct1
     l1 = int(rng.integers(1, max_span + 1))
     l2 = int(rng.integers(1, max_span + 1))
-    pre = int(rng.integers(0, 4))
+    drawn_pre = int(rng.integers(0, 4))
     mid = int(rng.integers(1, 5))
-    post = int(rng.integers(0, 4))
+    drawn_post = int(rng.integers(0, 4))
+    pre = drawn_pre if pre is None else pre
+    post = drawn_post if post is None else post
 
     def fill(n: int) -> list[str]:
         return [_WORDS[int(i)] for i in rng.integers(0, len(_WORDS), size=n)]

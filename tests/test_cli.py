@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import relcnn.cli as cli
+import relcnn.model as model
 from relcnn.cli import MANIFEST_FORMAT, build_parser, main
 from relcnn.corpus import read_instances
-from relcnn.encoding import EncoderConfig, load_vocab
+from relcnn.encoding import EncoderConfig, encode_instances, load_vocab
 from relcnn.model import HyperParams
 from relcnn.relations import RELATION_TYPES
 from relcnn.synthgen import LabelRule, SynthSpec, placement_task_spec
@@ -824,6 +825,49 @@ def test_malformed_vocabulary_line_is_named(tmp_path, capsys, edit, lineno):
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("values,message", [
+    ("x x", "could not convert string to float: 'x'"),
+    ("1.0", "expected 2 values"),
+], ids=["non-numeric", "wrong-count"])
+def test_malformed_word_vector_line_is_named(tmp_path, capsys, values, message):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    word = load_vocab(vocab).word_ids
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"2 2\nnot-in-the-vocabulary 0.5 0.5\n{max(word, key=word.get)} {values}\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert run("train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz",
+               "--d-w", 2, "--epochs", 1, "--embeddings", emb) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {emb}:3: ") and message in err and err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch", "eval"])
+def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    if command == "eval":
+        preds = tmp_path / "p.jsonl"
+        _write_preds(preds, corpus)
+        argv = ["eval", "--gold", corpus, "--pred", preds, "--out", work / "r.json",
+                "--bootstrap", 100]
+    else:
+        out = ["--checkpoint", work / "m.npz"] if command == "train" else ["--out", work / "g.csv"]
+        argv = [command, "--train", corpus, "--vocab", vocab, *out, "--epochs", 1]
+    capsys.readouterr()
+    assert run(*argv, "--seed", -1) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err and "-1" in err and err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
 def _npy_bytes(data: bytes) -> bytes:
     buf = io.BytesIO()
     np.save(buf, np.zeros(3))
@@ -883,7 +927,7 @@ def test_failed_checkpoint_write_leaves_the_previous_run_intact(tmp_path, capsys
 
 
 def test_interrupted_predict_keeps_the_old_predictions(tmp_path, monkeypatch):
-    corpus = _synth(tmp_path, n=4)
+    corpus = _synth(tmp_path, n=12)  # 24 instances: more than one scoring chunk
     vocab = tmp_path / "v.txt"
     _mk_vocab(corpus, vocab)
     ckpt = _train_tiny(tmp_path, corpus, vocab)
@@ -891,19 +935,39 @@ def test_interrupted_predict_keeps_the_old_predictions(tmp_path, monkeypatch):
     argv = ["predict", "--checkpoint", ckpt, "--vocab", vocab, "--input", corpus, "--out", preds]
     assert run(*argv) == 0
     before = _snapshot([preds, f"{preds}.manifest.json"])
-    calls = []
+    staging_files = []
 
-    def interrupted(*args):
-        calls.append(args)
-        if len(calls) == 3:
+    def interrupted(encs, *args):
+        if staging_files:  # the second chunk: the first chunk's records are written
             raise KeyboardInterrupt
-        return predict(*args)
+        staging_files.extend(tmp_path.glob(".p.jsonl.*.tmp"))
+        return score_chunk(encs, *args)
 
-    predict = cli.predict
-    monkeypatch.setattr(cli, "predict", interrupted)
+    score_chunk = model.score_chunk
+    monkeypatch.setattr(model, "score_chunk", interrupted)
+    assert len(read_instances(corpus)) > model.PREDICT_CHUNK
     with pytest.raises(KeyboardInterrupt):
         run(*argv)
-    assert _snapshot(before) == before
+    assert len(staging_files) == 1 and _snapshot(before) == before
+
+
+def test_predict_labels_equal_per_instance_predict(tmp_path):
+    corpus = _synth(tmp_path, n=12)  # 24 instances: more than one scoring chunk
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    ckpt = _train_tiny(tmp_path, corpus, vocab, windows="2,3")
+    preds = tmp_path / "p.jsonl"
+    assert run("predict", "--checkpoint", ckpt, "--vocab", vocab,
+               "--input", corpus, "--out", preds) == 0
+    records = [json.loads(line) for line in preds.read_text().splitlines()]
+    loaded = model.load_checkpoint(ckpt)
+    encs = encode_instances(read_instances(corpus), load_vocab(vocab), loaded.encoder)
+    assert len(records) == len(encs) > model.PREDICT_CHUNK
+    for rec, enc in zip(records, encs):
+        label, probs = model.predict(enc, loaded.params, loaded.hp)
+        assert rec["pred"] == label.value
+        np.testing.assert_allclose([rec["probs"][t.value] for t in RELATION_TYPES], probs,
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("command", ["synth", "preprocess"])

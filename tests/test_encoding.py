@@ -76,6 +76,14 @@ def test_position_id_clipping():
     assert vocab.position_id(-100) == 0       # clipped low
 
 
+def test_position_id_of_an_array_is_elementwise():
+    vocab = build_vocab(_insts(), TOY_ENC)
+    distances = np.arange(-20, 21)
+    ids = vocab.position_id(distances)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [vocab.position_id(int(d)) for d in distances]
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------

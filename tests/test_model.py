@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcnn.corpus import Concept, RelationInstance, replace_concepts
@@ -18,6 +18,7 @@ from relcnn.model import (
     LOSS_SOFTMAX,
     POOL_MAX,
     POOL_MULTI,
+    PREDICT_CHUNK,
     HyperParams,
     StaleTraceError,
     _row_sums,
@@ -35,7 +36,9 @@ from relcnn.model import (
     loss_over,
     pool,
     predict,
+    predict_batch,
     save_checkpoint,
+    score_chunk,
 )
 from relcnn.numeric import finite_diff_grad, log_sum_exp
 from relcnn.relations import (
@@ -50,6 +53,7 @@ from relcnn.relations import (
 
 from conftest import (
     TOY_ENC,
+    build_instance,
     densify,
     encoded_instance,
     grad_max_rel_err,
@@ -576,6 +580,42 @@ def test_predict_tie_breaks_to_first_class():
     label, probs = predict(enc, params, hp)
     assert label == RELATION_TYPES[0]
     np.testing.assert_allclose(probs, np.full(11, 1 / 11), atol=1e-15)
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    windows=st.sampled_from([(2,), (3, 4, 5), (1, 30)]),  # 30 exceeds every sentence
+    pooling=st.sampled_from([POOL_MAX, POOL_MULTI]),
+    size=st.sampled_from([0, 1, PREDICT_CHUNK, PREDICT_CHUNK + 1]),
+    edges=st.sampled_from([(0, None), (None, 0), (0, 0)]),
+)
+def test_predict_batch_matches_per_instance_forward(seed, windows, pooling, size, edges):
+    """Batched scores, labels and probabilities against forward/predict, one by one.
+
+    About half the instances take `edges` as their (pre, post) token counts:
+    pre = 0 empties the first pooling segment, and post = 0 the last one for
+    windows k >= 2.
+    """
+    rng = np.random.default_rng(seed)
+    hp = toy_hp(windows=windows, pooling=pooling, d_c=5)
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=seed)
+    encs = []
+    for i in range(size):
+        pre, post = edges if rng.random() < 0.5 else (None, None)
+        inst = build_instance(rng, RELATION_TYPES[i % N_CLASSES], pre=pre, post=post)
+        encs.append(encode(replace_concepts(inst), VOCAB, TOY_ENC))
+    labels, probs = predict_batch(encs, params, hp)
+    assert len(labels) == size and probs.shape == (size, N_CLASSES)
+    if size:
+        scores = score_chunk(encs, params, hp)
+        np.testing.assert_allclose(
+            scores, [forward(enc, params, hp).scores for enc in encs], rtol=0, atol=1e-12
+        )
+    for enc, label, row in zip(encs, labels, probs):
+        want_label, want_probs = predict(enc, params, hp)
+        assert label == want_label
+        np.testing.assert_allclose(row, want_probs, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

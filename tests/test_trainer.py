@@ -69,6 +69,17 @@ class TestSplitDev:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad,field", [
+    (dict(epochs=-1), "epochs"),
+    (dict(batch_size=0), "batch_size"),
+    (dict(seed=-1), "seed"),
+    (dict(dev_fraction=1.0), "dev_fraction"),
+])
+def test_train_config_rejects_out_of_range_values(bad, field):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**bad)
+
+
 def test_train_is_deterministic_given_seed():
     encs, vocab = _toy_corpus()
     tr, dev = split_dev(encs, 0.25, seed=0)
