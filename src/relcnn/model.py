@@ -23,13 +23,22 @@ under the "softmax" loss, the classes of the sample's category under the
 gradient.  ``backward`` produces analytic gradients for every parameter;
 ``numeric.finite_diff_grad`` is the independent check.
 
-The word table grows with the vocabulary, but one sample looks up only its
-own tokens and concept words.  Its gradient is therefore a ``RowGrad``:
-the summed rows of the looked-up ids plus the L2 term as one coefficient,
-and ``apply_sgd`` applies the decay as a single in-place scale of the
-table (Bottou, "Stochastic Gradient Descent Tricks", 2012).  The update is
-still W <- W - lr (g + 2 beta W); only the float rounding differs from
-the dense form.
+Every table the L2 penalty covers in full (word, position and concept-type
+embeddings and the convolution filters) gets a ``RowGrad``: its data
+gradient plus the L2 term as one coefficient, and ``apply_sgd`` applies
+the decay as a single in-place scale of the table (Bottou, "Stochastic
+Gradient Descent Tricks", 2012).  The word table grows with the
+vocabulary, but one sample looks up only its own tokens and concept words,
+so its ``RowGrad`` holds only the summed rows of the looked-up ids.  The
+update is still W <- W - lr (g + 2 beta W); only the float rounding
+differs from the dense form.  The class matrix keeps an explicit L2 term,
+because the constrained loss decays only the category's rows.
+
+A training step allocates no array the size of a parameter: ``backward``
+can write the convolution and class gradients into the arrays of the
+gradients it returned for the previous step (``out=``), and ``apply_sgd``
+consumes the gradients it is given, scaling them by the learning rate in
+place.
 
 Multi-window models (e.g. windows=(3, 4, 5)) run one filter bank per
 window size and concatenate the pooled outputs before scoring.
@@ -49,6 +58,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import __version__
 from .encoding import EncodedInstance, EncoderConfig, PAD_ID, segment_bounds
@@ -242,6 +252,11 @@ class ForwardTrace:
     params_revision: int
 
 
+def sq_norm(w: np.ndarray) -> float:
+    """Sum of the squares of a contiguous array's entries, without a squared copy."""
+    return float(np.vdot(w, w))
+
+
 def _row_sums(ids: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     """(n_rows, d) array holding, per id, the sum of its rows added in the order given.
 
@@ -259,29 +274,36 @@ def _sum_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return uniq, _row_sums(inverse, rows, uniq.shape[0])
 
 
+ALL_ROWS = slice(None)
+
+
 @dataclass
 class RowGrad:
-    """Gradient of an embedding table held as its touched rows plus weight decay.
+    """Gradient of a weight table held as its data part plus weight decay.
 
     Stands for the dense gradient ``scatter_add(ids, rows) + decay * W``,
-    W being the table it belongs to.  `ids` are distinct and ascending, so
-    ``W[ids] -= ...`` writes every row exactly once.  `shape` is the
+    W being the table it belongs to.  `ids` is either ALL_ROWS, when `rows`
+    is the data gradient of the whole table, or distinct ascending row ids,
+    so ``W[ids] -= ...`` writes every row exactly once.  `shape` is the
     table's shape; `nbytes` counts only the arrays held.
     """
 
-    ids: np.ndarray  # (r,) distinct row ids, ascending
+    ids: np.ndarray | slice  # ALL_ROWS, or (r,) distinct row ids, ascending
     rows: np.ndarray  # (r, d) summed data gradient per row
     decay: float
     shape: tuple[int, int]
 
     @property
     def nbytes(self) -> int:
-        return self.ids.nbytes + self.rows.nbytes
+        return self.rows.nbytes + (0 if isinstance(self.ids, slice) else self.ids.nbytes)
 
     def __add__(self, other: "RowGrad") -> "RowGrad":
-        ids, rows = _sum_rows(
-            np.concatenate([self.ids, other.ids]), np.concatenate([self.rows, other.rows])
-        )
+        if isinstance(self.ids, slice):
+            ids, rows = ALL_ROWS, self.rows + other.rows
+        else:
+            ids, rows = _sum_rows(
+                np.concatenate([self.ids, other.ids]), np.concatenate([self.rows, other.rows])
+            )
         return RowGrad(ids, rows, self.decay + other.decay, self.shape)
 
     def __truediv__(self, n: float) -> "RowGrad":
@@ -315,15 +337,19 @@ def _padded_ids(
 
 
 def embed_sentence(enc: EncodedInstance, params: ModelParams, k: int) -> np.ndarray:
-    """Windowed embedding matrix X: column i stacks token vectors i .. i+k-1.
+    """Windowed embedding matrix X, C-contiguous: column i stacks token vectors i .. i+k-1.
 
     Sentences shorter than the window are padded with <pad> tokens (their
     embedding row is trainable and receives gradient when looked up).
     """
     tok, pos1, pos2 = _padded_ids(enc, params, k)
     E = np.concatenate([params.w_word[tok], params.w_pos[pos1], params.w_pos[pos2]], axis=1)
-    ncols = E.shape[0] - k + 1
-    return np.hstack([E[off : off + ncols] for off in range(k)]).T
+    # E is C-contiguous, so X[off d_x + c, i], entry c of token i + off, lies at flat
+    # position i d_x + (off d_x + c) of E: X is a strided view of E.  The copy makes it
+    # C-contiguous, which the GEMM in ``convolve`` runs faster on.
+    n, d_x = E.shape
+    step = E.itemsize
+    return as_strided(E, shape=(k * d_x, n - k + 1), strides=(step, d_x * step)).copy()
 
 
 def convolve(X: np.ndarray, w_conv: np.ndarray, b_conv: np.ndarray) -> np.ndarray:
@@ -457,7 +483,8 @@ def loss_over(
     so class rows outside `classes` are untouched by training on this
     sample.  `word_sq` is ||w_word||^2 when the caller already tracks it
     (the trainer keeps it up to date from the touched rows); by default it
-    is summed over the whole table.
+    is summed over the whole table.  Each squared norm is one ``np.vdot``,
+    which allocates nothing.
     """
     if gold not in range(s.shape[0])[classes]:
         raise ValueError(f"gold class {gold} is outside the loss classes {classes}")
@@ -465,11 +492,11 @@ def loss_over(
     if beta == 0.0:
         return nll
     if word_sq is None:
-        word_sq = float(np.sum(params.w_word**2))
-    l2 = word_sq + float(np.sum(params.w_pos**2)) + float(np.sum(params.w_ctype**2))
+        word_sq = sq_norm(params.w_word)
+    l2 = word_sq + sq_norm(params.w_pos) + sq_norm(params.w_ctype)
     for w in params.w_conv:
-        l2 += float(np.sum(w**2))
-    return nll + beta * (l2 + float(np.sum(params.w_classes[classes] ** 2)))
+        l2 += sq_norm(w)
+    return nll + beta * (l2 + sq_norm(params.w_classes[classes]))
 
 
 def loss_from_trace(
@@ -487,36 +514,47 @@ def loss_from_trace(
 
 
 def backward(
-    trace: ForwardTrace, params: ModelParams, hp: HyperParams
+    trace: ForwardTrace,
+    params: ModelParams,
+    hp: HyperParams,
+    out: dict[str, np.ndarray | RowGrad] | None = None,
 ) -> dict[str, np.ndarray | RowGrad]:
     """Analytic gradients of the traced loss for every parameter array.
 
     Gradient routing: pooling sends gradient only to the cached argmax
-    columns, relu gates on Z > 0, the dropout mask is reused, and
-    embedding rows accumulate from every position that looked them up.
-    Class rows outside the sample's loss classes get exactly zero.
+    columns, and relu passes it only where the pooled value is positive;
+    the dropout mask is reused, and embedding rows accumulate from every
+    position that looked them up.  Class rows outside the sample's loss
+    classes get exactly zero.
 
-    ``w_word`` gets a ``RowGrad``: the deduplicated ids this sample looked
-    up (sentence tokens, <pad> included, and both concept contents), their
-    summed gradient rows, and decay 2 beta.  Every other array gets a dense
-    gradient that already includes its L2 term.
+    Every fully decayed table gets a ``RowGrad`` with decay 2 beta: the
+    convolution filters, the position and concept-type tables over all
+    rows, and ``w_word`` over the deduplicated ids this sample looked up
+    (sentence tokens, <pad> included, and both concept contents).  The
+    biases and the class matrix get dense gradients, the class matrix's
+    with its L2 term over the loss classes.
+
+    `out` is a dict an earlier ``backward`` returned for parameters of the
+    same shapes, possibly consumed by ``apply_sgd`` since: the convolution,
+    bias and class gradients are written into its arrays, which the
+    returned dict holds again.
     """
     if trace.params_revision != params.revision:
         raise StaleTraceError(
             f"trace built at revision {trace.params_revision}, params now at {params.revision}"
         )
     enc = trace.enc
+    decay = 2.0 * hp.beta
     classes = loss_classes(enc.category, hp)
     ds = np.zeros(N_CLASSES)
     ds[classes] = softmax(trace.scores[classes])
     ds[CLASS_INDEX[enc.gold]] -= 1.0
 
-    grads: dict[str, np.ndarray | RowGrad] = {
-        "w_ctype": np.zeros_like(params.w_ctype),
-        "w_classes": np.zeros_like(params.w_classes),
-    }
-    active = np.outer(ds[classes], trace.rc_dropped, out=grads["w_classes"][classes])
-    active += 2.0 * hp.beta * params.w_classes[classes]
+    g_classes = np.empty_like(params.w_classes) if out is None else out["w_classes"]
+    g_classes.fill(0.0)
+    active = np.outer(ds[classes], trace.rc_dropped, out=g_classes[classes])
+    active += decay * params.w_classes[classes]
+    grads: dict[str, np.ndarray | RowGrad] = {"w_classes": g_classes}
 
     drc = (params.w_classes.T @ ds) * trace.dropout_mask
     dr_x = drc[: hp.pooled_size]
@@ -524,8 +562,10 @@ def backward(
 
     # Concept features: two type rows, then both concept-content blocks.
     ct1, ct2 = enc.ctype_ids
-    grads["w_ctype"][ct1] += dcf[: hp.d_ct]
-    grads["w_ctype"][ct2] += dcf[hp.d_ct : 2 * hp.d_ct]
+    g_ctype = np.zeros_like(params.w_ctype)
+    g_ctype[ct1] += dcf[: hp.d_ct]
+    g_ctype[ct2] += dcf[hp.d_ct : 2 * hp.d_ct]
+    grads["w_ctype"] = RowGrad(ALL_ROWS, g_ctype, decay, params.w_ctype.shape)
     content_ids = np.concatenate([enc.content1_ids, enc.content2_ids])
     word_ids = [content_ids]
     word_rows = [dcf[2 * hp.d_ct :].reshape(content_ids.shape[0], hp.d_w)]
@@ -534,17 +574,17 @@ def backward(
 
     # Convolution stacks, one per window size.
     per = hp.pooled_per_window
+    filt = np.tile(np.arange(hp.d_c), hp.n_segments)
     for j, wt in enumerate(trace.windows):
         dr_w = dr_x[j * per : (j + 1) * per]
-        dZ = np.zeros_like(wt.Z)
-        filt = np.arange(hp.d_c)
-        for seg, cols in enumerate(wt.argmax_cols):
-            if cols[0] < 0:  # an empty segment: pooled to zeros, no gradient
-                continue
-            dZ[filt, cols] += dr_w[seg * hp.d_c : (seg + 1) * hp.d_c]
-        dpre = dZ * (wt.Z > 0.0)
-        grads[f"w_conv_{j}"] = dpre @ wt.X.T + 2.0 * hp.beta * params.w_conv[j]
-        grads[f"b_conv_{j}"] = dpre.sum(axis=1)
+        # A pooled value is positive only at a live argmax cell; empty segments pool to 0.
+        live = wt.pooled > 0.0
+        dpre = np.zeros_like(wt.Z)
+        dpre[filt[live], wt.argmax_cols.ravel()[live]] = dr_w[live]
+        w_name, b_name = f"w_conv_{j}", f"b_conv_{j}"
+        data = np.matmul(dpre, wt.X.T, out=None if out is None else out[w_name].rows)
+        grads[w_name] = RowGrad(ALL_ROWS, data, decay, params.w_conv[j].shape)
+        grads[b_name] = np.sum(dpre, axis=1, out=None if out is None else out[b_name])
 
         dX = params.w_conv[j].T @ dpre  # (d_x * k, ncols)
         ncols = dX.shape[1]
@@ -557,12 +597,9 @@ def backward(
         pos_rows += [dE[:, hp.d_w : hp.d_w + hp.d_p], dE[:, hp.d_w + hp.d_p :]]
 
     ids, rows = _sum_rows(np.concatenate(word_ids), np.concatenate(word_rows))
-    grads["w_word"] = RowGrad(ids, rows, 2.0 * hp.beta, params.w_word.shape)
-    grads["w_pos"] = _row_sums(
-        np.concatenate(pos_ids), np.concatenate(pos_rows), params.w_pos.shape[0]
-    )
-    grads["w_pos"] += 2.0 * hp.beta * params.w_pos
-    grads["w_ctype"] += 2.0 * hp.beta * params.w_ctype
+    grads["w_word"] = RowGrad(ids, rows, decay, params.w_word.shape)
+    g_pos = _row_sums(np.concatenate(pos_ids), np.concatenate(pos_rows), params.w_pos.shape[0])
+    grads["w_pos"] = RowGrad(ALL_ROWS, g_pos, decay, params.w_pos.shape)
     return grads
 
 
@@ -572,8 +609,12 @@ def apply_sgd(
     """In-place SGD step W <- W - lr g; bumps the revision so stale traces are detectable.
 
     A ``RowGrad`` is applied in closed form: the whole table is scaled by
-    1 - lr decay in place (skipped when decay is 0), then only its touched
-    rows get ``W[ids] -= lr * rows``.
+    1 - lr decay in place (skipped when decay is 0), then
+    ``W[ids] -= lr * rows``.
+
+    Consumes `grads`: every gradient array is scaled by lr in place
+    (``g *= lr; W -= g`` is bit for bit ``W -= lr * g``), so its values
+    are lost; the dict can still serve as ``backward``'s `out`.
     """
     for name, arr in params.arrays().items():
         g = grads[name]
@@ -581,9 +622,11 @@ def apply_sgd(
             scale = 1.0 - lr * g.decay
             if scale != 1.0:
                 arr *= scale
-            arr[g.ids] -= lr * g.rows
+            g.rows *= lr
+            arr[g.ids] -= g.rows
         else:
-            arr -= lr * g
+            g *= lr
+            arr -= g
     params.revision += 1
 
 

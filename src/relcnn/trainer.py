@@ -34,6 +34,7 @@ from .model import (
     init_params,
     loss_from_trace,
     predict,
+    sq_norm,
 )
 
 T = TypeVar("T")
@@ -155,10 +156,6 @@ def _accuracy_and_f1(
     return int(np.trace(report.confusion)) / report.n, report.micro.f1, report
 
 
-def _sq_norm(rows: np.ndarray) -> float:
-    return float(np.vdot(rows, rows))
-
-
 def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
     """The root seed's independent streams: initialization, shuffling, dropout."""
     return np.random.SeedSequence(seed).spawn(3)
@@ -200,6 +197,10 @@ def train(
     the whole table at the start of each epoch, then updated after every
     step from the rows the step touched, so no step pays for the whole
     vocabulary.
+
+    The first sample of each batch writes its gradients into the arrays of
+    the previous batch's (``backward``'s `out`), so a batch-1 step
+    allocates no array the size of a parameter.
     """
     if not train_insts:
         raise ValueError("empty training set")
@@ -214,10 +215,11 @@ def train(
     record = TrainRecord()
     best = params.copy()
     best_report: EvalReport | None = None
+    workspace: dict[str, np.ndarray | RowGrad] | None = None
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(train_insts))
         losses: list[float] = []
-        word_sq = float(np.sum(params.w_word**2))
+        word_sq = sq_norm(params.w_word)
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_insts[int(i)] for i in order[lo : lo + cfg.batch_size]]
             summed: dict[str, np.ndarray | RowGrad] | None = None
@@ -230,7 +232,7 @@ def train(
                         f"for this data/model (loss={loss})"
                     )
                 losses.append(loss)
-                grads = backward(trace, params, hp)
+                grads = backward(trace, params, hp, out=workspace if summed is None else None)
                 if summed is None:
                     summed = grads
                 else:
@@ -242,10 +244,11 @@ def train(
                     summed[name] /= len(batch)
             # Untouched rows are only scaled, so their squared norm scales by scale^2.
             word = summed["w_word"]
-            touched_sq = _sq_norm(params.w_word[word.ids])
+            touched_sq = sq_norm(params.w_word[word.ids])
             apply_sgd(params, summed, hp.lr)
+            workspace = summed
             scale = 1.0 - hp.lr * word.decay
-            word_sq = scale * scale * (word_sq - touched_sq) + _sq_norm(params.w_word[word.ids])
+            word_sq = scale * scale * (word_sq - touched_sq) + sq_norm(params.w_word[word.ids])
 
         for name, arr in params.arrays().items():
             if not np.all(np.isfinite(arr)):
@@ -320,6 +323,7 @@ def load_word_vectors(path: str | Path, vocab: Vocab, w_word: np.ndarray) -> int
     An optional "N d" header line is accepted.  Words missing from the
     vocabulary are skipped; vocabulary words missing from the file keep
     their current (random) rows.  Returns the number of rows replaced.
+    A value that is not a finite number is an error naming the file and line.
     """
     d_w = w_word.shape[1]
     loaded = 0
@@ -339,9 +343,12 @@ def load_word_vectors(path: str | Path, vocab: Vocab, w_word: np.ndarray) -> int
                 if word not in vocab.word_ids:
                     continue
                 try:
-                    w_word[vocab.word_ids[word]] = [float(v) for v in values]
+                    row = np.array([float(v) for v in values])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{path}:{lineno}: non-finite value for {word!r}")
+                w_word[vocab.word_ids[word]] = row
                 loaded += 1
     except UnicodeDecodeError:
         raise not_utf8(path) from None

@@ -828,21 +828,25 @@ def test_malformed_vocabulary_line_is_named(tmp_path, capsys, edit, lineno):
 @pytest.mark.parametrize("values,message", [
     ("x x", "could not convert string to float: 'x'"),
     ("1.0", "expected 2 values"),
-], ids=["non-numeric", "wrong-count"])
+    ("0.5 nan", "non-finite value for {word!r}"),
+    ("-inf 0.5", "non-finite value for {word!r}"),
+], ids=["non-numeric", "wrong-count", "nan", "inf"])
 def test_malformed_word_vector_line_is_named(tmp_path, capsys, values, message):
     corpus = _synth(tmp_path, n=4)
     vocab = tmp_path / "v.txt"
     _mk_vocab(corpus, vocab)
-    word = load_vocab(vocab).word_ids
+    ids = load_vocab(vocab).word_ids
+    word = max(ids, key=ids.get)
     emb = tmp_path / "emb.txt"
-    emb.write_text(f"2 2\nnot-in-the-vocabulary 0.5 0.5\n{max(word, key=word.get)} {values}\n")
+    emb.write_text(f"2 2\nnot-in-the-vocabulary 0.5 0.5\n{word} {values}\n")
     work = tmp_path / "work"
     work.mkdir()
     capsys.readouterr()
     assert run("train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz",
                "--d-w", 2, "--epochs", 1, "--embeddings", emb) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {emb}:3: ") and message in err and err.count("\n") == 1
+    assert err.startswith(f"error: {emb}:3: ") and message.format(word=word) in err
+    assert err.count("\n") == 1
     assert list(work.iterdir()) == []
 
 

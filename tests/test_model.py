@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 
@@ -20,6 +21,7 @@ from relcnn.model import (
     POOL_MULTI,
     PREDICT_CHUNK,
     HyperParams,
+    RowGrad,
     StaleTraceError,
     _row_sums,
     _sum_rows,
@@ -481,24 +483,57 @@ def test_apply_sgd_in_place_exact_and_bumps_revision():
     hp, params, enc = _setup()
     tr = forward(enc, params, hp)
     grads = backward(tr, params, hp)
+    assert {n for n, g in grads.items() if not isinstance(g, RowGrad)} == {"b_conv_0", "w_classes"}
+    kept = copy.deepcopy(grads)  # apply_sgd consumes its gradients
     before = {k: v.copy() for k, v in params.arrays().items()}
     rev = params.revision
-    w_word_obj = params.w_word
+    objects = {k: id(v) for k, v in params.arrays().items()}
     apply_sgd(params, grads, lr=0.1)
     assert params.revision == rev + 1
-    assert params.w_word is w_word_obj  # updated in place
-    word = grads["w_word"]
-    assert word.decay == 2.0 * hp.beta and word.shape == before["w_word"].shape
+    assert {k: id(v) for k, v in params.arrays().items()} == objects  # updated in place
     for name, arr in params.arrays().items():
-        g = grads[name]
-        if name == "w_word":
-            # closed form: the whole table decays, then the touched rows step
-            data = np.zeros(word.shape)
-            data[word.ids] = word.rows
-            expected = before[name] * (1.0 - 0.1 * word.decay) - 0.1 * data
+        g = kept[name]
+        if isinstance(g, RowGrad):
+            assert g.decay == 2.0 * hp.beta and g.shape == before[name].shape
+            # closed form: the whole table decays, then the data part steps
+            data = np.zeros(g.shape)
+            data[g.ids] = g.rows
+            expected = before[name] * (1.0 - 0.1 * g.decay) - 0.1 * data
         else:
             expected = before[name] - 0.1 * g
         np.testing.assert_array_equal(arr, expected, err_msg=name)
+
+
+@pytest.mark.parametrize("windows", [(2,), (2, 3)])
+@pytest.mark.parametrize("loss", [LOSS_SOFTMAX, LOSS_CONSTRAINED])
+def test_backward_into_a_workspace_equals_a_fresh_backward(windows, loss):
+    """``backward(out=ws)`` is bitwise a fresh ``backward``, also after ``apply_sgd``
+    consumed `ws` and when the previous sample had another category."""
+    hp = toy_hp(windows=windows, loss=loss, dropout_p=0.3)
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=8)
+    rng = np.random.default_rng(8)
+    ws = None
+    for gold in [RelationType.TRIP, RelationType.PIP, RelationType.TECP, RelationType.PIP]:
+        enc = encoded_instance(rng, gold, VOCAB, TOY_ENC)
+        tr = forward(enc, params, hp, train=True, dropout_rng=np.random.default_rng(9))
+        fresh = backward(tr, params, hp)
+        grads = backward(tr, params, hp, out=ws)
+        assert grads.keys() == fresh.keys()
+        for name, g in grads.items():
+            ref = fresh[name]
+            if isinstance(g, RowGrad):
+                assert (g.decay, g.shape) == (ref.decay, ref.shape), name
+                np.testing.assert_equal(g.ids, ref.ids, err_msg=name)
+                g, ref = g.rows, ref.rows
+            assert g.tobytes() == ref.tobytes(), name  # bitwise, signed zeros included
+        if ws is not None:  # the arrays were reused, not reallocated
+            for name in ("w_classes", "w_conv_0", "b_conv_0"):
+                old, new = ws[name], grads[name]
+                if isinstance(new, RowGrad):
+                    old, new = old.rows, new.rows
+                assert new is old, name
+        apply_sgd(params, grads, hp.lr)
+        ws = grads
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=40), st.integers(1, 6),

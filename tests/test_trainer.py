@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from relcnn import trainer
 from relcnn.encoding import UNK_ID, EncoderConfig, build_vocab, encode_instances
 from relcnn.evaluator import evaluate
-from relcnn.model import HyperParams, backward, forward, init_params, loss_from_trace, predict
+from relcnn.model import (
+    HyperParams,
+    RowGrad,
+    apply_sgd,
+    backward,
+    forward,
+    init_params,
+    loss_from_trace,
+    predict,
+    sq_norm,
+)
 from relcnn.synthgen import generate, placement_task_spec
 from relcnn.trainer import (
     GridSpec,
@@ -141,18 +153,21 @@ def test_train_batch_gradients_are_averaged():
     order = np.random.default_rng(shuffle_ss).permutation(2)
     params = init.copy()
     summed = {}
+    decayed = set()
     for i in order:
         trace = forward(encs[int(i)], params, hp, train=True)
         grads = backward(trace, params, hp)
         for name, g in grads.items():
-            if name == "w_word":
+            if isinstance(g, RowGrad):
                 # the data part, scattered densely; decay is handled below
+                decayed.add(name)
                 g = np.zeros(g.shape)
                 np.add.at(g, grads[name].ids, grads[name].rows)
             summed[name] = g if name not in summed else summed[name] + g
+    assert decayed == {"w_word", "w_pos", "w_conv_0", "w_ctype"}
     for name, arr in init.arrays().items():
         step = hp.lr * (summed[name] / 2)
-        if name == "w_word":
+        if name in decayed:
             expected = arr * (1.0 - hp.lr * 2.0 * hp.beta) - step
         else:
             expected = arr - step
@@ -172,6 +187,40 @@ def test_train_loss_running_word_norm_matches_full_sum(monkeypatch, batch_size):
     full = train(encs, encs, hp, cfg, vocab, ENC).record.train_loss
     assert len(full) == 3
     np.testing.assert_allclose(running, full, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("hp", [HyperParams(), HyperParams(d_c=400, windows=(3, 4, 5))],
+                         ids=["defaults", "d_c400-windows345"])
+def test_warm_training_step_allocates_no_parameter_sized_array(hp):
+    """A warm batch-1 step, in the trainer's call sequence, peaks below the
+    total size of the parameters other than w_word: no gradient, decay or
+    squared-norm temporary of a convolution filter bank is allocated."""
+    enc_cfg = EncoderConfig()
+    insts, _ = generate(placement_task_spec(sentences_per_type=2, seed=0))
+    vocab = build_vocab(insts, enc_cfg)
+    encs = encode_instances(insts, vocab, enc_cfg)
+    params = init_params(hp, vocab.n_words, vocab.n_positions, enc_cfg.concept_len,
+                         np.random.default_rng(0))
+    bound = sum(a.nbytes for name, a in params.arrays().items() if name != "w_word")
+    dropout_rng = np.random.default_rng(1)
+
+    def step(enc, workspace):
+        trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
+        loss_from_trace(trace, params, hp, sq_norm(params.w_word))
+        grads = backward(trace, params, hp, out=workspace)
+        apply_sgd(params, grads, hp.lr)
+        return grads
+
+    tracemalloc.start()
+    try:
+        workspace = step(encs[1], step(encs[0], None))
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step(encs[2], workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < bound, f"step peaked {peak - before} bytes above its start, bound {bound}"
 
 
 def test_train_raises_when_a_parameter_goes_non_finite():
