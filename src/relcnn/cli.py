@@ -54,7 +54,6 @@ from .encoding import (
 )
 from .evaluator import bootstrap_ci, evaluate, format_report
 from .model import (
-    PREDICT_CHUNK,
     HyperParams,
     load_checkpoint,
     predict_batch,
@@ -526,19 +525,17 @@ def cmd_predict(args, run: Run) -> int:
     encoded = encode_instances(instances, vocab, ckpt.encoder)
     out = Path(args.out)
     with open(run.output(out), "w", encoding="utf-8") as fh:
-        for lo in range(0, len(encoded), PREDICT_CHUNK):
-            chunk = slice(lo, lo + PREDICT_CHUNK)
-            labels, probs = predict_batch(encoded[chunk], ckpt.params, ckpt.hp)
-            for inst, label, row in zip(instances[chunk], labels, probs.tolist()):
-                rec = {
-                    "key": _instance_key(inst),
-                    "doc": inst.doc_id,
-                    "sent": inst.sent_index,
-                    "gold": inst.gold.value,
-                    "pred": label.value,
-                    "probs": {t.value: p for t, p in zip(RELATION_TYPES, row)},
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        labels, probs = predict_batch(encoded, ckpt.params, ckpt.hp)
+        for inst, label, row in zip(instances, labels, probs.tolist()):
+            rec = {
+                "key": _instance_key(inst),
+                "doc": inst.doc_id,
+                "sent": inst.sent_index,
+                "gold": inst.gold.value,
+                "pred": label.value,
+                "probs": {t.value: p for t, p in zip(RELATION_TYPES, row)},
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
     run.commit(out, {"checkpoint": str(args.checkpoint)}, {})
     print(f"predicted {len(instances)} instances")
     return 0

@@ -43,10 +43,13 @@ place.
 Multi-window models (e.g. windows=(3, 4, 5)) run one filter bank per
 window size and concatenate the pooled outputs before scoring.
 
-At inference the parameters are fixed, so ``predict_batch`` scores
-PREDICT_CHUNK instances at a time with one GEMM per window size
-(``score_chunk``).  Training and ``predict`` keep the per-instance
-``forward``.
+The forward stages (``embed_sentence``, ``convolve``, ``pool``,
+``concept_features``, ``score``) each run on a chunk of instances, with one
+GEMM per window size over every instance's windows.  ``forward`` runs
+them on a chunk of one and keeps the trace backward needs; ``score_chunk``
+runs them on PREDICT_CHUNK instances at a time for ``predict_batch``,
+without the argmax columns only backward reads.  ``predict`` is
+``predict_batch`` of one instance.
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import __version__
 from .encoding import EncodedInstance, EncoderConfig, PAD_ID, segment_bounds
@@ -226,15 +229,18 @@ def init_params(
 
 @dataclass
 class WindowTrace:
+    """One window size's stages over a chunk; its instances' ids, columns and
+    segments follow each other in order."""
+
     k: int
-    token_ids: np.ndarray
+    token_ids: np.ndarray  # padded to at least k tokens per instance
     pos1_ids: np.ndarray
     pos2_ids: np.ndarray
     X: np.ndarray  # (d_x * k, ncols)
     Z: np.ndarray  # (d_c, ncols)
-    bounds: list[tuple[int, int] | None]
-    argmax_cols: np.ndarray  # (n_segments, d_c); -1 marks an empty segment
-    pooled: np.ndarray  # (n_segments * d_c,)
+    bounds: list[tuple[int, int] | None]  # n_segments per instance
+    argmax_cols: np.ndarray | None  # (segments, d_c); -1 marks an empty segment
+    pooled: np.ndarray  # (segments * d_c,)
 
 
 @dataclass
@@ -311,93 +317,148 @@ class RowGrad:
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# Forward stages.  Each runs on a chunk of instances; one instance is a chunk of one.
 # ---------------------------------------------------------------------------
 
 
 def _padded_ids(
-    enc: EncodedInstance, params: ModelParams, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token/position id arrays, extended with <pad> tokens up to length k."""
-    n = enc.n_tokens
-    if n >= k:
-        return enc.token_ids, enc.pos1_ids, enc.pos2_ids
-    radius = (params.w_pos.shape[0] - 1) // 2
-    extra = np.arange(n + 1, k + 1)
+    encs: Sequence[EncodedInstance], params: ModelParams, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Token/position ids of a chunk's sentences, each extended with <pad> tokens up to
+    length k, concatenated; and the length of each extended sentence.
 
-    def pos_ids(p: int) -> np.ndarray:
-        return np.clip(extra - p, -radius, radius) + radius
-
-    pad = np.full(k - n, PAD_ID, dtype=np.int64)
-    return (
-        np.concatenate([enc.token_ids, pad]),
-        np.concatenate([enc.pos1_ids, pos_ids(enc.p1)]),
-        np.concatenate([enc.pos2_ids, pos_ids(enc.p2)]),
-    )
-
-
-def embed_sentence(enc: EncodedInstance, params: ModelParams, k: int) -> np.ndarray:
-    """Windowed embedding matrix X, C-contiguous: column i stacks token vectors i .. i+k-1.
-
-    Sentences shorter than the window are padded with <pad> tokens (their
-    embedding row is trainable and receives gradient when looked up).
+    The <pad> embedding row is trainable and receives gradient when looked up.
     """
-    tok, pos1, pos2 = _padded_ids(enc, params, k)
+    radius = (params.w_pos.shape[0] - 1) // 2
+    tok, pos1, pos2 = [], [], []
+    for enc in encs:
+        tok.append(enc.token_ids)
+        pos1.append(enc.pos1_ids)
+        pos2.append(enc.pos2_ids)
+        n = enc.n_tokens
+        if n < k:
+            extra = np.arange(n + 1, k + 1)
+            tok.append(np.full(k - n, PAD_ID, dtype=np.int64))
+            pos1.append(np.clip(extra - enc.p1, -radius, radius) + radius)
+            pos2.append(np.clip(extra - enc.p2, -radius, radius) + radius)
+    lengths = [max(enc.n_tokens, k) for enc in encs]
+    return np.concatenate(tok), np.concatenate(pos1), np.concatenate(pos2), lengths
+
+
+def embed_sentence(
+    tok: np.ndarray,
+    pos1: np.ndarray,
+    pos2: np.ndarray,
+    lengths: Sequence[int],
+    params: ModelParams,
+    k: int,
+) -> np.ndarray:
+    """Windowed embedding matrix X of a chunk of sentences, C-contiguous.
+
+    The ids hold the sentences one after another, `lengths` tokens each
+    (``_padded_ids``).  Column i of a sentence stacks its token vectors
+    i .. i+k-1.  The sentences' columns follow each other in order, and no
+    column straddles two sentences.
+    """
     E = np.concatenate([params.w_word[tok], params.w_pos[pos1], params.w_pos[pos2]], axis=1)
     # E is C-contiguous, so X[off d_x + c, i], entry c of token i + off, lies at flat
-    # position i d_x + (off d_x + c) of E: X is a strided view of E.  The copy makes it
-    # C-contiguous, which the GEMM in ``convolve`` runs faster on.
+    # position i d_x + (off d_x + c) of E: the windows are a strided view of E.  X is a
+    # C-contiguous copy of each sentence's windows: the GEMM in ``convolve`` runs faster
+    # on it, and its rounding depends on the layout.
     n, d_x = E.shape
     step = E.itemsize
-    return as_strided(E, shape=(k * d_x, n - k + 1), strides=(step, d_x * step)).copy()
+    windows = np.ndarray((k * d_x, n - k + 1), E.dtype, buffer=E, strides=(step, d_x * step))
+    starts = accumulate(lengths[:-1], initial=0)
+    X = np.empty((k * d_x, n - len(lengths) * (k - 1)))
+    return np.concatenate(
+        [windows[:, s : s + m - k + 1] for s, m in zip(starts, lengths)], axis=1, out=X
+    )
 
 
 def convolve(X: np.ndarray, w_conv: np.ndarray, b_conv: np.ndarray) -> np.ndarray:
     """Z = relu(W_conv X + b), bias broadcast per column."""
-    return relu(w_conv @ X + b_conv[:, None])
+    Z = w_conv @ X
+    Z += b_conv[:, None]
+    return relu(Z, out=Z)
 
 
 def pool(
-    Z: np.ndarray, bounds: Sequence[tuple[int, int] | None]
-) -> tuple[np.ndarray, np.ndarray]:
+    Z: np.ndarray, bounds: Sequence[tuple[int, int] | None], argmax: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Columnwise max over each 1-based inclusive column range of Z.
 
-    Returns the concatenated pooled vector (one d_c block per segment,
-    zeros for empty segments) and the chosen column index per filter per
-    segment (-1 for empty segments), which backward uses for gradient
-    routing.  A single full-range segment gives plain max-pooling.
+    Returns the concatenated pooled vector (one d_c block per range, zeros
+    for empty ranges) and the column of each filter's maximum per range
+    (the first on ties, -1 for empty ranges), which backward uses for
+    gradient routing; None for the columns when `argmax` is False.  A
+    single full-range segment gives plain max-pooling, and a chunk's
+    instances give their segments as ranges of one Z.
     """
     d_c = Z.shape[0]
-    parts: list[np.ndarray] = []
-    arg = np.full((len(bounds), d_c), -1, dtype=np.int64)
+    Zt = Z.T.copy()  # the columns of a range are a block of rows of Zt
+    pooled = np.zeros((len(bounds), d_c))
+    arg = np.full((len(bounds), d_c), -1) if argmax else None
     for i, rng in enumerate(bounds):
-        if rng is None:
-            parts.append(np.zeros(d_c))
-            continue
-        lo, hi = rng
-        seg = Z[:, lo - 1 : hi]
-        cols = np.argmax(seg, axis=1) + (lo - 1)
-        arg[i] = cols
-        parts.append(Z[np.arange(d_c), cols])
-    return np.concatenate(parts), arg
+        if rng is not None:
+            block = Zt[rng[0] - 1 : rng[1]]
+            np.maximum.reduce(block, axis=0, out=pooled[i])
+            if arg is not None:
+                block.argmax(axis=0, out=arg[i])
+                arg[i] += rng[0] - 1
+    return pooled.ravel(), arg
 
 
-def concept_features(enc: EncodedInstance, params: ModelParams) -> np.ndarray:
-    """cf_x = [ctype1; ctype2; concept1 words; concept2 words] (padded rows included)."""
-    ct1, ct2 = enc.ctype_ids
+def _chunk_bounds(
+    encs: Sequence[EncodedInstance], lengths: Sequence[int], k: int, pooling: str
+) -> list[tuple[int, int] | None]:
+    """Every instance's pooling segments as column ranges of the chunk's window matrix."""
+    out: list[tuple[int, int] | None] = []
+    col0 = 0
+    for enc, n in zip(encs, lengths):
+        ncols = n - k + 1
+        segs = segment_bounds(enc.p1, enc.p2, n, k) if pooling == POOL_MULTI else [(1, ncols)]
+        out += [None if seg is None else (seg[0] + col0, seg[1] + col0) for seg in segs]
+        col0 += ncols
+    return out
+
+
+def _pooled_windows(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams, trace: bool
+) -> tuple[np.ndarray, list[WindowTrace]]:
+    """Embed, convolve and pool a chunk once per window size.
+
+    Returns r_x, one row of pooled features per instance (instance b's
+    pooled blocks of every window size in turn), and per window size the
+    chunk's WindowTrace.  Without `trace` the traces hold no argmax
+    columns: only backward reads them.
+    """
+    windows: list[WindowTrace] = []
+    for j, k in enumerate(hp.windows):
+        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
+        X = embed_sentence(tok, pos1, pos2, lengths, params, k)
+        Z = convolve(X, params.w_conv[j], params.b_conv[j])
+        bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
+        pooled, arg = pool(Z, bounds, argmax=trace)
+        windows.append(WindowTrace(k, tok, pos1, pos2, X, Z, bounds, arg, pooled))
+    r_x = np.concatenate([wt.pooled.reshape(len(encs), -1) for wt in windows], axis=1)
+    return r_x, windows
+
+
+def concept_features(encs: Sequence[EncodedInstance], params: ModelParams) -> np.ndarray:
+    """cf_x = [ctype1; ctype2; concept1 words; concept2 words] (padded rows included),
+    one row per instance."""
+    ctypes = [enc.ctype_ids for enc in encs]
+    words = np.concatenate([ids for enc in encs for ids in (enc.content1_ids, enc.content2_ids)])
     return np.concatenate(
-        [
-            params.w_ctype[ct1],
-            params.w_ctype[ct2],
-            params.w_word[enc.content1_ids].ravel(),
-            params.w_word[enc.content2_ids].ravel(),
-        ]
+        [params.w_ctype[ctypes].reshape(len(encs), -1), params.w_word[words].reshape(len(encs), -1)],
+        axis=1,
     )
 
 
 def score(r_x: np.ndarray, cf_x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Class scores s = W_classes rc with rc = [r_x; cf_x]."""
-    return params.w_classes @ np.concatenate([r_x, cf_x])
+    """Class scores s = W_classes rc with rc = [r_x; cf_x]: a vector for vectors, and one
+    row per instance for rows."""
+    return np.concatenate([r_x, cf_x], axis=-1) @ params.w_classes.T
 
 
 def forward(
@@ -407,27 +468,15 @@ def forward(
     train: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
-    """Full forward pass; returns the trace backward() consumes.
+    """Full forward pass of one instance, a chunk of one; returns the trace backward() consumes.
 
     In training mode an inverted-dropout mask is sampled for rc: entries
     are kept with probability 1 - dropout_p and scaled by 1/(1 - p), so
     inference needs no rescaling.
     """
-    window_traces: list[WindowTrace] = []
-    for j, k in enumerate(hp.windows):
-        tok, pos1, pos2 = _padded_ids(enc, params, k)
-        X = embed_sentence(enc, params, k)
-        Z = convolve(X, params.w_conv[j], params.b_conv[j])
-        n = tok.shape[0]
-        if hp.pooling == POOL_MULTI:
-            bounds = segment_bounds(enc.p1, enc.p2, n, k)
-        else:
-            bounds = [(1, n - k + 1)]
-        pooled, arg = pool(Z, bounds)
-        window_traces.append(WindowTrace(k, tok, pos1, pos2, X, Z, bounds, arg, pooled))
-
-    r_x = np.concatenate([wt.pooled for wt in window_traces])
-    cf_x = concept_features(enc, params)
+    r_x, window_traces = _pooled_windows([enc], params, hp, trace=True)
+    r_x = r_x[0]
+    cf_x = concept_features([enc], params)[0]
     rc = np.concatenate([r_x, cf_x])
     if train and hp.dropout_p > 0.0:
         if dropout_rng is None:
@@ -437,7 +486,7 @@ def forward(
     else:
         mask = np.ones(rc.shape[0])
     rc_dropped = rc * mask
-    scores = params.w_classes @ rc_dropped
+    scores = score(rc_dropped[: hp.pooled_size], rc_dropped[hp.pooled_size :], params)
     return ForwardTrace(
         enc=enc,
         windows=window_traces,
@@ -574,13 +623,12 @@ def backward(
 
     # Convolution stacks, one per window size.
     per = hp.pooled_per_window
-    filt = np.tile(np.arange(hp.d_c), hp.n_segments)
     for j, wt in enumerate(trace.windows):
-        dr_w = dr_x[j * per : (j + 1) * per]
+        dr_w = dr_x[j * per : (j + 1) * per].reshape(wt.argmax_cols.shape)
         # A pooled value is positive only at a live argmax cell; empty segments pool to 0.
-        live = wt.pooled > 0.0
+        live = (wt.pooled > 0.0).reshape(wt.argmax_cols.shape)
         dpre = np.zeros_like(wt.Z)
-        dpre[filt[live], wt.argmax_cols.ravel()[live]] = dr_w[live]
+        dpre[np.nonzero(live)[1], wt.argmax_cols[live]] = dr_w[live]
         w_name, b_name = f"w_conv_{j}", f"b_conv_{j}"
         data = np.matmul(dpre, wt.X.T, out=None if out is None else out[w_name].rows)
         grads[w_name] = RowGrad(ALL_ROWS, data, decay, params.w_conv[j].shape)
@@ -630,87 +678,30 @@ def apply_sgd(
     params.revision += 1
 
 
-def predict(
-    enc: EncodedInstance, params: ModelParams, hp: HyperParams
-) -> tuple[RelationType, np.ndarray]:
-    """Most probable relation type over all classes, plus the probability vector.
-
-    Ties break toward the lowest class index.  Scoring is over all
-    classes regardless of the sample's category, mirroring single-model
-    training; cross-category mistakes stay observable in evaluation.
-    """
-    trace = forward(enc, params, hp, train=False)
-    probs = softmax(trace.scores)
-    idx = int(np.argmax(trace.scores))
-    return RELATION_TYPES[idx], probs
-
-
 def score_chunk(
     encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
 ) -> np.ndarray:
     """Inference-mode class scores of a nonempty chunk of instances, one row each.
 
-    The chunk shares one GEMM per window size: every instance's valid
-    window columns are gathered into one (columns, d_x k) matrix.  Within
-    an instance the nonempty pooling segments tile its columns in order, so
-    one ``np.maximum.reduceat`` over the chunk's segment starts pools them
-    all; empty segments stay zero.  Max is exact, so the pooled values are
-    the ones ``pool`` picks; the scores equal ``forward``'s up to the
-    summation order of the products.
+    The forward stages, run once for the whole chunk: one GEMM per window
+    size over every instance's windows.  The scores equal ``forward``'s up
+    to the summation order the GEMMs' shapes give.
     """
-    B = len(encs)
-    n_blocks = hp.n_segments * len(hp.windows)
-    pooled = np.zeros((B * n_blocks, hp.d_c))
-    for j, k in enumerate(hp.windows):
-        padded = [_padded_ids(enc, params, k) for enc in encs]
-        tok, pos1, pos2 = (np.concatenate(ids) for ids in zip(*padded))
-        E = np.concatenate([params.w_word[tok], params.w_pos[pos1], params.w_pos[pos2]], axis=1)
-        n = np.array([ids[0].shape[0] for ids in padded])
-        ncols = n - k + 1
-        # Window i of instance b starts at token row i + b (k - 1) of E.
-        rows = np.arange(ncols.sum()) + np.repeat(np.arange(B) * (k - 1), ncols)
-        X = E[rows[:, None] + np.arange(k)].reshape(-1, k * hp.d_x)
-        Zt = params.w_conv[j] @ X.T
-        Zt += params.b_conv[j][:, None]
-        np.maximum(Zt, 0.0, out=Zt)
-
-        starts: list[int] = []
-        slots: list[int] = []
-        col0 = 0
-        for b, (enc, n_b, ncols_b) in enumerate(zip(encs, n.tolist(), ncols.tolist())):
-            if hp.pooling == POOL_MULTI:
-                bounds = segment_bounds(enc.p1, enc.p2, n_b, k)
-            else:
-                bounds = [(1, ncols_b)]
-            for seg, rng in enumerate(bounds):
-                if rng is not None:
-                    starts.append(col0 + rng[0] - 1)
-                    slots.append(b * n_blocks + j * hp.n_segments + seg)
-            col0 += ncols_b
-        pooled[slots] = np.maximum.reduceat(Zt, starts, axis=1).T
-
-    ctypes = np.array([enc.ctype_ids for enc in encs])
-    contents = np.array([np.concatenate([enc.content1_ids, enc.content2_ids]) for enc in encs])
-    rc = np.concatenate(
-        [
-            pooled.reshape(B, -1),
-            params.w_ctype[ctypes].reshape(B, -1),
-            params.w_word[contents].reshape(B, -1),
-        ],
-        axis=1,
-    )
-    return rc @ params.w_classes.T
+    r_x, _ = _pooled_windows(encs, params, hp, trace=False)
+    return score(r_x, concept_features(encs, params), params)
 
 
 def predict_batch(
     encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
 ) -> tuple[list[RelationType], np.ndarray]:
-    """``predict`` for every instance, scored PREDICT_CHUNK instances at a time.
+    """The most probable relation type of every instance, plus its probability row.
 
-    Returns the labels and a (len(encs), N_CLASSES) array of probability
-    rows.  Labels and probabilities match ``predict``'s up to the last
-    float digits (``score_chunk``); the chunk size bounds the memory a
-    scoring pass takes.
+    Scores over all classes regardless of the sample's category, mirroring
+    single-model training; cross-category mistakes stay observable in
+    evaluation.  Ties break toward the lowest class index.  Returns the
+    labels and a (len(encs), N_CLASSES) array of probability rows, scored
+    PREDICT_CHUNK instances at a time (``score_chunk``); the chunk size
+    bounds the memory a scoring pass takes.
     """
     scores = np.zeros((len(encs), N_CLASSES))
     for lo in range(0, len(encs), PREDICT_CHUNK):
@@ -718,6 +709,14 @@ def predict_batch(
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     return [RELATION_TYPES[i] for i in np.argmax(scores, axis=1)], probs
+
+
+def predict(
+    enc: EncodedInstance, params: ModelParams, hp: HyperParams
+) -> tuple[RelationType, np.ndarray]:
+    """``predict_batch`` of one instance: its label and probability vector."""
+    labels, probs = predict_batch([enc], params, hp)
+    return labels[0], probs[0]
 
 
 # ---------------------------------------------------------------------------

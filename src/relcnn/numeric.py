@@ -19,9 +19,9 @@ class ShapeError(ValueError):
     """Operands do not conform; message carries both shapes."""
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x), any shape."""
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x), any shape; into `out` when given (``out=x`` works in place)."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def softmax(s: np.ndarray) -> np.ndarray:

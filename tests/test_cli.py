@@ -942,7 +942,7 @@ def test_interrupted_predict_keeps_the_old_predictions(tmp_path, monkeypatch):
     staging_files = []
 
     def interrupted(encs, *args):
-        if staging_files:  # the second chunk: the first chunk's records are written
+        if staging_files:  # the second chunk: the staged output file is open
             raise KeyboardInterrupt
         staging_files.extend(tmp_path.glob(".p.jsonl.*.tmp"))
         return score_chunk(encs, *args)

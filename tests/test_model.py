@@ -23,6 +23,7 @@ from relcnn.model import (
     HyperParams,
     RowGrad,
     StaleTraceError,
+    _padded_ids,
     _row_sums,
     _sum_rows,
     apply_sgd,
@@ -139,10 +140,12 @@ def test_init_params_shapes_and_determinism():
 
 
 def test_embed_sentence_column_layout():
-    """Column c of X stacks the k consecutive per-token vectors from c."""
+    """Column c of X stacks the k consecutive per-token vectors from c; a chunk's X
+    holds each sentence's columns in turn, none straddling two sentences."""
     hp, params, enc = _setup(seed=2)
     k = hp.windows[0]
-    X = embed_sentence(enc, params, k)
+    X = embed_sentence(*_padded_ids([enc], params, k), params, k)
+    assert X.flags.c_contiguous
     n = enc.n_tokens
     assert X.shape == (hp.d_x * k, n - k + 1)
     for c in range(n - k + 1):
@@ -153,6 +156,10 @@ def test_embed_sentence_column_layout():
             col.extend(params.w_pos[enc.pos1_ids[t]])
             col.extend(params.w_pos[enc.pos2_ids[t]])
         np.testing.assert_allclose(X[:, c], col, atol=0)
+    other = encoded_instance(np.random.default_rng(3), RelationType.PIP, VOCAB, TOY_ENC)
+    chunk = embed_sentence(*_padded_ids([enc, other, enc], params, k), params, k)
+    alone = embed_sentence(*_padded_ids([other], params, k), params, k)
+    np.testing.assert_array_equal(chunk, np.concatenate([X, alone, X], axis=1))
 
 
 def test_convolve_matches_loop_oracle():
@@ -174,38 +181,44 @@ def test_convolve_matches_loop_oracle():
 
 
 def _pool_oracle(Z, bounds):
-    """Plain-python per-segment max, written independently of the library."""
+    """Plain-python per-segment max and first argmax, written independently of the library."""
     d_c, _ = Z.shape
-    out = []
+    out, arg = [], []
     for seg in bounds:
         if seg is None:
             out.extend([0.0] * d_c)
+            arg.append([-1] * d_c)
             continue
         lo, hi = seg
-        for f in range(d_c):
-            out.append(max(Z[f, c - 1] for c in range(lo, hi + 1)))
-    return np.array(out)
+        cols = range(lo - 1, hi)
+        out.extend(max(Z[f, c] for c in cols) for f in range(d_c))
+        arg.append([max(cols, key=lambda c: (Z[f, c], -c)) for f in range(d_c)])
+    return np.array(out), np.array(arg)
 
 
 @given(st.integers(0, 10 ** 6))
 def test_pool_matches_brute_force(seed):
+    """One instance's segments, or a chunk's: several instances' segments offset into
+    one Z, including empty segments and sentences shorter than the window."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 16))
-    k = int(rng.integers(2, min(5, n) + 1))
-    p1 = int(rng.integers(1, n))
-    p2 = int(rng.integers(p1 + 1, n + 1))
-    Z = rng.normal(size=(4, n - k + 1))
-    bounds = segment_bounds(p1, p2, n, k)
+    k = int(rng.integers(1, 6))
+    bounds, ncols = [], 0
+    for _ in range(int(rng.integers(1, 5))):
+        n = int(rng.integers(2, 16))
+        p1 = int(rng.integers(1, n))
+        p2 = int(rng.integers(p1 + 1, n + 1))
+        n = max(n, k)  # a short sentence is padded to the window
+        bounds += [
+            None if seg is None else (seg[0] + ncols, seg[1] + ncols)
+            for seg in segment_bounds(p1, p2, n, k)
+        ]
+        ncols += n - k + 1
+    # Half the draws take small integers, so that columns tie.
+    Z = rng.normal(size=(4, ncols)) if rng.random() < 0.5 else rng.integers(0, 3, (4, ncols)) * 1.0
     pooled, arg = pool(Z, bounds)
-    np.testing.assert_allclose(pooled, _pool_oracle(Z, bounds), atol=0)
-    # argmax routing: the recorded column reproduces the pooled value
-    for i, seg in enumerate(bounds):
-        if seg is None:
-            assert (arg[i] == -1).all()
-            np.testing.assert_array_equal(pooled[i * 4 : (i + 1) * 4], 0.0)
-        else:
-            for f in range(4):
-                assert Z[f, arg[i, f]] == pooled[i * 4 + f]
+    want_pooled, want_arg = _pool_oracle(Z, bounds)
+    np.testing.assert_array_equal(pooled, want_pooled)
+    np.testing.assert_array_equal(arg, want_arg)
 
 
 def test_pool_single_segment_is_plain_max():
@@ -223,6 +236,36 @@ def test_pool_first_occurrence_tie_break():
     assert arg[0, 0] == 1  # earliest max wins
 
 
+def test_pool_and_backward_route_an_exact_tie_to_its_first_column():
+    """Windows 1 and 3 repeat a 2-gram whose distances to both entities are clipped to
+    the radius, so their Z columns are equal.  Pool takes the first, and backward sends
+    each filter's gradient through that one cell: a second cell would double it against
+    finite differences, which every parameter keeps the tie for."""
+    enc_cfg = EncoderConfig(max_distance=1, concept_len=3, min_word_freq=1)
+    vocab = shared_vocab(enc_cfg)
+    c1 = Concept(tokens=["ent1"], start=5, end=5, ctype=ConceptType.TREATMENT)
+    c2 = Concept(tokens=["ent2"], start=7, end=7, ctype=ConceptType.PROBLEM)
+    tokens = ["tok3", "tok7", "tok3", "tok7", "ent1", "tok9", "ent2"]
+    inst = RelationInstance(tokens=tokens, concept1=c1, concept2=c2, gold=RelationType.TRIP)
+    enc = encode(replace_concepts(inst), vocab, enc_cfg)
+    hp = toy_hp(d_c=8)
+    params = toy_params(hp, vocab, enc_cfg, seed=1)
+    tr = forward(enc, params, hp)
+    wt = tr.windows[0]
+    assert wt.bounds[0] == (1, 4)
+    assert wt.Z[:, 0].tobytes() == wt.Z[:, 2].tobytes()
+    first_segment = wt.pooled[: hp.d_c]
+    tied = (wt.Z[:, 0] == first_segment) & (first_segment > 0.0)
+    assert 0 < tied.sum() < hp.d_c
+    np.testing.assert_array_equal(wt.argmax_cols[0][tied], 0)
+
+    analytic = backward(tr, params, hp)
+    numeric = finite_diff_grad(
+        lambda _: loss_from_trace(forward(enc, params, hp), params, hp), params, epsilon=1e-5
+    )
+    assert grad_max_rel_err(analytic, numeric, params) < GRAD_TOL
+
+
 # ---------------------------------------------------------------------------
 # Concept features, score, forward
 # ---------------------------------------------------------------------------
@@ -230,7 +273,10 @@ def test_pool_first_occurrence_tie_break():
 
 def test_concept_features_layout():
     hp, params, enc = _setup(seed=3)
-    cf = concept_features(enc, params)
+    other = encoded_instance(np.random.default_rng(4), RelationType.PIP, VOCAB, TOY_ENC)
+    rows = concept_features([other, enc], params)
+    np.testing.assert_array_equal(rows[0], concept_features([other], params)[0])
+    cf = rows[1]
     L = TOY_ENC.concept_len
     assert cf.shape == (2 * hp.d_ct + 2 * L * hp.d_w,)
     ct1, ct2 = enc.ctype_ids
@@ -630,7 +676,8 @@ def test_predict_batch_matches_per_instance_forward(seed, windows, pooling, size
 
     About half the instances take `edges` as their (pre, post) token counts:
     pre = 0 empties the first pooling segment, and post = 0 the last one for
-    windows k >= 2.
+    windows k >= 2.  ``predict`` is bit for bit a chunk of one, whose scores
+    are bit for bit ``forward``'s.
     """
     rng = np.random.default_rng(seed)
     hp = toy_hp(windows=windows, pooling=pooling, d_c=5)
@@ -651,6 +698,9 @@ def test_predict_batch_matches_per_instance_forward(seed, windows, pooling, size
         want_label, want_probs = predict(enc, params, hp)
         assert label == want_label
         np.testing.assert_allclose(row, want_probs, rtol=0, atol=1e-12)
+        one_labels, one_probs = predict_batch([enc], params, hp)
+        assert one_labels == [want_label] and one_probs[0].tobytes() == want_probs.tobytes()
+        assert score_chunk([enc], params, hp)[0].tobytes() == forward(enc, params, hp).scores.tobytes()
 
 
 # ---------------------------------------------------------------------------
