@@ -23,20 +23,22 @@ under the "softmax" loss, the classes of the sample's category under the
 gradient.  ``backward`` produces analytic gradients for every parameter;
 ``numeric.finite_diff_grad`` is the independent check.
 
-Every table the L2 penalty covers in full (word, position and concept-type
-embeddings and the convolution filters) gets a ``RowGrad``: its data
-gradient plus the L2 term as one coefficient, and ``apply_sgd`` applies
-the decay as a single in-place scale of the table (Bottou, "Stochastic
-Gradient Descent Tricks", 2012).  The word table grows with the
-vocabulary, but one sample looks up only its own tokens and concept words,
-so its ``RowGrad`` holds only the summed rows of the looked-up ids.  The
-update is still W <- W - lr (g + 2 beta W); only the float rounding
-differs from the dense form.  The class matrix keeps an explicit L2 term,
-because the constrained loss decays only the category's rows.
+Every gradient is a ``RowGrad``: its data gradient plus weight decay as
+one coefficient, which ``apply_sgd`` applies as a single in-place scale of
+the array (Bottou, "Stochastic Gradient Descent Tricks", 2012).  The decay
+is 2 beta for the tables the L2 penalty covers in full (word, position and
+concept-type embeddings and the convolution filters) and 0 for the biases
+and the class matrix, which keeps an explicit L2 term because the
+constrained loss decays only the category's rows.  The word table grows
+with the vocabulary, but one sample looks up only its own tokens and
+concept words, so its ``RowGrad`` holds only the summed rows of the
+looked-up ids.  The update is still W <- W - lr (g + 2 beta W); only the
+float rounding differs from the dense form.
 
 A training step allocates no array the size of a parameter: ``backward``
-can write the convolution and class gradients into the arrays of the
-gradients it returned for the previous step (``out=``), and ``apply_sgd``
+can write the convolution, bias and class gradients into the arrays of
+the gradients it returned for an earlier step (``out=``), a batch sums
+its samples' gradients in place (``RowGrad.__iadd__``), and ``apply_sgd``
 consumes the gradients it is given, scaling them by the learning rate in
 place.
 
@@ -285,35 +287,36 @@ ALL_ROWS = slice(None)
 
 @dataclass
 class RowGrad:
-    """Gradient of a weight table held as its data part plus weight decay.
+    """Gradient of a parameter array held as its data part plus weight decay.
 
     Stands for the dense gradient ``scatter_add(ids, rows) + decay * W``,
-    W being the table it belongs to.  `ids` is either ALL_ROWS, when `rows`
-    is the data gradient of the whole table, or distinct ascending row ids,
-    so ``W[ids] -= ...`` writes every row exactly once.  `shape` is the
-    table's shape; `nbytes` counts only the arrays held.
+    W being the array it belongs to.  `ids` is either ALL_ROWS, when `rows`
+    is the data gradient of the whole array, or distinct ascending row ids,
+    so ``W[ids] -= ...`` writes every row exactly once.  `decay` is 0 for
+    the biases and the class matrix.  `shape` is the array's shape;
+    `nbytes` counts only the arrays held.
     """
 
     ids: np.ndarray | slice  # ALL_ROWS, or (r,) distinct row ids, ascending
-    rows: np.ndarray  # (r, d) summed data gradient per row
+    rows: np.ndarray  # (r, d) summed data gradient per row; the whole array for ALL_ROWS
     decay: float
-    shape: tuple[int, int]
+    shape: tuple[int, ...]
 
     @property
     def nbytes(self) -> int:
         return self.rows.nbytes + (0 if isinstance(self.ids, slice) else self.ids.nbytes)
 
-    def __add__(self, other: "RowGrad") -> "RowGrad":
+    def __iadd__(self, other: "RowGrad") -> "RowGrad":
+        """Add `other`'s gradient in place: into `rows` over ALL_ROWS, else over the
+        union of both id sets."""
         if isinstance(self.ids, slice):
-            ids, rows = ALL_ROWS, self.rows + other.rows
+            self.rows += other.rows
         else:
-            ids, rows = _sum_rows(
+            self.ids, self.rows = _sum_rows(
                 np.concatenate([self.ids, other.ids]), np.concatenate([self.rows, other.rows])
             )
-        return RowGrad(ids, rows, self.decay + other.decay, self.shape)
-
-    def __truediv__(self, n: float) -> "RowGrad":
-        return RowGrad(self.ids, self.rows / n, self.decay / n, self.shape)
+        self.decay += other.decay
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +569,9 @@ def backward(
     trace: ForwardTrace,
     params: ModelParams,
     hp: HyperParams,
-    out: dict[str, np.ndarray | RowGrad] | None = None,
-) -> dict[str, np.ndarray | RowGrad]:
-    """Analytic gradients of the traced loss for every parameter array.
+    out: dict[str, RowGrad] | None = None,
+) -> dict[str, RowGrad]:
+    """Analytic gradients of the traced loss, one ``RowGrad`` per parameter array.
 
     Gradient routing: pooling sends gradient only to the cached argmax
     columns, and relu passes it only where the pooled value is positive;
@@ -576,17 +579,17 @@ def backward(
     position that looked them up.  Class rows outside the sample's loss
     classes get exactly zero.
 
-    Every fully decayed table gets a ``RowGrad`` with decay 2 beta: the
-    convolution filters, the position and concept-type tables over all
-    rows, and ``w_word`` over the deduplicated ids this sample looked up
-    (sentence tokens, <pad> included, and both concept contents).  The
-    biases and the class matrix get dense gradients, the class matrix's
-    with its L2 term over the loss classes.
+    Decay is 2 beta for the convolution filters and the position and
+    concept-type tables, over all rows, and for ``w_word`` over the
+    deduplicated ids this sample looked up (sentence tokens, <pad>
+    included, and both concept contents).  The biases and the class matrix
+    get decay 0 over all rows, the class matrix's rows holding its L2 term
+    over the loss classes.
 
     `out` is a dict an earlier ``backward`` returned for parameters of the
     same shapes, possibly consumed by ``apply_sgd`` since: the convolution,
-    bias and class gradients are written into its arrays, which the
-    returned dict holds again.
+    bias and class gradients are written into its ``rows`` arrays, which
+    the returned dict holds again.
     """
     if trace.params_revision != params.revision:
         raise StaleTraceError(
@@ -599,11 +602,11 @@ def backward(
     ds[classes] = softmax(trace.scores[classes])
     ds[CLASS_INDEX[enc.gold]] -= 1.0
 
-    g_classes = np.empty_like(params.w_classes) if out is None else out["w_classes"]
+    g_classes = np.empty_like(params.w_classes) if out is None else out["w_classes"].rows
     g_classes.fill(0.0)
     active = np.outer(ds[classes], trace.rc_dropped, out=g_classes[classes])
     active += decay * params.w_classes[classes]
-    grads: dict[str, np.ndarray | RowGrad] = {"w_classes": g_classes}
+    grads = {"w_classes": RowGrad(ALL_ROWS, g_classes, 0.0, params.w_classes.shape)}
 
     drc = (params.w_classes.T @ ds) * trace.dropout_mask
     dr_x = drc[: hp.pooled_size]
@@ -632,7 +635,8 @@ def backward(
         w_name, b_name = f"w_conv_{j}", f"b_conv_{j}"
         data = np.matmul(dpre, wt.X.T, out=None if out is None else out[w_name].rows)
         grads[w_name] = RowGrad(ALL_ROWS, data, decay, params.w_conv[j].shape)
-        grads[b_name] = np.sum(dpre, axis=1, out=None if out is None else out[b_name])
+        bias = np.sum(dpre, axis=1, out=None if out is None else out[b_name].rows)
+        grads[b_name] = RowGrad(ALL_ROWS, bias, 0.0, params.b_conv[j].shape)
 
         dX = params.w_conv[j].T @ dpre  # (d_x * k, ncols)
         ncols = dX.shape[1]
@@ -651,30 +655,24 @@ def backward(
     return grads
 
 
-def apply_sgd(
-    params: ModelParams, grads: dict[str, np.ndarray | RowGrad], lr: float
-) -> None:
+def apply_sgd(params: ModelParams, grads: dict[str, RowGrad], lr: float) -> None:
     """In-place SGD step W <- W - lr g; bumps the revision so stale traces are detectable.
 
-    A ``RowGrad`` is applied in closed form: the whole table is scaled by
-    1 - lr decay in place (skipped when decay is 0), then
+    Every gradient is applied in closed form: the whole array is scaled by
+    1 - lr decay in place (skipped when that is 1), then
     ``W[ids] -= lr * rows``.
 
-    Consumes `grads`: every gradient array is scaled by lr in place
+    Consumes `grads`: every ``rows`` array is scaled by lr in place
     (``g *= lr; W -= g`` is bit for bit ``W -= lr * g``), so its values
     are lost; the dict can still serve as ``backward``'s `out`.
     """
     for name, arr in params.arrays().items():
         g = grads[name]
-        if isinstance(g, RowGrad):
-            scale = 1.0 - lr * g.decay
-            if scale != 1.0:
-                arr *= scale
-            g.rows *= lr
-            arr[g.ids] -= g.rows
-        else:
-            g *= lr
-            arr -= g
+        scale = 1.0 - lr * g.decay
+        if scale != 1.0:
+            arr *= scale
+        g.rows *= lr
+        arr[g.ids] -= g.rows
     params.revision += 1
 
 
@@ -706,9 +704,7 @@ def predict_batch(
     scores = np.zeros((len(encs), N_CLASSES))
     for lo in range(0, len(encs), PREDICT_CHUNK):
         scores[lo : lo + PREDICT_CHUNK] = score_chunk(encs[lo : lo + PREDICT_CHUNK], params, hp)
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    return [RELATION_TYPES[i] for i in np.argmax(scores, axis=1)], probs
+    return [RELATION_TYPES[i] for i in np.argmax(scores, axis=1)], softmax(scores)
 
 
 def predict(

@@ -25,16 +25,17 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def softmax(s: np.ndarray) -> np.ndarray:
-    """Probability vector e^{s_i} / sum_l e^{s_l}, computed with max-subtraction.
+    """Probabilities e^{s_i} / sum_l e^{s_l} over the last axis of a vector or a
+    matrix (one distribution per row), computed with max-subtraction.
 
-    Subtracting max(s) before exponentiating leaves the result unchanged
-    (shift invariance) and avoids overflow for large scores.
+    Subtracting the maximum before exponentiating leaves the result
+    unchanged (shift invariance) and avoids overflow for large scores.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ShapeError(f"softmax expects a nonempty vector, got shape {s.shape}")
-    e = np.exp(s - s.max())
-    return e / e.sum()
+    if s.ndim not in (1, 2) or s.shape[-1] == 0:
+        raise ShapeError(f"softmax expects a vector or matrix, last axis nonempty: {s.shape}")
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_sum_exp(s: np.ndarray) -> float:

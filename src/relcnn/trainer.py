@@ -185,8 +185,9 @@ def train(
 ) -> TrainResult:
     """SGD with per-epoch shuffling; returns the best-dev-epoch parameters.
 
-    Each epoch: shuffle, then one forward/backward/update per batch
-    (batch gradients are averaged).  After the epoch the model is scored
+    Each epoch: shuffle, then per batch one forward/backward per sample and
+    one update with the batch's summed gradients at rate lr / batch size,
+    which steps along their mean.  After the epoch the model is scored
     in inference mode on both splits; the parameters with the highest dev
     micro-F1 so far are snapshotted with their dev report.  epochs=0
     returns the initialization unchanged, scored on dev once.  A non-finite
@@ -199,7 +200,9 @@ def train(
     vocabulary.
 
     The first sample of each batch writes its gradients into the arrays of
-    the previous batch's (``backward``'s `out`), so a batch-1 step
+    the gradients the previous step consumed (``backward``'s `out`); every
+    later sample writes into a second set, reused across steps, which is
+    added in place (``RowGrad.__iadd__``).  So a step of any batch size
     allocates no array the size of a parameter.
     """
     if not train_insts:
@@ -215,15 +218,15 @@ def train(
     record = TrainRecord()
     best = params.copy()
     best_report: EvalReport | None = None
-    workspace: dict[str, np.ndarray | RowGrad] | None = None
+    grads: dict[str, RowGrad] | None = None
+    extra: dict[str, RowGrad] | None = None
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(train_insts))
         losses: list[float] = []
         word_sq = sq_norm(params.w_word)
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_insts[int(i)] for i in order[lo : lo + cfg.batch_size]]
-            summed: dict[str, np.ndarray | RowGrad] | None = None
-            for enc in batch:
+            for n, enc in enumerate(batch):
                 trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
                 loss = loss_from_trace(trace, params, hp, word_sq)
                 if not np.isfinite(loss):
@@ -232,22 +235,18 @@ def train(
                         f"for this data/model (loss={loss})"
                     )
                 losses.append(loss)
-                grads = backward(trace, params, hp, out=workspace if summed is None else None)
-                if summed is None:
-                    summed = grads
+                if n == 0:
+                    grads = backward(trace, params, hp, out=grads)
                 else:
-                    for name in summed:
-                        summed[name] += grads[name]
-            assert summed is not None
-            if len(batch) > 1:
-                for name in summed:
-                    summed[name] /= len(batch)
+                    extra = backward(trace, params, hp, out=extra)
+                    for name, g in grads.items():
+                        g += extra[name]
+            lr = hp.lr / len(batch)
             # Untouched rows are only scaled, so their squared norm scales by scale^2.
-            word = summed["w_word"]
+            word = grads["w_word"]
             touched_sq = sq_norm(params.w_word[word.ids])
-            apply_sgd(params, summed, hp.lr)
-            workspace = summed
-            scale = 1.0 - hp.lr * word.decay
+            apply_sgd(params, grads, lr)
+            scale = 1.0 - lr * word.decay
             word_sq = scale * scale * (word_sq - touched_sq) + sq_norm(params.w_word[word.ids])
 
         for name, arr in params.arrays().items():

@@ -138,10 +138,8 @@ def toy_params(hp: HyperParams, vocab: Vocab, enc_cfg: EncoderConfig,
 # ---------------------------------------------------------------------------
 
 
-def densify(grad: np.ndarray | RowGrad, table: np.ndarray) -> np.ndarray:
+def densify(grad: RowGrad, table: np.ndarray) -> np.ndarray:
     """The dense gradient a row gradient stands for: decay * W plus its rows."""
-    if not isinstance(grad, RowGrad):
-        return grad
     dense = grad.decay * table
     np.add.at(dense, grad.ids, grad.rows)
     return dense

@@ -180,7 +180,7 @@ def test_criterion_03_constrained_updates_masked():
             grads = backward(trace, params, hp)
             inactive = [i for i in range(11) if i not in CATEGORY_CLASS_IDS[cat]]
             # bitwise zero: compare the raw bit patterns, not a tolerance
-            bits = grads["w_classes"][inactive].view(np.uint64)
+            bits = grads["w_classes"].rows[inactive].view(np.uint64)
             assert bits.max() == 0, f"{cat} rep {rep}: rows outside category touched"
             checked += 1
     _report(3, "constrained gradient masking", checked == 300,

@@ -510,7 +510,7 @@ def test_constrained_gradient_rows_outside_category_are_zero():
     enc = encoded_instance(np.random.default_rng(60), RelationType.PIP, VOCAB, TOY_ENC)
     tr = forward(enc, params, hp)
     grads = backward(tr, params, hp)
-    g = grads["w_classes"]
+    g = grads["w_classes"].rows
     inactive = [i for i in range(11) if i not in CATEGORY_CLASS_IDS[Category.PP]]
     assert g[inactive].view(np.uint64).max() == 0  # bitwise zero
     assert np.abs(g[list(CATEGORY_CLASS_IDS[Category.PP])]).sum() > 0
@@ -529,7 +529,8 @@ def test_apply_sgd_in_place_exact_and_bumps_revision():
     hp, params, enc = _setup()
     tr = forward(enc, params, hp)
     grads = backward(tr, params, hp)
-    assert {n for n, g in grads.items() if not isinstance(g, RowGrad)} == {"b_conv_0", "w_classes"}
+    assert all(isinstance(g, RowGrad) for g in grads.values())
+    assert {n for n, g in grads.items() if g.decay == 0.0} == {"b_conv_0", "w_classes"}
     kept = copy.deepcopy(grads)  # apply_sgd consumes its gradients
     before = {k: v.copy() for k, v in params.arrays().items()}
     rev = params.revision
@@ -539,14 +540,11 @@ def test_apply_sgd_in_place_exact_and_bumps_revision():
     assert {k: id(v) for k, v in params.arrays().items()} == objects  # updated in place
     for name, arr in params.arrays().items():
         g = kept[name]
-        if isinstance(g, RowGrad):
-            assert g.decay == 2.0 * hp.beta and g.shape == before[name].shape
-            # closed form: the whole table decays, then the data part steps
-            data = np.zeros(g.shape)
-            data[g.ids] = g.rows
-            expected = before[name] * (1.0 - 0.1 * g.decay) - 0.1 * data
-        else:
-            expected = before[name] - 0.1 * g
+        assert g.decay in (0.0, 2.0 * hp.beta) and g.shape == before[name].shape
+        # closed form: the whole table decays, then the data part steps
+        data = np.zeros(g.shape)
+        data[g.ids] = g.rows
+        expected = before[name] * (1.0 - 0.1 * g.decay) - 0.1 * data
         np.testing.assert_array_equal(arr, expected, err_msg=name)
 
 
@@ -567,17 +565,12 @@ def test_backward_into_a_workspace_equals_a_fresh_backward(windows, loss):
         assert grads.keys() == fresh.keys()
         for name, g in grads.items():
             ref = fresh[name]
-            if isinstance(g, RowGrad):
-                assert (g.decay, g.shape) == (ref.decay, ref.shape), name
-                np.testing.assert_equal(g.ids, ref.ids, err_msg=name)
-                g, ref = g.rows, ref.rows
-            assert g.tobytes() == ref.tobytes(), name  # bitwise, signed zeros included
+            assert (g.decay, g.shape) == (ref.decay, ref.shape), name
+            np.testing.assert_equal(g.ids, ref.ids, err_msg=name)
+            assert g.rows.tobytes() == ref.rows.tobytes(), name  # bitwise, signed zeros included
         if ws is not None:  # the arrays were reused, not reallocated
             for name in ("w_classes", "w_conv_0", "b_conv_0"):
-                old, new = ws[name], grads[name]
-                if isinstance(new, RowGrad):
-                    old, new = old.rows, new.rows
-                assert new is old, name
+                assert grads[name].rows is ws[name].rows, name
         apply_sgd(params, grads, hp.lr)
         ws = grads
 
@@ -627,11 +620,15 @@ def test_sparse_step_matches_dense_rule(batch_size):
         for enc in batch:
             grads = backward(forward(enc, sparse, hp), sparse, hp)
             assert np.unique(grads["w_word"].ids).size == grads["w_word"].ids.size
-            summed = grads if summed is None else {n: summed[n] + grads[n] for n in grads}
             ref = backward(forward(enc, dense, hp), dense, hp)
             ref = {n: densify(g, dense.arrays()[n]) for n, g in ref.items()}
-            dense_sum = ref if dense_sum is None else {n: dense_sum[n] + ref[n] for n in ref}
-        apply_sgd(sparse, {n: g / batch_size for n, g in summed.items()}, hp.lr)
+            if summed is None:
+                summed, dense_sum = grads, ref
+            else:
+                for n in grads:
+                    summed[n] += grads[n]
+                    dense_sum[n] += ref[n]
+        apply_sgd(sparse, summed, hp.lr / batch_size)
         for name, arr in dense.arrays().items():
             arr -= hp.lr * (dense_sum[name] / batch_size)
         dense.revision += 1

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relcnn.numeric import (
+    ShapeError,
     finite_diff_grad,
     glorot_init,
     log_sum_exp,
@@ -66,6 +67,19 @@ class TestSoftmax:
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p[:2], [0.5, 0.5], atol=1e-12)
         assert p[2] == 0.0
+
+    def test_matrix_rows_are_the_softmax_of_each_row(self):
+        s = np.random.default_rng(0).normal(size=(4, 11)) * 3.0
+        p = softmax(s)
+        assert p.shape == s.shape
+        for row, scores in zip(p, s):
+            assert row.tobytes() == softmax(scores).tobytes()
+        assert softmax(np.zeros((0, 11))).shape == (0, 11)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (), (2, 3, 4)])
+    def test_rejects_an_empty_last_axis_and_other_ranks(self, shape):
+        with pytest.raises(ShapeError):
+            softmax(np.zeros(shape))
 
 
 class TestLogSumExp:

@@ -12,7 +12,6 @@ from relcnn.encoding import UNK_ID, EncoderConfig, build_vocab, encode_instances
 from relcnn.evaluator import evaluate
 from relcnn.model import (
     HyperParams,
-    RowGrad,
     apply_sgd,
     backward,
     forward,
@@ -139,38 +138,36 @@ def test_train_best_epoch_is_first_argmax_of_dev_f1():
     assert res.record.best_epoch == int(np.argmax(f1))
 
 
-def test_train_batch_gradients_are_averaged():
-    """One epoch over two instances in a single batch reproduces by hand."""
-    encs, vocab = _toy_corpus(n_per_type=1)  # two instances total
+@pytest.mark.parametrize("batch_size", [2, 3])
+def test_train_batch_gradients_are_averaged(batch_size):
+    """One epoch over a single batch reproduces by hand, in the closed form
+    ``apply_sgd`` applies to the summed gradients:
+    W (1 - (lr/B) sum decay) - (lr/B) sum data.  Batch 3 pins the rounding
+    at a batch size that is not a power of two."""
+    encs, vocab = _toy_corpus(n_per_type=2)
+    encs = encs[:batch_size]
     hp = _hp(beta=0.001)
     rng = np.random.default_rng(9)
     init = init_params(hp, vocab.n_words, vocab.n_positions, ENC.concept_len, rng)
-    cfg = TrainConfig(epochs=1, batch_size=2, seed=11)
+    cfg = TrainConfig(epochs=1, batch_size=batch_size, seed=11)
     res = train(encs, encs, hp, cfg, vocab, ENC, init=init)
 
     # replicate: shuffle stream is the second spawn of the config seed
     _, shuffle_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
-    order = np.random.default_rng(shuffle_ss).permutation(2)
+    order = np.random.default_rng(shuffle_ss).permutation(batch_size)
     params = init.copy()
-    summed = {}
-    decayed = set()
+    data, decay = {}, {}
     for i in order:
         trace = forward(encs[int(i)], params, hp, train=True)
-        grads = backward(trace, params, hp)
-        for name, g in grads.items():
-            if isinstance(g, RowGrad):
-                # the data part, scattered densely; decay is handled below
-                decayed.add(name)
-                g = np.zeros(g.shape)
-                np.add.at(g, grads[name].ids, grads[name].rows)
-            summed[name] = g if name not in summed else summed[name] + g
-    assert decayed == {"w_word", "w_pos", "w_conv_0", "w_ctype"}
+        for name, g in backward(trace, params, hp).items():
+            dense = np.zeros(g.shape)  # the data part, scattered densely
+            np.add.at(dense, g.ids, g.rows)
+            data[name] = data[name] + dense if name in data else dense
+            decay[name] = decay.get(name, 0.0) + g.decay
+    assert {n for n, d in decay.items() if d} == {"w_word", "w_pos", "w_conv_0", "w_ctype"}
+    lr = hp.lr / batch_size
     for name, arr in init.arrays().items():
-        step = hp.lr * (summed[name] / 2)
-        if name in decayed:
-            expected = arr * (1.0 - hp.lr * 2.0 * hp.beta) - step
-        else:
-            expected = arr - step
+        expected = arr * (1.0 - lr * decay[name]) - lr * data[name]
         np.testing.assert_array_equal(res.params.arrays()[name], expected, err_msg=name)
 
 
@@ -221,6 +218,40 @@ def test_warm_training_step_allocates_no_parameter_sized_array(hp):
     finally:
         tracemalloc.stop()
     assert peak - before < bound, f"step peaked {peak - before} bytes above its start, bound {bound}"
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_warm_steps_of_train_allocate_no_parameter_sized_array(monkeypatch, batch_size):
+    """Every warm step of ``train``, timed from the end of the step before, peaks
+    below the bound of the batch-1 test above, also when a batch sums several
+    samples' gradients."""
+    hp, enc_cfg = HyperParams(), EncoderConfig()
+    insts, _ = generate(placement_task_spec(sentences_per_type=8, seed=0))
+    vocab = build_vocab(insts, enc_cfg)
+    encs = encode_instances(insts, vocab, enc_cfg)
+    cfg = TrainConfig(epochs=1, batch_size=batch_size, seed=0)
+    params = trainer.initial_params(hp, cfg, vocab, enc_cfg)
+    bound = sum(a.nbytes for name, a in params.arrays().items() if name != "w_word")
+    peaks: list[int] = []
+    step_start = 0
+    original = trainer.apply_sgd
+
+    def apply_sgd(params, grads, lr):
+        nonlocal step_start
+        original(params, grads, lr)
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak - step_start)
+        step_start = current
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(trainer, "apply_sgd", apply_sgd)
+    tracemalloc.start()
+    try:
+        train(encs, encs, hp, cfg, vocab, enc_cfg)
+    finally:
+        tracemalloc.stop()
+    warm = peaks[2:]  # the first steps allocate the reused gradient arrays
+    assert len(warm) >= 2 and max(warm) < bound, f"warm step peaks {warm}, bound {bound}"
 
 
 def test_train_raises_when_a_parameter_goes_non_finite():
