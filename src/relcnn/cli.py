@@ -26,12 +26,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields
 from dataclasses import replace as dc_replace
-from enum import Enum
 from pathlib import Path
-from types import UnionType
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence
 
 from . import __version__
 from .corpus import (
@@ -44,6 +42,7 @@ from .corpus import (
     write_instances,
 )
 from .encoding import (
+    EncodedInstance,
     EncoderConfig,
     Vocab,
     build_vocab,
@@ -60,6 +59,7 @@ from .model import (
     save_checkpoint,
 )
 from .relations import RELATION_TYPES, RelationType
+from .schema import SchemaError, read_json, typed, typed_fields
 from .synthgen import SynthSpec, SynthCheckError, generate, placement_task_spec, self_check
 from .trainer import (
     GridSpec,
@@ -96,13 +96,6 @@ def _write_json(path: Path, obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _read_json(path: Path) -> dict:
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}") from None
 
 
 def write_manifest(
@@ -176,55 +169,6 @@ class Run:
 # ---------------------------------------------------------------------------
 
 
-def _typed(value, tp, where: str):
-    """`value` as the field type `tp`: int, float, str, an enum, a dataclass,
-    `X | None` or a tuple of those.
-
-    An int is a valid float; a bool is neither.  A string stands for a tuple
-    of ints as comma-separated sizes, as in `--windows 3,4,5`.  An enum takes
-    one of its values and a dataclass an object of its fields.
-    """
-    if isinstance(tp, UnionType):  # X | None
-        if value is None:
-            return None
-        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
-    if get_origin(tp) is tuple:
-        args = get_args(tp)
-        if isinstance(value, str) and args[0] is int:
-            try:
-                value = [int(p) for p in value.split(",") if p]
-            except ValueError:
-                raise CliError(f"{where}: bad sizes {value!r}; expected e.g. '3,4,5'") from None
-        if not isinstance(value, (list, tuple)):
-            raise CliError(f"{where}: expected a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise CliError(f"{where}: expected {len(args)} items, got {value!r}")
-        return tuple(_typed(v, arg, where) for v, arg in zip(value, args))
-    if is_dataclass(tp):
-        return tp(**_typed_fields(tp, value, where))
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        values = [member.value for member in tp]
-        if value not in values:
-            raise CliError(f"{where}: expected one of {', '.join(values)}, got {value!r}")
-        return tp(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
-        raise CliError(f"{where}: expected {tp.__name__}, got {value!r}")
-    return value
-
-
-def _typed_fields(cls, values, source: str) -> dict:
-    """`values` checked key by key against the fields of dataclass `cls`."""
-    hints = get_type_hints(cls)
-    if not isinstance(values, dict):
-        raise CliError(f"{source}: expected an object with keys {', '.join(hints)}, got {values!r}")
-    unknown = sorted(set(values) - set(hints))
-    if unknown:
-        raise CliError(f"{source}: unknown keys {', '.join(unknown)} (expected {', '.join(hints)})")
-    return {k: _typed(v, hints[k], f"{source}: {k}") for k, v in values.items()}
-
-
 def _flags(args, cls) -> dict:
     """The flags given for the fields of `cls`; each flag's dest is its field's name."""
     given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
@@ -236,8 +180,8 @@ def _resolve(cls, args, config: dict | None = None, section: str = "", **default
     over the defaults of `cls`."""
     values = defaults
     if config:
-        values.update(_typed_fields(cls, config.get(section, {}), f"{args.config}: {section}"))
-    values.update(_typed_fields(cls, _flags(args, cls), "command line"))
+        values.update(typed_fields(cls, config.get(section, {}), f"{args.config}: {section}"))
+    values.update(typed_fields(cls, _flags(args, cls), "command line"))
     return cls(**values)
 
 
@@ -250,7 +194,7 @@ def _resolve_train_setup(args, vocab: Vocab) -> tuple[HyperParams, TrainConfig, 
     The vocabulary sets the position table, so its radius is the encoder's
     `max_distance`; an explicit value that disagrees is an error.
     """
-    config = _read_json(Path(args.config)) if args.config else {}
+    config = read_json(Path(args.config)) if args.config else {}
     if not isinstance(config, dict):
         raise CliError(f"{args.config}: expected an object of config sections, got {config!r}")
     unknown = sorted(set(config) - set(_CONFIG_SECTIONS))
@@ -357,9 +301,11 @@ def cmd_preprocess(args, run: Run) -> int:
 def cmd_synth(args, run: Run) -> int:
     if args.spec:
         where = f"{args.spec}: bad synth spec"
-        data = _read_json(run.input(args.spec))
+        data = read_json(run.input(args.spec))
         try:
-            spec = SynthSpec(**_typed_fields(SynthSpec, data, where))
+            spec = typed(data, SynthSpec, where)
+        except SchemaError:
+            raise  # it names the file and the key already
         except (TypeError, ValueError) as exc:
             raise CliError(f"{where}: {exc!r}") from None
     elif args.preset == "placement":
@@ -390,20 +336,22 @@ def cmd_synth(args, run: Run) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_split(args, cfg: TrainConfig, run: Run) -> tuple[list, list]:
-    """Training and dev instance lists."""
+def _load_split(
+    args, cfg: TrainConfig, vocab: Vocab, enc_cfg: EncoderConfig, run: Run
+) -> tuple[list[EncodedInstance], list[EncodedInstance]]:
+    """Training and dev instances, encoded."""
     train_insts = read_instances(run.input(args.train))
     if args.dev:
-        return train_insts, read_instances(run.input(args.dev))
-    return split_dev(train_insts, cfg.dev_fraction, cfg.seed)
+        dev_insts = read_instances(run.input(args.dev))
+    else:
+        train_insts, dev_insts = split_dev(train_insts, cfg.dev_fraction, cfg.seed)
+    return encode_instances(train_insts, vocab, enc_cfg), encode_instances(dev_insts, vocab, enc_cfg)
 
 
 def cmd_train(args, run: Run) -> int:
     vocab = load_vocab(run.input(args.vocab))
     hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args, vocab)
-    train_raw, dev_raw = _load_split(args, cfg, run)
-    train_enc = encode_instances(train_raw, vocab, enc_cfg)
-    dev_enc = encode_instances(dev_raw, vocab, enc_cfg)
+    train_enc, dev_enc = _load_split(args, cfg, vocab, enc_cfg, run)
 
     init = None
     if args.embeddings:
@@ -444,12 +392,9 @@ def cmd_gridsearch(args, run: Run) -> int:
     hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args, vocab)
     grid = GridSpec()
     if args.grid:
-        axes = _typed_fields(GridSpec, _read_json(run.input(args.grid)), f"{args.grid}: grid axes")
-        grid = GridSpec(**axes)
+        grid = typed(read_json(run.input(args.grid)), GridSpec, f"{args.grid}: grid axes")
 
-    train_raw, dev_raw = _load_split(args, cfg, run)
-    train_enc = encode_instances(train_raw, vocab, enc_cfg)
-    dev_enc = encode_instances(dev_raw, vocab, enc_cfg)
+    train_enc, dev_enc = _load_split(args, cfg, vocab, enc_cfg, run)
     results = grid_search(train_enc, dev_enc, hp, grid, cfg, vocab, enc_cfg)
 
     out = Path(args.out)

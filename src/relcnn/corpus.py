@@ -28,10 +28,12 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, asdict
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .relations import (
+    CATEGORY_OF,
     Category,
     ConceptType,
     NEGATIVE_OF_CATEGORY,
@@ -106,8 +108,6 @@ class RelationInstance:
                 f"concept type pair ({self.concept1.ctype.value}, {self.concept2.ctype.value}) "
                 "belongs to no relation category"
             )
-        from .relations import CATEGORY_OF
-
         if CATEGORY_OF[self.gold] is not cat:
             raise ValueError(f"label {self.gold.value} does not fit category {cat.value}")
 
@@ -134,27 +134,11 @@ class ReplacedInstance:
 
 
 @dataclass
-class SentenceConcepts:
-    """All annotated concepts of one sentence, for negative-pair generation."""
-
-    doc_id: str
-    sent_index: int
-    tokens: list[str]
-    concepts: list[Concept]
-
-
-@dataclass
 class ParsedDocument:
     doc_id: str
     sentences: list[list[str]]
-    concepts: list[list[Concept]]
+    concepts: list[list[Concept]]  # per sentence, ordered by (start, end)
     positives: list[RelationInstance]
-
-    def sentence_concepts(self) -> list[SentenceConcepts]:
-        return [
-            SentenceConcepts(self.doc_id, i + 1, toks, cons)
-            for i, (toks, cons) in enumerate(zip(self.sentences, self.concepts))
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +366,8 @@ def replace_concepts(inst: RelationInstance) -> ReplacedInstance:
     return ReplacedInstance(tokens=tokens, p1=p1, p2=p2, original=inst)
 
 
-def generate_negatives(
-    sentences: Iterable[SentenceConcepts], positives: Sequence[RelationInstance]
-) -> list[RelationInstance]:
-    """Emit a negative instance for every unannotated category-compatible pair.
+def generate_negatives(doc: ParsedDocument) -> list[RelationInstance]:
+    """Emit a negative instance for every unannotated category-compatible pair of `doc`.
 
     Every unordered intra-sentence concept pair whose type combination
     belongs to a category and which carries no positive annotation becomes
@@ -393,41 +375,32 @@ def generate_negatives(
     skipped (no valid instance can be formed).  All negatives are emitted;
     sub-sampling for training balance, if any, is the trainer's business.
     """
-    positive_keys = {
-        (p.doc_id, p.sent_index, p.concept1.start, p.concept1.end, p.concept2.start, p.concept2.end)
-        for p in positives
-    }
+    positive_keys = {_instance_sort_key(p) for p in doc.positives}
     negatives: list[RelationInstance] = []
-    for sent in sentences:
-        ordered = sorted(sent.concepts, key=lambda c: (c.start, c.end))
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                c1, c2 = ordered[i], ordered[j]
-                cat = category_for_pair(c1.ctype, c2.ctype)
-                if cat is None:
-                    continue
-                if c1.end >= c2.start:
-                    continue
-                key = (sent.doc_id, sent.sent_index, c1.start, c1.end, c2.start, c2.end)
-                if key in positive_keys:
-                    continue
-                inst = RelationInstance(
-                    tokens=sent.tokens,
-                    concept1=c1,
-                    concept2=c2,
-                    gold=NEGATIVE_OF_CATEGORY[cat],
-                    doc_id=sent.doc_id,
-                    sent_index=sent.sent_index,
-                )
-                inst.validate()
-                negatives.append(inst)
+    for sent_index, (tokens, concepts) in enumerate(zip(doc.sentences, doc.concepts), start=1):
+        for c1, c2 in combinations(concepts, 2):
+            cat = category_for_pair(c1.ctype, c2.ctype)
+            if cat is None or c1.end >= c2.start:
+                continue
+            inst = RelationInstance(
+                tokens=tokens,
+                concept1=c1,
+                concept2=c2,
+                gold=NEGATIVE_OF_CATEGORY[cat],
+                doc_id=doc.doc_id,
+                sent_index=sent_index,
+            )
+            if _instance_sort_key(inst) in positive_keys:
+                continue
+            inst.validate()
+            negatives.append(inst)
     negatives.sort(key=_instance_sort_key)
     return negatives
 
 
 def document_instances(doc: ParsedDocument) -> list[RelationInstance]:
     """Positives plus generated negatives, deterministically ordered."""
-    merged = doc.positives + generate_negatives(doc.sentence_concepts(), doc.positives)
+    merged = doc.positives + generate_negatives(doc)
     merged.sort(key=_instance_sort_key)
     return merged
 

@@ -77,6 +77,7 @@ from .relations import (
     RELATION_TYPES,
     RelationType,
 )
+from .schema import typed
 
 POOL_MAX = "max"
 POOL_MULTI = "multi"
@@ -751,8 +752,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint, rejecting a missing or extra array and any array that is
-    not finite float64 of the shape its hyperparameters and encoder imply."""
+    """Read a checkpoint; any fault is a ValueError starting with `path`.  The meta goes
+    through the typed reader of config files, with every field ``save_checkpoint`` writes
+    required; the arrays must be exactly the finite float64 arrays of the shapes it implies."""
     try:
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
@@ -761,16 +763,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file: {exc!r}") from None
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    try:
-        hp_dict = dict(meta["hyperparams"])
-        m = hp_dict.pop("m", N_CLASSES)  # older checkpoints record the class count
-        if m != N_CLASSES:
+    hyperparams = meta.get("hyperparams")
+    try:  # older checkpoints record the class count m among the hyperparams
+        if isinstance(hyperparams, dict) and (m := hyperparams.pop("m", N_CLASSES)) != N_CLASSES:
             raise ValueError(f"checkpoint has m={m!r} classes, not {N_CLASSES}")
-        hp = HyperParams(**{**hp_dict, "windows": tuple(hp_dict["windows"])})
-        encoder = EncoderConfig(**meta["encoder"])
-        vocab_sha256 = meta["vocab_sha256"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad checkpoint config: {exc!r}") from None
+        hp = typed(hyperparams, HyperParams, "hyperparams", required=True)
+        encoder = typed(meta.get("encoder"), EncoderConfig, "encoder", required=True)
+        typed(meta.get("tool_version"), str, "tool_version")
+        vocab_sha256 = typed(meta.get("vocab_sha256"), str, "vocab_sha256")
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad checkpoint config: {exc}") from None
     shapes = param_shapes(hp, None, None, encoder.concept_len)
     if set(arrays) != set(shapes):
         raise ValueError(
@@ -785,9 +787,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ValueError(f"{path}: array {name} has shape {arr.shape}, expected {want}")
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: array {name} holds non-finite values")
-    return Checkpoint(
-        params=ModelParams.from_arrays(arrays),
-        hp=hp,
-        encoder=encoder,
-        vocab_sha256=vocab_sha256,
-    )
+    return Checkpoint(ModelParams.from_arrays(arrays), hp, encoder, vocab_sha256)

@@ -474,6 +474,23 @@ def test_invalid_json_file_is_named(tmp_path, capsys, flag):
     assert list(work.iterdir()) == []
 
 
+def _predict_rewritten_checkpoint(tmp_path, capsys, rewrite, edit) -> tuple[Path, str]:
+    """Run `predict` on a trained checkpoint copied by `rewrite(src, dst, edit)`; assert
+    exit 1 and no output; return the copy's path and stderr."""
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    bad = tmp_path / "bad.npz"
+    rewrite(_train_tiny(tmp_path, corpus, vocab), bad, edit)
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", bad, "--vocab", vocab, "--input", corpus,
+               "--out", work / "p.jsonl") == 1
+    assert list(work.iterdir()) == []
+    return bad, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit,array", [
     (lambda a: a.update(w_classes=a["w_classes"] * np.nan), "w_classes"),
     (lambda a: a.update(w_pos=a["w_pos"].astype(np.float32)), "w_pos"),
@@ -484,19 +501,19 @@ def test_invalid_json_file_is_named(tmp_path, capsys, flag):
     (lambda a: a.update(w_pos=a["w_pos"][1:]), "w_pos"),
 ], ids=["nan", "float32", "extra-array", "missing-array", "narrowed", "word-rows", "position-rows"])
 def test_predict_rejects_a_broken_checkpoint_array(tmp_path, capsys, edit, array):
-    corpus = _synth(tmp_path, n=4)
-    vocab = tmp_path / "v.txt"
-    _mk_vocab(corpus, vocab)
-    bad = tmp_path / "bad.npz"
-    rewrite_checkpoint_arrays(_train_tiny(tmp_path, corpus, vocab), bad, edit)
-    work = tmp_path / "work"
-    work.mkdir()
-    capsys.readouterr()
-    assert run("predict", "--checkpoint", bad, "--vocab", vocab, "--input", corpus,
-               "--out", work / "p.jsonl") == 1
-    err = capsys.readouterr().err
+    bad, err = _predict_rewritten_checkpoint(tmp_path, capsys, rewrite_checkpoint_arrays, edit)
     assert err.startswith(f"error: {bad}: ") and array in err and err.count("\n") == 1
-    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda meta: meta["hyperparams"].update(windows=[4.0]), "windows"),
+    (lambda meta: meta["encoder"].update(concept_len=5.0), "concept_len"),
+    (lambda meta: meta.update(vocab_sha256=123), "vocab_sha256"),
+], ids=["float-window", "float-concept-len", "numeric-hash"])
+def test_predict_rejects_a_mistyped_checkpoint_meta(tmp_path, capsys, edit, key):
+    bad, err = _predict_rewritten_checkpoint(tmp_path, capsys, rewrite_checkpoint_meta, edit)
+    assert err.startswith(f"error: {bad}: ") and f"{key}: expected" in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,schemas", [

@@ -125,7 +125,7 @@ def test_generate_negatives_skips_incompatible_pairs():
            'c="ekg" 1:2 1:2||t="test"\n'
            'c="surgery" 1:4 1:4||t="treatment"\n')
     doc = parse_document("d", text, con, "", "d.con", "d.rel")
-    assert generate_negatives(doc.sentence_concepts(), doc.positives) == []
+    assert generate_negatives(doc) == []
 
 
 def test_parse_errors():

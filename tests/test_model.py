@@ -745,14 +745,23 @@ def test_checkpoint_recording_the_class_count_loads_and_predicts_identically(tmp
 @pytest.mark.parametrize("edit,message", [
     (lambda meta: meta["hyperparams"].update(m=12), "m=12"),
     (lambda meta: meta["hyperparams"].update(hidden=3), "hidden"),
-    (lambda meta: meta["encoder"].update(max_distance="60"), "<"),
+    (lambda meta: meta["encoder"].update(max_distance="60"), "encoder: max_distance: expected int, got '60'"),
     (lambda meta: meta["hyperparams"].pop("windows"), "windows"),
     (lambda meta: meta.pop("vocab_sha256"), "vocab_sha256"),
-    (lambda meta: meta["hyperparams"].update(pooling=5), "pooling mode 5"),
+    (lambda meta: meta["hyperparams"].update(pooling="avg"), "unknown pooling mode 'avg'"),
     (lambda meta: meta["hyperparams"].update(d_w=0), "d_w=0"),
     (lambda meta: meta["encoder"].update(max_distance=0), "max_distance=0"),
+    (lambda meta: meta["hyperparams"].update(windows=[4.0]), "windows: expected int, got 4.0"),
+    (lambda meta: meta["encoder"].update(concept_len=5.0), "concept_len: expected int, got 5.0"),
+    (lambda meta: meta["hyperparams"].update(d_c=200.0), "d_c: expected int, got 200.0"),
+    (lambda meta: meta["hyperparams"].update(d_w=True), "d_w: expected int, got True"),
+    (lambda meta: meta["hyperparams"].pop("loss"), "hyperparams: missing keys loss"),
+    (lambda meta: meta.update(hyperparams=list(meta["hyperparams"].items())),
+     "hyperparams: expected an object with keys"),
+    (lambda meta: meta.update(vocab_sha256=123), "vocab_sha256: expected str, got 123"),
 ], ids=["m-12", "unknown-key", "wrong-type", "missing-windows", "missing-vocab-hash",
-        "unknown-pooling", "zero-size", "zero-radius"])
+        "unknown-pooling", "zero-size", "zero-radius", "float-window", "float-concept-len",
+        "float-filters", "bool-size", "missing-loss", "hyperparams-list", "numeric-hash"])
 def test_load_checkpoint_rejects_bad_config_naming_the_file(tmp_path, edit, message):
     hp, params, _ = _setup()
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
