@@ -24,16 +24,23 @@ gradient.  ``backward`` produces analytic gradients for every parameter;
 ``numeric.finite_diff_grad`` is the independent check.
 
 Every gradient is a ``RowGrad``: its data gradient plus weight decay as
-one coefficient, which ``apply_sgd`` applies as a single in-place scale of
-the array (Bottou, "Stochastic Gradient Descent Tricks", 2012).  The decay
-is 2 beta for the tables the L2 penalty covers in full (word, position and
-concept-type embeddings and the convolution filters) and 0 for the biases
-and the class matrix, which keeps an explicit L2 term because the
-constrained loss decays only the category's rows.  The word table grows
-with the vocabulary, but one sample looks up only its own tokens and
-concept words, so its ``RowGrad`` holds only the summed rows of the
-looked-up ids.  The update is still W <- W - lr (g + 2 beta W); only the
-float rounding differs from the dense form.
+one coefficient, which ``apply_sgd`` applies in closed form (Bottou,
+"Stochastic Gradient Descent Tricks", 2012).  The decay is 2 beta for the
+tables the L2 penalty covers in full (word, position and concept-type
+embeddings and the convolution filters) and 0 for the biases and the class
+matrix, which keeps an explicit L2 term because the constrained loss
+decays only the category's rows.  The word table grows with the
+vocabulary, but one sample looks up only its own tokens and concept words,
+so its ``RowGrad`` holds only the summed rows of the looked-up ids.  The
+word table is held as a scalar times a stored table, W = s U (Carpenter,
+"Lazy Sparse Stochastic Gradient Descent for Regularized Multinomial
+Logistic Regression", 2008): its decay scales s alone and the step writes
+only the looked-up rows of U, so no part of a step grows with the
+vocabulary.  Every reader sees W: the gathers scale the rows they read,
+and s is folded into U (``ModelParams.fold``) at each epoch end and
+whenever it falls below WORD_SCALE_FLOOR.  The update is still
+W <- W - lr (g + 2 beta W); only the float rounding differs from the
+dense form.
 
 A training step allocates no array the size of a parameter: ``backward``
 can write the convolution, bias and class gradients into the arrays of
@@ -57,6 +64,7 @@ without the argmax columns only backward reads.  ``predict`` is
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
@@ -83,6 +91,12 @@ POOL_MAX = "max"
 POOL_MULTI = "multi"
 LOSS_SOFTMAX = "softmax"
 LOSS_CONSTRAINED = "constrained"
+
+# ``apply_sgd`` folds the word scale into the stored table when it would fall
+# below this, so the stored rows stay within 1/WORD_SCALE_FLOOR times W's.  At the
+# reference grid's largest decay rate, lr 2 beta = 2e-4, the scale takes ~35,000
+# steps to get there; the epoch-end fold almost always comes first.
+WORD_SCALE_FLOOR = 1e-3
 
 # Instances per batched scoring pass (``predict_batch``).  The pass holds a
 # chunk's window matrix and feature maps at once, so peak memory grows with it.
@@ -125,6 +139,9 @@ class HyperParams:
             raise ValueError(f"unknown pooling mode {self.pooling!r}")
         if self.loss not in (LOSS_SOFTMAX, LOSS_CONSTRAINED):
             raise ValueError(f"unknown loss {self.loss!r}")
+        for name in ("beta", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number: {getattr(self, name)}")
         if self.beta < 0 or self.lr <= 0:
             raise ValueError(f"need beta >= 0 and lr > 0: beta={self.beta}, lr={self.lr}")
 
@@ -153,15 +170,24 @@ class HyperParams:
 
 @dataclass
 class ModelParams:
-    """All trainable arrays.  `revision` ties forward traces to updates."""
+    """All trainable arrays.  `revision` ties forward traces to updates.
 
-    w_word: np.ndarray  # (n_words, d_w)
+    The word table is W = word_scale * w_word: ``apply_sgd`` decays it by
+    scaling `word_scale` alone.  Read W's rows through ``word_rows``;
+    ``copy`` and ``fold`` give the table itself.  ``arrays()`` names the
+    stored arrays, so it holds W only while `word_scale` is 1, which is how
+    training leaves every epoch, ``from_arrays`` builds parameters and
+    ``copy`` returns them.
+    """
+
+    w_word: np.ndarray  # (n_words, d_w); W / word_scale
     w_pos: np.ndarray  # (2 * max_distance + 1, d_p)
     w_conv: list[np.ndarray]  # per window: (d_c, d_x * k)
     b_conv: list[np.ndarray]  # per window: (d_c,)
     w_ctype: np.ndarray  # (len(ConceptType), d_ct)
     w_classes: np.ndarray  # (N_CLASSES, rc_size)
     revision: int = field(default=0, compare=False)
+    word_scale: float = 1.0
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], revision: int = 0) -> "ModelParams":
@@ -187,9 +213,27 @@ class ModelParams:
         return out
 
     def copy(self) -> "ModelParams":
+        """A copy holding W itself: the word scale is folded into the copied table."""
         return ModelParams.from_arrays(
-            {name: arr.copy() for name, arr in self.arrays().items()}, self.revision
+            {
+                name: arr * self.word_scale if name == "w_word" else arr.copy()
+                for name, arr in self.arrays().items()
+            },
+            self.revision,
         )
+
+    def word_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Rows `ids` of W, a new array: the stored rows times `word_scale`."""
+        rows = self.w_word[ids]
+        if self.word_scale != 1.0:
+            rows *= self.word_scale
+        return rows
+
+    def fold(self) -> None:
+        """Multiply `word_scale` into the stored table in place, leaving it 1: w_word is W."""
+        if self.word_scale != 1.0:
+            self.w_word *= self.word_scale
+            self.word_scale = 1.0
 
 
 def param_shapes(
@@ -364,7 +408,7 @@ def embed_sentence(
     i .. i+k-1.  The sentences' columns follow each other in order, and no
     column straddles two sentences.
     """
-    E = np.concatenate([params.w_word[tok], params.w_pos[pos1], params.w_pos[pos2]], axis=1)
+    E = np.concatenate([params.word_rows(tok), params.w_pos[pos1], params.w_pos[pos2]], axis=1)
     # E is C-contiguous, so X[off d_x + c, i], entry c of token i + off, lies at flat
     # position i d_x + (off d_x + c) of E: the windows are a strided view of E.  X is a
     # C-contiguous copy of each sentence's windows: the GEMM in ``convolve`` runs faster
@@ -454,7 +498,10 @@ def concept_features(encs: Sequence[EncodedInstance], params: ModelParams) -> np
     ctypes = [enc.ctype_ids for enc in encs]
     words = np.concatenate([ids for enc in encs for ids in (enc.content1_ids, enc.content2_ids)])
     return np.concatenate(
-        [params.w_ctype[ctypes].reshape(len(encs), -1), params.w_word[words].reshape(len(encs), -1)],
+        [
+            params.w_ctype[ctypes].reshape(len(encs), -1),
+            params.word_rows(words).reshape(len(encs), -1),
+        ],
         axis=1,
     )
 
@@ -534,10 +581,10 @@ def loss_over(
     The L2 sum covers the word, position, concept-type and convolution
     matrices and the `classes` rows of the class matrix (biases excluded),
     so class rows outside `classes` are untouched by training on this
-    sample.  `word_sq` is ||w_word||^2 when the caller already tracks it
-    (the trainer keeps it up to date from the touched rows); by default it
-    is summed over the whole table.  Each squared norm is one ``np.vdot``,
-    which allocates nothing.
+    sample.  `word_sq` is ||W||^2 of the word table when the caller already
+    tracks it (the trainer keeps it up to date from the touched rows); by
+    default it is word_scale^2 times the stored table's squared norm.  Each
+    squared norm is one ``np.vdot``, which allocates nothing.
     """
     if gold not in range(s.shape[0])[classes]:
         raise ValueError(f"gold class {gold} is outside the loss classes {classes}")
@@ -545,7 +592,7 @@ def loss_over(
     if beta == 0.0:
         return nll
     if word_sq is None:
-        word_sq = sq_norm(params.w_word)
+        word_sq = params.word_scale * params.word_scale * sq_norm(params.w_word)
     l2 = word_sq + sq_norm(params.w_pos) + sq_norm(params.w_ctype)
     for w in params.w_conv:
         l2 += sq_norm(w)
@@ -656,25 +703,38 @@ def backward(
     return grads
 
 
-def apply_sgd(params: ModelParams, grads: dict[str, RowGrad], lr: float) -> None:
+def apply_sgd(params: ModelParams, grads: dict[str, RowGrad], lr: float) -> bool:
     """In-place SGD step W <- W - lr g; bumps the revision so stale traces are detectable.
 
-    Every gradient is applied in closed form: the whole array is scaled by
-    1 - lr decay in place (skipped when that is 1), then
-    ``W[ids] -= lr * rows``.
+    Every gradient is applied in closed form.  The word table W = s U
+    decays through its scale alone, s' = s (1 - lr decay), and then
+    ``U[ids] -= (lr / s') * rows``: the step writes only the looked-up rows.
+    Should s' fall below WORD_SCALE_FLOOR, it is folded into U first
+    (``ModelParams.fold``) and the rows step at lr.  Every other array is
+    scaled by 1 - lr decay in place (skipped when that is 1), then
+    ``W[ids] -= lr * rows``.  Returns whether the word scale was folded,
+    which rewrites every row of the stored table.
 
-    Consumes `grads`: every ``rows`` array is scaled by lr in place
+    Consumes `grads`: every ``rows`` array is scaled by its rate in place
     (``g *= lr; W -= g`` is bit for bit ``W -= lr * g``), so its values
     are lost; the dict can still serve as ``backward``'s `out`.
     """
+    folded = False
     for name, arr in params.arrays().items():
         g = grads[name]
-        scale = 1.0 - lr * g.decay
-        if scale != 1.0:
+        rate = lr
+        if name == "w_word":
+            params.word_scale *= 1.0 - lr * g.decay
+            folded = not params.word_scale >= WORD_SCALE_FLOOR
+            if folded:
+                params.fold()  # in place: `arr` is still the stored table
+            rate = lr / params.word_scale
+        elif (scale := 1.0 - lr * g.decay) != 1.0:
             arr *= scale
-        g.rows *= lr
+        g.rows *= rate
         arr[g.ids] -= g.rows
     params.revision += 1
+    return folded
 
 
 def score_chunk(
@@ -739,7 +799,10 @@ def save_checkpoint(
     vocab_sha256: str,
 ) -> None:
     """Write params + config as .npz data to exactly `path` (no suffix is added);
-    float64 arrays round-trip bit-exactly."""
+    float64 arrays round-trip bit-exactly.  The word table is written as W, its
+    scale folded into a copy when it is not 1."""
+    if params.word_scale != 1.0:
+        params = params.copy()
     meta = {
         "format": CHECKPOINT_FORMAT,
         "tool_version": __version__,

@@ -194,10 +194,14 @@ def train(
     loss, or a parameter array that is not finite at the end of an epoch,
     aborts with TrainingDiverged.
 
-    The reported loss takes ||w_word||^2 from a running value: summed over
-    the whole table at the start of each epoch, then updated after every
-    step from the rows the step touched, so no step pays for the whole
-    vocabulary.
+    Within an epoch the word table is W = s U (``ModelParams``): each step
+    scales s and writes only the rows it touched.  Each epoch ends by
+    folding s into U, so the scoring, the snapshots and the returned
+    parameters hold W itself.  The reported loss takes ||W||^2 as s^2 times
+    a running ||U||^2: summed over the whole table at the start of each
+    epoch, then updated after every step from the rows the step touched,
+    and summed afresh only after a step that folded.  So no step pays for
+    the whole vocabulary.
 
     The first sample of each batch writes its gradients into the arrays of
     the gradients the previous step consumed (``backward``'s `out`); every
@@ -223,11 +227,12 @@ def train(
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(train_insts))
         losses: list[float] = []
-        word_sq = sq_norm(params.w_word)
+        stored_sq = sq_norm(params.w_word)
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_insts[int(i)] for i in order[lo : lo + cfg.batch_size]]
             for n, enc in enumerate(batch):
                 trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
+                word_sq = params.word_scale * params.word_scale * stored_sq
                 loss = loss_from_trace(trace, params, hp, word_sq)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
@@ -241,14 +246,14 @@ def train(
                     extra = backward(trace, params, hp, out=extra)
                     for name, g in grads.items():
                         g += extra[name]
-            lr = hp.lr / len(batch)
-            # Untouched rows are only scaled, so their squared norm scales by scale^2.
-            word = grads["w_word"]
-            touched_sq = sq_norm(params.w_word[word.ids])
-            apply_sgd(params, grads, lr)
-            scale = 1.0 - lr * word.decay
-            word_sq = scale * scale * (word_sq - touched_sq) + sq_norm(params.w_word[word.ids])
+            ids = grads["w_word"].ids
+            touched_sq = sq_norm(params.w_word[ids])
+            if apply_sgd(params, grads, hp.lr / len(batch)):
+                stored_sq = sq_norm(params.w_word)
+            else:  # the stored rows the step did not touch are unchanged
+                stored_sq += sq_norm(params.w_word[ids]) - touched_sq
 
+        params.fold()
         for name, arr in params.arrays().items():
             if not np.all(np.isfinite(arr)):
                 raise TrainingDiverged(

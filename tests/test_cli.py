@@ -889,6 +889,34 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("via,field,value", [
+    ("flag", "beta", "nan"),
+    ("flag", "lr", "inf"),
+    ("config", "beta", float("nan")),
+    ("config", "lr", float("inf")),
+], ids=["flag-beta-nan", "flag-lr-inf", "config-beta-nan", "config-lr-inf"])
+def test_non_finite_rate_exits_1_naming_the_field(tmp_path, capsys, via, field, value):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = ["train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz",
+            "--epochs", 1]
+    if via == "flag":
+        argv += [f"--{field}", value]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"hyperparams": {field: value}}))  # NaN / Infinity
+        argv += ["--config", config]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be a finite number") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(work.iterdir()) == []
+
+
 def _npy_bytes(data: bytes) -> bytes:
     buf = io.BytesIO()
     np.save(buf, np.zeros(3))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcnn import model
 from relcnn.corpus import Concept, RelationInstance, replace_concepts
 from relcnn.encoding import EncoderConfig, encode, segment_bounds
 from relcnn.model import (
@@ -113,6 +114,10 @@ class TestHyperParams:
             dict(loss="hinge"),
             dict(beta=-1e-9),
             dict(lr=0.0),
+            dict(beta=float("nan")),
+            dict(beta=float("inf")),
+            dict(lr=float("nan")),
+            dict(lr=float("inf")),
         ],
     )
     def test_validation_rejects(self, bad):
@@ -527,6 +532,7 @@ def test_backward_rejects_stale_trace():
 
 def test_apply_sgd_in_place_exact_and_bumps_revision():
     hp, params, enc = _setup()
+    params.word_scale = 0.75  # a table mid-epoch: W = 0.75 U
     tr = forward(enc, params, hp)
     grads = backward(tr, params, hp)
     assert all(isinstance(g, RowGrad) for g in grads.values())
@@ -544,7 +550,13 @@ def test_apply_sgd_in_place_exact_and_bumps_revision():
         # closed form: the whole table decays, then the data part steps
         data = np.zeros(g.shape)
         data[g.ids] = g.rows
-        expected = before[name] * (1.0 - 0.1 * g.decay) - 0.1 * data
+        if name == "w_word":
+            # closed form: the scale decays, then the stored rows step at lr / s'
+            scale = 0.75 * (1.0 - 0.1 * g.decay)
+            assert params.word_scale == scale
+            expected = before[name] - (0.1 / scale) * data
+        else:
+            expected = before[name] * (1.0 - 0.1 * g.decay) - 0.1 * data
         np.testing.assert_array_equal(arr, expected, err_msg=name)
 
 
@@ -632,9 +644,104 @@ def test_sparse_step_matches_dense_rule(batch_size):
         for name, arr in dense.arrays().items():
             arr -= hp.lr * (dense_sum[name] / batch_size)
         dense.revision += 1
-        for name, arr in sparse.arrays().items():
+        for name, arr in sparse.copy().arrays().items():  # the copy holds W = s U
             worst = max(worst, float(np.abs(arr - dense.arrays()[name]).max()))
     assert worst <= 1e-12
+
+
+def _warm_params(hp, n_steps=3, seed=5):
+    """Parameters after `n_steps` SGD steps, their word scale not yet folded."""
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=seed)
+    rng = np.random.default_rng(seed)
+    for i in range(n_steps):
+        enc = encoded_instance(rng, RELATION_TYPES[i % N_CLASSES], VOCAB, TOY_ENC)
+        apply_sgd(params, backward(forward(enc, params, hp), params, hp), hp.lr)
+    assert params.word_scale < 1.0
+    return params
+
+
+def test_warm_step_leaves_untouched_word_rows_bitwise_unchanged():
+    """The step decays the word table through its scale and writes only the rows the
+    sample looked up: its cost does not grow with the vocabulary."""
+    hp = toy_hp(beta=0.01)
+    params = _warm_params(hp)
+    enc = encoded_instance(np.random.default_rng(50), RelationType.TRIP, VOCAB, TOY_ENC)
+    grads = backward(forward(enc, params, hp), params, hp)
+    touched = grads["w_word"].ids
+    stored, scale = params.w_word.copy(), params.word_scale
+    assert apply_sgd(params, grads, hp.lr) is False
+    untouched = np.setdiff1d(np.arange(VOCAB.n_words), touched)
+    assert untouched.size > touched.size > 0
+    assert params.w_word[untouched].tobytes() == stored[untouched].tobytes()
+    assert not np.array_equal(params.w_word[touched], stored[touched])
+    assert params.word_scale == scale * (1.0 - hp.lr * 2.0 * hp.beta)
+
+
+def test_live_scaled_table_scores_as_a_folded_copy():
+    """What scoring mid-epoch reads (W = s U, s != 1) equals the folded table: the
+    same labels, probabilities and loss within 1e-12."""
+    hp = toy_hp(beta=0.01, windows=(2, 3))
+    live = _warm_params(hp)
+    folded = live.copy()
+    assert folded.word_scale == 1.0 and live.word_scale < 1.0
+    np.testing.assert_array_equal(folded.w_word, live.w_word * live.word_scale)
+    rng = np.random.default_rng(51)
+    encs = [encoded_instance(rng, RELATION_TYPES[i % N_CLASSES], VOCAB, TOY_ENC)
+            for i in range(PREDICT_CHUNK + 3)]
+    labels, probs = predict_batch(encs, live, hp)
+    want_labels, want_probs = predict_batch(encs, folded, hp)
+    assert labels == want_labels
+    np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+    for enc in encs[:3]:
+        label, row = predict(enc, live, hp)
+        want_label, want_row = predict(enc, folded, hp)
+        assert label == want_label
+        np.testing.assert_allclose(row, want_row, rtol=0, atol=1e-12)
+        got = loss_from_trace(forward(enc, live, hp), live, hp)
+        want = loss_from_trace(forward(enc, folded, hp), folded, hp)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_floor_fold_keeps_w_close_to_the_unfolded_scale(monkeypatch):
+    """Under lr 2 beta = 0.4 the word scale falls below WORD_SCALE_FLOOR within a few
+    steps; apply_sgd folds it into the table, and W stays within 1e-12 of the same
+    steps taken with no floor, every other array bitwise equal."""
+    hp = toy_hp(beta=0.5, lr=0.4)
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=7)
+    unfolded = params.copy()
+    rng = np.random.default_rng(7)
+    folds = []
+    for i in range(30):
+        enc = encoded_instance(rng, RELATION_TYPES[i % N_CLASSES], VOCAB, TOY_ENC)
+        grads = backward(forward(enc, params, hp), params, hp)
+        same = copy.deepcopy(grads)
+        folds.append(apply_sgd(params, grads, hp.lr))
+        with monkeypatch.context() as m:
+            m.setattr(model, "WORD_SCALE_FLOOR", 0.0)
+            assert apply_sgd(unfolded, same, hp.lr) is False
+        assert params.word_scale >= model.WORD_SCALE_FLOOR
+        w, ref = params.copy().arrays(), unfolded.copy().arrays()
+        np.testing.assert_allclose(w.pop("w_word"), ref.pop("w_word"), rtol=0, atol=1e-12)
+        for name, arr in w.items():
+            assert arr.tobytes() == ref[name].tobytes(), name
+    assert sum(folds) >= 2 and unfolded.word_scale < model.WORD_SCALE_FLOOR ** 2
+
+
+def test_checkpoint_of_a_live_scaled_table_holds_w(tmp_path):
+    """save_checkpoint writes W, never the stored table or its scale, and leaves the
+    live parameters as they were."""
+    hp = toy_hp(beta=0.01)
+    live = _warm_params(hp)
+    stored, scale = live.w_word.copy(), live.word_scale
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, live, hp, TOY_ENC, vocab_sha256="00" * 32)
+    assert live.word_scale == scale and live.w_word.tobytes() == stored.tobytes()
+    with np.load(path) as data:
+        assert set(data.files) == {"__meta__", *live.arrays()}
+    ckpt = load_checkpoint(path)
+    assert ckpt.params.word_scale == 1.0
+    for name, arr in live.copy().arrays().items():
+        assert ckpt.params.arrays()[name].tobytes() == arr.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from relcnn.model import (
     backward,
     forward,
     init_params,
+    load_checkpoint,
     loss_from_trace,
     predict,
+    save_checkpoint,
     sq_norm,
 )
 from relcnn.synthgen import generate, placement_task_spec
@@ -142,8 +144,10 @@ def test_train_best_epoch_is_first_argmax_of_dev_f1():
 def test_train_batch_gradients_are_averaged(batch_size):
     """One epoch over a single batch reproduces by hand, in the closed form
     ``apply_sgd`` applies to the summed gradients:
-    W (1 - (lr/B) sum decay) - (lr/B) sum data.  Batch 3 pins the rounding
-    at a batch size that is not a power of two."""
+    W (1 - (lr/B) sum decay) - (lr/B) sum data, and for the word table
+    s' = 1 - (lr/B) sum decay, U - (lr/B/s') sum data, folded to s' U at the
+    epoch end.  Batch 3 pins the rounding at a batch size that is not a power
+    of two."""
     encs, vocab = _toy_corpus(n_per_type=2)
     encs = encs[:batch_size]
     hp = _hp(beta=0.001)
@@ -167,7 +171,11 @@ def test_train_batch_gradients_are_averaged(batch_size):
     assert {n for n, d in decay.items() if d} == {"w_word", "w_pos", "w_conv_0", "w_ctype"}
     lr = hp.lr / batch_size
     for name, arr in init.arrays().items():
-        expected = arr * (1.0 - lr * decay[name]) - lr * data[name]
+        scale = 1.0 - lr * decay[name]
+        if name == "w_word":
+            expected = (arr - (lr / scale) * data[name]) * scale
+        else:
+            expected = arr * scale - lr * data[name]
         np.testing.assert_array_equal(res.params.arrays()[name], expected, err_msg=name)
 
 
@@ -184,6 +192,63 @@ def test_train_loss_running_word_norm_matches_full_sum(monkeypatch, batch_size):
     full = train(encs, encs, hp, cfg, vocab, ENC).record.train_loss
     assert len(full) == 3
     np.testing.assert_allclose(running, full, rtol=1e-12, atol=0.0)
+
+
+def _spy_on_steps(monkeypatch) -> list[tuple[float, bool]]:
+    """Record each step's word scale after it, and whether it folded."""
+    steps: list[tuple[float, bool]] = []
+    original = trainer.apply_sgd
+
+    def apply_sgd(params, grads, lr):
+        folded = original(params, grads, lr)
+        steps.append((params.word_scale, folded))
+        return folded
+
+    monkeypatch.setattr(trainer, "apply_sgd", apply_sgd)
+    return steps
+
+
+def test_train_loss_running_word_norm_across_folds(monkeypatch):
+    """Under lr 2 beta = 0.4 ``apply_sgd`` folds the word scale twice in each
+    32-step epoch; the running ||W||^2 still reproduces the full-table L2 sum."""
+    encs, vocab = _toy_corpus()
+    hp = _hp(beta=4.0, lr=0.05)
+    cfg = TrainConfig(epochs=2, seed=4)
+    steps = _spy_on_steps(monkeypatch)
+    running = train(encs, encs, hp, cfg, vocab, ENC).record.train_loss
+    assert sum(folded for _, folded in steps) >= 4
+    full_sum = trainer.loss_from_trace
+    monkeypatch.setattr(trainer, "loss_from_trace",
+                        lambda trace, params, hp, word_sq: full_sum(trace, params, hp))
+    full = train(encs, encs, hp, cfg, vocab, ENC).record.train_loss
+    np.testing.assert_allclose(running, full, rtol=1e-12, atol=0.0)
+
+
+def test_train_scores_returns_and_checkpoints_a_folded_table(monkeypatch, tmp_path):
+    """Steps leave the word scale below 1; each epoch's scoring, the returned
+    parameters and their checkpoint hold W itself, with scale 1."""
+    encs, vocab = _toy_corpus()
+    tr, dev = split_dev(encs, 0.25, seed=0)
+    hp = _hp(beta=0.01)
+    steps = _spy_on_steps(monkeypatch)
+    scored_scales = []
+    original_score = trainer._accuracy_and_f1
+
+    def score(instances, params, hp):
+        scored_scales.append(params.word_scale)
+        return original_score(instances, params, hp)
+
+    monkeypatch.setattr(trainer, "_accuracy_and_f1", score)
+    res = train(tr, dev, hp, TrainConfig(epochs=2, seed=0), vocab, ENC)
+    assert steps and all(scale < 1.0 for scale, _ in steps)
+    assert scored_scales == [1.0] * 4  # train and dev, each epoch
+    assert res.params.word_scale == 1.0
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, res.params, hp, ENC, vocab_sha256="00" * 32)
+    ckpt = load_checkpoint(path)
+    assert ckpt.params.word_scale == 1.0
+    for name, arr in res.params.arrays().items():
+        assert ckpt.params.arrays()[name].tobytes() == arr.tobytes(), name
 
 
 @pytest.mark.parametrize("hp", [HyperParams(), HyperParams(d_c=400, windows=(3, 4, 5))],
@@ -238,11 +303,12 @@ def test_warm_steps_of_train_allocate_no_parameter_sized_array(monkeypatch, batc
 
     def apply_sgd(params, grads, lr):
         nonlocal step_start
-        original(params, grads, lr)
+        folded = original(params, grads, lr)
         current, peak = tracemalloc.get_traced_memory()
         peaks.append(peak - step_start)
         step_start = current
         tracemalloc.reset_peak()
+        return folded
 
     monkeypatch.setattr(trainer, "apply_sgd", apply_sgd)
     tracemalloc.start()
