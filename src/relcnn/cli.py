@@ -177,12 +177,23 @@ def _flags(args, cls) -> dict:
 
 def _resolve(cls, args, config: dict | None = None, section: str = "", **defaults):
     """A `cls` from its flags, over the config file's `section`, over `defaults`,
-    over the defaults of `cls`."""
-    values = defaults
+    over the defaults of `cls`.
+
+    A value `cls` rejects is named with the config file and section when the
+    flags and defaults alone are accepted, so the file supplied it.
+    """
+    from_file = {}
     if config:
-        values.update(typed_fields(cls, config.get(section, {}), f"{args.config}: {section}"))
-    values.update(typed_fields(cls, _flags(args, cls), "command line"))
-    return cls(**values)
+        where = f"{args.config}: {section}"
+        from_file = typed_fields(cls, config.get(section, {}), where)
+    flags = typed_fields(cls, _flags(args, cls), "command line")
+    try:
+        return cls(**{**defaults, **from_file, **flags})
+    except ValueError as exc:
+        if not from_file:
+            raise
+        cls(**{**defaults, **flags})  # raises unchanged when the flags are at fault
+        raise CliError(f"{where}: {exc}") from None
 
 
 _CONFIG_SECTIONS = {"hyperparams": HyperParams, "train": TrainConfig, "encoder": EncoderConfig}

@@ -33,7 +33,8 @@ scores about 1 - r, exactly 1 at r = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import islice, product
+from typing import Sequence
 
 import numpy as np
 
@@ -57,22 +58,15 @@ AFTER_C2 = "after_c2"
 PLACEMENTS = (BEFORE_C1, BETWEEN, AFTER_C2)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# Filler and concept words are a prefix plus three letters, so each pool
+# holds at most 26^3 distinct words.
+MAX_POOL = len(_LETTERS) ** 3
 
 
-def _suffix(i: int, width: int = 3) -> str:
-    out = []
-    for _ in range(width):
-        out.append(_LETTERS[i % 26])
-        i //= 26
-    return "".join(reversed(out))
-
-
-def filler_word(i: int) -> str:
-    return "w" + _suffix(i)
-
-
-def concept_word(i: int) -> str:
-    return "cw" + _suffix(i)
+def _word_pool(prefix: str, n: int) -> list[str]:
+    """The first `n` words `prefix` + three letters, in alphabetical order:
+    word i spells i in base 26 with "a" as the zero digit."""
+    return [prefix + "".join(t) for t in islice(product(_LETTERS, repeat=3), n)]
 
 
 DEFAULT_SIGNAL = ("siga", "sigb", "sigc", "sigd")
@@ -125,6 +119,12 @@ class SynthSpec:
         )
         if any(c < 1 for c in counts):
             raise ValueError(f"counts must be >= 1: {self}")
+        for name in ("vocab_size", "concept_vocab_size"):
+            if getattr(self, name) > MAX_POOL:
+                raise ValueError(
+                    f"{name} must be <= {MAX_POOL}, the number of distinct "
+                    f"three-letter words: {getattr(self, name)}"
+                )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0: {self.seed}")
         if self.n_concepts < 2:
@@ -237,76 +237,63 @@ def generate(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLedger]:
     so output is deterministic in the seed and insensitive to generation
     order.  Gold labels follow the instance's rule except that with
     probability noise_rate the label flips to another rule's label
-    (ledger records both truth and flip).
+    (ledger records both truth and flip).  Word strings come from pools
+    sized to the spec and built once per call.
     """
     total = len(spec.rules) * spec.sentences_per_type
     streams = np.random.SeedSequence(spec.seed).spawn(total)
     labels = sorted({r.label for r in spec.rules}, key=lambda t: t.value)
+    fillers = _word_pool("w", spec.vocab_size)
+    concept_pool = _word_pool("cw", spec.concept_vocab_size)
+    n_concept_words = spec.concept_vocab_size
+    m = spec.concept_tokens
+    extra = spec.n_concepts - 2
+    ctype1, ctype2 = spec.concept_types
     instances: list[RelationInstance] = []
     ledger = SynthLedger(spec=spec)
-    idx = 0
     for rule in spec.rules:
         s = len(rule.signal)
+        signal = list(rule.signal)
         p1_lo, gap, tail = spec.geometry(s)
+        others = [t for t in labels if t != rule.label]
         for _ in range(spec.sentences_per_type):
+            idx = len(instances)
             rng = np.random.default_rng(streams[idx])
-            n = int(rng.integers(spec.len_lo, spec.len_hi + 1))
+            draw = rng.integers
+            n = int(draw(spec.len_lo, spec.len_hi + 1))
             p2_hi = n - tail
-            p1 = int(rng.integers(p1_lo, p2_hi - gap + 1))
-            p2 = int(rng.integers(p1 + gap, p2_hi + 1))
+            p1 = int(draw(p1_lo, p2_hi - gap + 1))
+            p2 = int(draw(p1 + gap, p2_hi + 1))
             lo, hi = _signal_slot_range(rule.placement, p1, p2, n, s)
-            start = int(rng.integers(lo, hi + 1))
+            start = int(draw(lo, hi + 1))
 
-            words = [filler_word(int(i)) for i in rng.integers(0, spec.vocab_size, n)]
-            for off, w in enumerate(rule.signal):
-                words[start - 1 + off] = w
+            words = [fillers[i] for i in draw(0, spec.vocab_size, n).tolist()]
+            words[start - 1 : start - 1 + s] = signal
             distractor_start: int | None = None
             if spec.distractor_placement is not None:
                 dlo, dhi = _signal_slot_range(spec.distractor_placement, p1, p2, n, s)
-                distractor_start = int(rng.integers(dlo, dhi + 1))
-                for off, w in enumerate(rule.signal):
-                    words[distractor_start - 1 + off] = w
-            taken = {p1, p2} | set(range(start, start + s))
-            if distractor_start is not None:
-                taken |= set(range(distractor_start, distractor_start + s))
-            free = [pos for pos in range(1, n + 1) if pos not in taken]
-            extra = spec.n_concepts - 2
+                distractor_start = int(draw(dlo, dhi + 1))
+                words[distractor_start - 1 : distractor_start - 1 + s] = signal
             if extra:
-                for pos_i in rng.choice(len(free), size=extra, replace=False):
-                    words[free[int(pos_i)] - 1] = concept_word(
-                        int(rng.integers(0, spec.concept_vocab_size))
-                    )
+                taken = {p1, p2, *range(start, start + s)}
+                if distractor_start is not None:
+                    taken.update(range(distractor_start, distractor_start + s))
+                free = [pos for pos in range(1, n + 1) if pos not in taken]
+                for pos_i in rng.choice(len(free), size=extra, replace=False).tolist():
+                    words[free[pos_i] - 1] = concept_pool[int(draw(0, n_concept_words))]
 
             flipped = spec.noise_rate > 0 and bool(rng.random() < spec.noise_rate)
-            gold = rule.label
-            if flipped:
-                others = [t for t in labels if t != rule.label]
-                gold = others[int(rng.integers(0, len(others)))]
+            gold = others[int(draw(0, len(others)))] if flipped else rule.label
 
-            m = spec.concept_tokens
-            c1_words = [
-                concept_word(int(i)) for i in rng.integers(0, spec.concept_vocab_size, m)
-            ]
-            c2_words = [
-                concept_word(int(i)) for i in rng.integers(0, spec.concept_vocab_size, m)
-            ]
-            tokens: list[str] = []
-            for pos in range(1, n + 1):
-                if pos == p1:
-                    tokens.extend(c1_words)
-                elif pos == p2:
-                    tokens.extend(c2_words)
-                else:
-                    tokens.append(words[pos - 1])
-            c1 = Concept(tokens=c1_words, start=p1, end=p1 + m - 1, ctype=spec.concept_types[0])
+            c1_words = [concept_pool[int(draw(0, n_concept_words))] for _ in range(m)]
+            c2_words = [concept_pool[int(draw(0, n_concept_words))] for _ in range(m)]
             c2_start = p2 + (m - 1)
-            c2 = Concept(
-                tokens=c2_words, start=c2_start, end=c2_start + m - 1, ctype=spec.concept_types[1]
-            )
             inst = RelationInstance(
-                tokens=tokens,
-                concept1=c1,
-                concept2=c2,
+                tokens=words[: p1 - 1] + c1_words + words[p1 : p2 - 1] + c2_words + words[p2:],
+                concept1=Concept(tokens=c1_words, start=p1, end=p1 + m - 1, ctype=ctype1),
+                concept2=Concept(
+                    tokens=c2_words, start=c2_start, end=c2_start + m - 1, ctype=ctype2
+                ),
                 gold=gold,
                 doc_id=f"synth-{idx:05d}",
                 sent_index=0,
@@ -327,7 +314,6 @@ def generate(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLedger]:
                     distractor_start=distractor_start,
                 )
             )
-            idx += 1
     return instances, ledger
 
 

@@ -9,6 +9,8 @@ Provides the things the individual test modules lean on:
   (row gradients densified) with finite differences, and
   ``micro_from_confusion`` recomputes micro scores from a confusion
   matrix alone, ``bootstrap_ci_reference`` resamples through ``evaluate``,
+  ``generate_reference`` and ``encode_reference`` are the per-word
+  generator and per-instance encoder the oracle tests compare against,
   ``rewrite_checkpoint_meta`` makes older-format or hand-edited
   checkpoints, and
 * a small hand-written raw corpus in the classic clinical-annotation
@@ -19,13 +21,23 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from relcnn.corpus import Concept, RelationInstance, replace_concepts
-from relcnn.encoding import EncoderConfig, EncodedInstance, Vocab, build_vocab, encode
+from relcnn.corpus import Concept, RelationInstance, ReplacedInstance, replace_concepts
+from relcnn.encoding import (
+    CTYPE_IDS,
+    PAD_ID,
+    UNK_ID,
+    EncoderConfig,
+    EncodedInstance,
+    Vocab,
+    build_vocab,
+    encode,
+)
 from relcnn.evaluator import Micro, evaluate
 from relcnn.model import HyperParams, ModelParams, RowGrad, init_params
 from relcnn.relations import (
@@ -37,6 +49,7 @@ from relcnn.relations import (
     ConceptType,
     RelationType,
 )
+from relcnn.synthgen import LedgerEntry, SynthLedger, SynthSpec, _signal_slot_range
 
 settings.register_profile(
     "suite",
@@ -114,7 +127,7 @@ def encoded_instance(
     vocab: Vocab,
     enc_cfg: EncoderConfig,
 ) -> EncodedInstance:
-    return encode(replace_concepts(build_instance(rng, gold)), vocab, enc_cfg)
+    return encode([replace_concepts(build_instance(rng, gold))], vocab, enc_cfg)[0]
 
 
 TOY_ENC = EncoderConfig(max_distance=8, concept_len=3, min_word_freq=1)
@@ -188,6 +201,178 @@ def bootstrap_ci_reference(gold, pred, resamples: int, seed: int) -> dict[str, t
         lo, hi = np.percentile(stats[:, col], [2.5, 97.5])
         out[name] = (float(lo), float(hi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference generator and encoder: the per-word synthgen.generate and the
+# per-instance encoding.encode that the table-driven generator and the
+# one-pass encoder replaced, kept verbatim as oracles.
+# ---------------------------------------------------------------------------
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _suffix(i: int, width: int = 3) -> str:
+    out = []
+    for _ in range(width):
+        out.append(_LETTERS[i % 26])
+        i //= 26
+    return "".join(reversed(out))
+
+
+def filler_word(i: int) -> str:
+    return "w" + _suffix(i)
+
+
+def concept_word(i: int) -> str:
+    return "cw" + _suffix(i)
+
+
+def generate_reference(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLedger]:
+    """Materialize the corpus and its ledger.
+
+    Instances are generated independently, one spawned RNG stream each,
+    so output is deterministic in the seed and insensitive to generation
+    order.  Gold labels follow the instance's rule except that with
+    probability noise_rate the label flips to another rule's label
+    (ledger records both truth and flip).
+    """
+    total = len(spec.rules) * spec.sentences_per_type
+    streams = np.random.SeedSequence(spec.seed).spawn(total)
+    labels = sorted({r.label for r in spec.rules}, key=lambda t: t.value)
+    instances: list[RelationInstance] = []
+    ledger = SynthLedger(spec=spec)
+    idx = 0
+    for rule in spec.rules:
+        s = len(rule.signal)
+        p1_lo, gap, tail = spec.geometry(s)
+        for _ in range(spec.sentences_per_type):
+            rng = np.random.default_rng(streams[idx])
+            n = int(rng.integers(spec.len_lo, spec.len_hi + 1))
+            p2_hi = n - tail
+            p1 = int(rng.integers(p1_lo, p2_hi - gap + 1))
+            p2 = int(rng.integers(p1 + gap, p2_hi + 1))
+            lo, hi = _signal_slot_range(rule.placement, p1, p2, n, s)
+            start = int(rng.integers(lo, hi + 1))
+
+            words = [filler_word(int(i)) for i in rng.integers(0, spec.vocab_size, n)]
+            for off, w in enumerate(rule.signal):
+                words[start - 1 + off] = w
+            distractor_start: int | None = None
+            if spec.distractor_placement is not None:
+                dlo, dhi = _signal_slot_range(spec.distractor_placement, p1, p2, n, s)
+                distractor_start = int(rng.integers(dlo, dhi + 1))
+                for off, w in enumerate(rule.signal):
+                    words[distractor_start - 1 + off] = w
+            taken = {p1, p2} | set(range(start, start + s))
+            if distractor_start is not None:
+                taken |= set(range(distractor_start, distractor_start + s))
+            free = [pos for pos in range(1, n + 1) if pos not in taken]
+            extra = spec.n_concepts - 2
+            if extra:
+                for pos_i in rng.choice(len(free), size=extra, replace=False):
+                    words[free[int(pos_i)] - 1] = concept_word(
+                        int(rng.integers(0, spec.concept_vocab_size))
+                    )
+
+            flipped = spec.noise_rate > 0 and bool(rng.random() < spec.noise_rate)
+            gold = rule.label
+            if flipped:
+                others = [t for t in labels if t != rule.label]
+                gold = others[int(rng.integers(0, len(others)))]
+
+            m = spec.concept_tokens
+            c1_words = [
+                concept_word(int(i)) for i in rng.integers(0, spec.concept_vocab_size, m)
+            ]
+            c2_words = [
+                concept_word(int(i)) for i in rng.integers(0, spec.concept_vocab_size, m)
+            ]
+            tokens: list[str] = []
+            for pos in range(1, n + 1):
+                if pos == p1:
+                    tokens.extend(c1_words)
+                elif pos == p2:
+                    tokens.extend(c2_words)
+                else:
+                    tokens.append(words[pos - 1])
+            c1 = Concept(tokens=c1_words, start=p1, end=p1 + m - 1, ctype=spec.concept_types[0])
+            c2_start = p2 + (m - 1)
+            c2 = Concept(
+                tokens=c2_words, start=c2_start, end=c2_start + m - 1, ctype=spec.concept_types[1]
+            )
+            inst = RelationInstance(
+                tokens=tokens,
+                concept1=c1,
+                concept2=c2,
+                gold=gold,
+                doc_id=f"synth-{idx:05d}",
+                sent_index=0,
+            )
+            inst.validate()
+            instances.append(inst)
+            ledger.entries.append(
+                LedgerEntry(
+                    doc_id=inst.doc_id,
+                    rule_label=rule.label,
+                    gold=gold,
+                    placement=rule.placement,
+                    signal=rule.signal,
+                    flipped=flipped,
+                    p1=p1,
+                    p2=p2,
+                    signal_start=start,
+                    distractor_start=distractor_start,
+                )
+            )
+            idx += 1
+    return instances, ledger
+
+
+def _content_ids(vocab: Vocab, tokens: Sequence[str], concept_len: int) -> np.ndarray:
+    ids = [vocab.word_id(t) for t in tokens[:concept_len]]
+    ids += [PAD_ID] * (concept_len - len(ids))
+    return np.asarray(ids, dtype=np.int64)
+
+
+def encode_reference(inst: ReplacedInstance, vocab: Vocab, cfg: EncoderConfig) -> EncodedInstance:
+    """Map a replaced instance into index space.
+
+    Position ids at token i are clip(i - p1) and clip(i - p2).  Concept
+    contents come from the original concept tokens (pre-replacement),
+    padded with <pad> to concept_len or truncated to the first
+    concept_len tokens.
+    """
+    word_ids = vocab.word_ids
+    token_ids = np.asarray([word_ids.get(t, UNK_ID) for t in inst.tokens], dtype=np.int64)
+    idx = np.arange(1, len(inst.tokens) + 1, dtype=np.int64)
+    pos1_ids = vocab.position_id(idx - inst.p1)
+    pos2_ids = vocab.position_id(idx - inst.p2)
+    orig = inst.original
+    return EncodedInstance(
+        token_ids=token_ids,
+        pos1_ids=pos1_ids,
+        pos2_ids=pos2_ids,
+        ctype_ids=(CTYPE_IDS[orig.concept1.ctype], CTYPE_IDS[orig.concept2.ctype]),
+        content1_ids=_content_ids(vocab, orig.concept1.tokens, cfg.concept_len),
+        content2_ids=_content_ids(vocab, orig.concept2.tokens, cfg.concept_len),
+        p1=inst.p1,
+        p2=inst.p2,
+        gold=orig.gold,
+        category=orig.category,
+    )
+
+
+def assert_same_encodings(got: list[EncodedInstance], want: list[EncodedInstance]) -> None:
+    """Equal instance by instance: arrays in values and dtype, other fields by ==."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name, value in vars(w).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(g, name).dtype == value.dtype, name
+                np.testing.assert_array_equal(getattr(g, name), value, err_msg=name)
+            else:
+                assert getattr(g, name) == value, name
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def _toy_world(n_instances: int = 5):
     originals = [build_instance(rng, golds[i % len(golds)]) for i in range(n_instances)]
     enc_cfg = EncoderConfig(max_distance=8, concept_len=3)
     vocab = build_vocab(originals, enc_cfg)
-    encs = [encode(replace_concepts(o), vocab, enc_cfg) for o in originals]
+    encs = encode([replace_concepts(o) for o in originals], vocab, enc_cfg)
     return encs, vocab, enc_cfg
 
 
@@ -172,8 +172,7 @@ def test_criterion_03_constrained_updates_masked():
         for rep in range(100):
             gold_type = CATEGORY_TYPES[cat][rep % len(CATEGORY_TYPES[cat])]
             inst = build_instance(rng, gold_type)
-            enc = encode(replace_concepts(inst),
-                         build_vocab([inst], enc_cfg), enc_cfg)
+            (enc,) = encode([replace_concepts(inst)], build_vocab([inst], enc_cfg), enc_cfg)
             params = init_params(hp, 60, vocab.n_positions, enc_cfg.concept_len,
                                  np.random.default_rng(checked))
             trace = forward(enc, params, hp)
@@ -235,7 +234,7 @@ def test_criterion_05_shape_laws_across_grid():
         inst = build_instance(rng, T.TERP)
     enc_cfg = EncoderConfig(max_distance=8, concept_len=3)
     vocab = build_vocab([inst], enc_cfg)
-    enc = encode(replace_concepts(inst), vocab, enc_cfg)
+    (enc,) = encode([replace_concepts(inst)], vocab, enc_cfg)
     L = enc_cfg.concept_len
     n_cells = 0
     for cell in cells:

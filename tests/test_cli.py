@@ -133,6 +133,19 @@ def test_synth_rejects_a_bad_spec_naming_the_file(tmp_path, capsys, spec):
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("key", ["vocab_size", "concept_vocab_size"])
+def test_synth_rejects_a_word_pool_beyond_three_letters(tmp_path, capsys, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**_spec_json(sentences_per_type=3), key: 20000}))
+    work = tmp_path / "work"
+    work.mkdir()
+    assert run("synth", "--spec", spec_path, "--out", work / "c.jsonl") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec_path}: bad synth spec: ") and err.count("\n") == 1
+    assert f"{key} must be <= 17576" in err
+    assert list(work.iterdir()) == []
+
+
 def _spec_json(**overrides) -> dict:
     """The placement spec as a spec file holds it."""
     return json.loads(json.dumps(asdict(placement_task_spec(**overrides))))
@@ -903,18 +916,56 @@ def test_non_finite_rate_exits_1_naming_the_field(tmp_path, capsys, via, field, 
     work.mkdir()
     argv = ["train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz",
             "--epochs", 1]
+    prefix = "error: "
     if via == "flag":
         argv += [f"--{field}", value]
     else:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"hyperparams": {field: value}}))  # NaN / Infinity
         argv += ["--config", config]
+        prefix += f"{config}: hyperparams: "
     capsys.readouterr()
     assert run(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field} must be a finite number") and err.count("\n") == 1
+    assert err.startswith(f"{prefix}{field} must be a finite number") and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("content,flags,prefix,message", [
+    ({"hyperparams": {"d_w": 0}}, [], "hyperparams", "embedding/filter sizes must be >= 1"),
+    ({"train": {"epochs": -1}}, [], "train", "epochs must be >= 0: -1"),
+    ({"encoder": {"concept_len": 0}}, [], "encoder", "all EncoderConfig fields must be >= 1"),
+    ({"hyperparams": {"d_w": 8}}, ["--epochs", -1], None, "epochs must be >= 0: -1"),
+], ids=["file-d_w", "file-epochs", "file-concept_len", "flag-epochs"])
+def test_rejected_config_value_names_its_source(tmp_path, capsys, content, flags, prefix,
+                                                message):
+    """A value its dataclass rejects names the config file and section when the file
+    gave it; a rejected flag is reported as before."""
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(content))
+    capsys.readouterr()
+    assert run("train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz",
+               "--config", config, *flags) == 1
+    err = capsys.readouterr().err
+    source = f"{config}: {prefix}: " if prefix else ""
+    assert err.startswith(f"error: {source}{message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(work.iterdir()) == []
+
+
+def test_flag_overrides_a_rejected_config_value(tmp_path):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train": {"epochs": -1}}))
+    _train_tiny(tmp_path, corpus, vocab, config=config)  # passes --epochs 2
 
 
 def _npy_bytes(data: bytes) -> bytes:

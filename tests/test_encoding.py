@@ -25,7 +25,7 @@ from relcnn.encoding import (
 )
 from relcnn.relations import ConceptType, RelationType
 
-from conftest import TOY_ENC, build_instance, shared_vocab
+from conftest import TOY_ENC, assert_same_encodings, build_instance, encode_reference, shared_vocab
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -94,7 +94,7 @@ def test_encode_golden_small_sentence():
     inst = build_instance(np.random.default_rng(3), RelationType.TERP)
     vocab = shared_vocab(TOY_ENC)
     rep = replace_concepts(inst)
-    enc = encode(rep, vocab, TOY_ENC)
+    (enc,) = encode([rep], vocab, TOY_ENC)
     n = len(rep.tokens)
     assert enc.n_tokens == n
     assert enc.token_ids.tolist() == [vocab.word_id(t) for t in rep.tokens]
@@ -115,7 +115,7 @@ def test_encode_concept_contents_padded_and_truncated():
         inst = build_instance(rng, RelationType.PIP, max_span=5)
         if len(inst.concept1.tokens) > 3 and len(inst.concept2.tokens) == 1:
             break
-    enc = encode(replace_concepts(inst), vocab, TOY_ENC)
+    (enc,) = encode([replace_concepts(inst)], vocab, TOY_ENC)
     ids1 = [vocab.word_id(t) for t in inst.concept1.tokens[:3]]
     ids2 = [vocab.word_id(inst.concept2.tokens[0]), PAD_ID, PAD_ID]
     assert enc.content1_ids.tolist() == ids1      # truncated to concept_len
@@ -131,11 +131,27 @@ def test_encode_instances_order_preserved():
     assert all(e.category == i.category for e, i in zip(encs, insts))
 
 
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_encode_matches_the_per_instance_reference(n):
+    """Unknown words (vocabulary from a few other instances) and concepts longer
+    than concept_len, encoded in one pass, equal the per-instance encoding."""
+    rng = np.random.default_rng(21)
+    vocab = build_vocab(_insts(seed=22, n=3), TOY_ENC)
+    insts = [build_instance(rng, RelationType.PIP, max_span=5) for _ in range(n)]
+    reps = [replace_concepts(inst) for inst in insts]
+    want = [encode_reference(rep, vocab, TOY_ENC) for rep in reps]
+    if n == 40:  # the corpus reaches both edge cases
+        assert any(inst.concept1.length > TOY_ENC.concept_len for inst in insts)
+        assert any(UNK_ID in enc.token_ids for enc in want)
+    assert_same_encodings(encode(reps, vocab, TOY_ENC), want)
+    assert_same_encodings(encode_instances(insts, vocab, TOY_ENC), want)
+
+
 @given(st.integers(0, 10 ** 6), st.sampled_from(list(RelationType)))
 def test_encode_arrays_well_formed(seed, gold):
     inst = build_instance(np.random.default_rng(seed), gold)
     vocab = shared_vocab(TOY_ENC)
-    enc = encode(replace_concepts(inst), vocab, TOY_ENC)
+    (enc,) = encode([replace_concepts(inst)], vocab, TOY_ENC)
     for arr in (enc.token_ids, enc.pos1_ids, enc.pos2_ids):
         assert arr.dtype == np.int64
         assert arr.shape == (enc.n_tokens,)

@@ -252,7 +252,7 @@ def test_pool_and_backward_route_an_exact_tie_to_its_first_column():
     c2 = Concept(tokens=["ent2"], start=7, end=7, ctype=ConceptType.PROBLEM)
     tokens = ["tok3", "tok7", "tok3", "tok7", "ent1", "tok9", "ent2"]
     inst = RelationInstance(tokens=tokens, concept1=c1, concept2=c2, gold=RelationType.TRIP)
-    enc = encode(replace_concepts(inst), vocab, enc_cfg)
+    (enc,) = encode([replace_concepts(inst)], vocab, enc_cfg)
     hp = toy_hp(d_c=8)
     params = toy_params(hp, vocab, enc_cfg, seed=1)
     tr = forward(enc, params, hp)
@@ -606,7 +606,7 @@ def _repeated_word_instance():
     c1 = Concept(tokens=["tok3", "ent1"], start=3, end=4, ctype=ConceptType.TREATMENT)
     c2 = Concept(tokens=["ent2"], start=6, end=6, ctype=ConceptType.PROBLEM)
     inst = RelationInstance(tokens=tokens, concept1=c1, concept2=c2, gold=RelationType.TRIP)
-    enc = encode(replace_concepts(inst), VOCAB, TOY_ENC)
+    (enc,) = encode([replace_concepts(inst)], VOCAB, TOY_ENC)
     tok3 = VOCAB.word_ids["tok3"]
     assert list(enc.token_ids).count(tok3) == 2 and tok3 in enc.content1_ids
     return enc
@@ -786,11 +786,12 @@ def test_predict_batch_matches_per_instance_forward(seed, windows, pooling, size
     rng = np.random.default_rng(seed)
     hp = toy_hp(windows=windows, pooling=pooling, d_c=5)
     params = toy_params(hp, VOCAB, TOY_ENC, seed=seed)
-    encs = []
+    reps = []
     for i in range(size):
         pre, post = edges if rng.random() < 0.5 else (None, None)
         inst = build_instance(rng, RELATION_TYPES[i % N_CLASSES], pre=pre, post=post)
-        encs.append(encode(replace_concepts(inst), VOCAB, TOY_ENC))
+        reps.append(replace_concepts(inst))
+    encs = encode(reps, VOCAB, TOY_ENC)
     labels, probs = predict_batch(encs, params, hp)
     assert len(labels) == size and probs.shape == (size, N_CLASSES)
     if size:

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relcnn.corpus import replace_concepts
+from relcnn.encoding import EncoderConfig, build_vocab, encode_instances
 from relcnn.relations import Category, ConceptType, RelationType
 from relcnn.synthgen import (
     AFTER_C2,
     BEFORE_C1,
     BETWEEN,
     DEFAULT_SIGNAL,
+    MAX_POOL,
     LabelRule,
     SynthCheckError,
     SynthLedger,
@@ -23,6 +27,8 @@ from relcnn.synthgen import (
     placement_task_spec,
     self_check,
 )
+
+from conftest import assert_same_encodings, encode_reference, generate_reference
 
 T = RelationType
 
@@ -81,6 +87,12 @@ class TestSpecValidation:
     def test_distractor_must_avoid_informative_placements(self):
         with pytest.raises(ValueError):
             _spec(distractor_placement=BEFORE_C1)
+
+    @pytest.mark.parametrize("name", ["vocab_size", "concept_vocab_size"])
+    def test_word_pools_are_limited_to_three_letters(self, name):
+        _spec(**{name: MAX_POOL})  # every three-letter word, as train-clinical uses
+        with pytest.raises(ValueError, match=f"{name} must be <= {MAX_POOL}"):
+            _spec(**{name: MAX_POOL + 1})
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +181,40 @@ def test_noise_flips_labels_at_requested_rate():
         assert inst.gold in {T.TERP, T.TECP}
     rep = self_check(insts, ledger)
     assert rep.rule_accuracy == pytest.approx(1 - flipped / n)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-word generator and per-instance encoder in conftest
+# ---------------------------------------------------------------------------
+
+_ORACLE_SPECS = {
+    "placement-seed0": placement_task_spec(sentences_per_type=150, seed=0),
+    "placement-seed7": placement_task_spec(sentences_per_type=150, seed=7),
+    "clinical-shape": placement_task_spec(
+        sentences_per_type=60, seed=3, vocab_size=MAX_POOL, len_lo=30, len_hi=50
+    ),
+    "noisy-extra-concepts": placement_task_spec(
+        sentences_per_type=100, seed=5, noise_rate=0.2, n_concepts=4, concept_tokens=2
+    ),
+    "no-distractor": placement_task_spec(
+        sentences_per_type=100, seed=9, distractor_placement=None, concept_vocab_size=3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+def test_generate_and_encode_match_the_reference(name):
+    spec = _ORACLE_SPECS[name]
+    insts, ledger = generate(spec)
+    ref_insts, ref_ledger = generate_reference(spec)
+    assert insts == ref_insts
+    assert asdict(ledger) == asdict(ref_ledger)
+    # A vocabulary from the first half leaves words of the second half unknown,
+    # and concept_len 1 truncates the two-token concepts.
+    cfg = EncoderConfig(concept_len=1 if spec.concept_tokens > 1 else 5)
+    vocab = build_vocab(insts[: len(insts) // 2], cfg)
+    want = [encode_reference(replace_concepts(inst), vocab, cfg) for inst in ref_insts]
+    assert_same_encodings(encode_instances(insts, vocab, cfg), want)
 
 
 # ---------------------------------------------------------------------------
