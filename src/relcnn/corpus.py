@@ -476,6 +476,15 @@ def instance_to_dict(inst: RelationInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> RelationInstance:
+    """The valid instance record `d` describes; ValueError, KeyError or TypeError if none."""
+    inst = _instance_from_record(d)
+    inst.validate()
+    return inst
+
+
+def _instance_from_record(d: dict) -> RelationInstance:
+    """The instance record `d` describes, its field types checked but not the
+    annotation invariants of ``RelationInstance.validate``."""
     tokens = d["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
@@ -492,7 +501,7 @@ def instance_from_dict(d: dict) -> RelationInstance:
             tokens=tokens[start - 1 : end], start=start, end=end, ctype=ConceptType(c["type"])
         )
 
-    inst = RelationInstance(
+    return RelationInstance(
         tokens=list(tokens),
         concept1=concept(d["c1"]),
         concept2=concept(d["c2"]),
@@ -500,8 +509,6 @@ def instance_from_dict(d: dict) -> RelationInstance:
         doc_id=doc,
         sent_index=sent,
     )
-    inst.validate()
-    return inst
 
 
 def not_utf8(path: str | Path) -> ValueError:

@@ -184,12 +184,12 @@ def encode_instances(
 
 
 def segment_bounds(p1: int, p2: int, n: int, k: int) -> list[tuple[int, int] | None]:
-    """Three column ranges over the convolution output, 1-based inclusive.
+    """Three window ranges over the convolution output, 1-based inclusive.
 
-    The n - k + 1 convolution columns split at the two placeholder
-    positions: [1, p1-1], [p1, p2-1], [p2, n-k+1].  Ranges are clamped to
-    the valid column interval; a range whose start exceeds its end is
-    returned as None (empty segment).
+    The n - k + 1 windows, one row each of the feature map, split at the two
+    placeholder positions: [1, p1-1], [p1, p2-1], [p2, n-k+1].  Ranges are
+    clamped to the valid window interval; a range whose start exceeds its
+    end is returned as None (empty segment).
     """
     if not 1 <= p1 < p2 <= n:
         raise ValueError(f"need 1 <= p1 < p2 <= n, got p1={p1}, p2={p2}, n={n}")

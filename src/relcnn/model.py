@@ -6,10 +6,11 @@ p1 < p2):
 * every token becomes ``[word_vec; pos1_vec; pos2_vec]`` of size
   d_x = d_w + 2 d_p (one shared position table serves both distance
   channels),
-* windows of k consecutive token vectors are stacked into the columns of
-  X (shape d_x k by n-k+1) and convolved: Z = relu(W_conv X + b),
-* max-pooling runs either over all columns ("max") or independently over
-  the three column segments delimited by the placeholders ("multi"),
+* each window of k consecutive token vectors is one row of X (shape n-k+1
+  by k d_x) and is convolved into one row of the feature map:
+  Z = relu(X W_conv^T + b), one column per filter,
+* max-pooling runs either over all windows ("max") or independently over
+  the three window segments delimited by the placeholders ("multi"),
   concatenating the results; empty segments pool to zero vectors,
 * the pooled vector is joined with concept features (two concept-type
   vectors plus the word vectors of both original concept contents, padded
@@ -57,7 +58,7 @@ The forward stages (``embed_sentence``, ``convolve``, ``pool``,
 GEMM per window size over every instance's windows.  ``forward`` runs
 them on a chunk of one and keeps the trace backward needs; ``score_chunk``
 runs them on PREDICT_CHUNK instances at a time for ``predict_batch``,
-without the argmax columns only backward reads.  ``predict`` is
+without the argmax rows only backward reads.  ``predict`` is
 ``predict_batch`` of one instance.
 """
 
@@ -99,7 +100,7 @@ LOSS_CONSTRAINED = "constrained"
 WORD_SCALE_FLOOR = 1e-3
 
 # Instances per batched scoring pass (``predict_batch``).  The pass holds a
-# chunk's window matrix and feature maps at once, so peak memory grows with it.
+# chunk's window matrix and feature map at once, so peak memory grows with it.
 PREDICT_CHUNK = 16
 
 
@@ -276,17 +277,17 @@ def init_params(
 
 @dataclass
 class WindowTrace:
-    """One window size's stages over a chunk; its instances' ids, columns and
+    """One window size's stages over a chunk; its instances' ids, windows and
     segments follow each other in order."""
 
     k: int
     token_ids: np.ndarray  # padded to at least k tokens per instance
     pos1_ids: np.ndarray
     pos2_ids: np.ndarray
-    X: np.ndarray  # (d_x * k, ncols)
-    Z: np.ndarray  # (d_c, ncols)
-    bounds: list[tuple[int, int] | None]  # n_segments per instance
-    argmax_cols: np.ndarray | None  # (segments, d_c); -1 marks an empty segment
+    X: np.ndarray  # (ncols, d_x * k): one window per row
+    Z: np.ndarray  # (ncols, d_c): one window per row, one filter per column
+    bounds: list[tuple[int, int] | None]  # n_segments per instance, ranges of Z's rows
+    argmax_cols: np.ndarray | None  # (segments, d_c): row of Z; -1 marks an empty segment
     pooled: np.ndarray  # (segments * d_c,)
 
 
@@ -404,51 +405,49 @@ def embed_sentence(
     """Windowed embedding matrix X of a chunk of sentences, C-contiguous.
 
     The ids hold the sentences one after another, `lengths` tokens each
-    (``_padded_ids``).  Column i of a sentence stacks its token vectors
-    i .. i+k-1.  The sentences' columns follow each other in order, and no
-    column straddles two sentences.
+    (``_padded_ids``).  Row i of a sentence is one window: its token vectors
+    i .. i+k-1, one after another.  The sentences' windows follow each other
+    in order, and no window straddles two sentences.
     """
     E = np.concatenate([params.word_rows(tok), params.w_pos[pos1], params.w_pos[pos2]], axis=1)
-    # E is C-contiguous, so X[off d_x + c, i], entry c of token i + off, lies at flat
-    # position i d_x + (off d_x + c) of E: the windows are a strided view of E.  X is a
-    # C-contiguous copy of each sentence's windows: the GEMM in ``convolve`` runs faster
-    # on it, and its rounding depends on the layout.
+    # E is C-contiguous, so window i, tokens i .. i+k-1, is the k d_x floats from flat
+    # position i d_x of E: the windows are a strided view of E.  X is a C-contiguous copy
+    # of each sentence's windows: the GEMM in ``convolve`` runs faster on it, and its
+    # rounding depends on the layout.
     n, d_x = E.shape
     step = E.itemsize
-    windows = np.ndarray((k * d_x, n - k + 1), E.dtype, buffer=E, strides=(step, d_x * step))
+    windows = np.ndarray((n - k + 1, k * d_x), E.dtype, buffer=E, strides=(d_x * step, step))
     starts = accumulate(lengths[:-1], initial=0)
-    X = np.empty((k * d_x, n - len(lengths) * (k - 1)))
-    return np.concatenate(
-        [windows[:, s : s + m - k + 1] for s, m in zip(starts, lengths)], axis=1, out=X
-    )
+    X = np.empty((n - len(lengths) * (k - 1), k * d_x))
+    return np.concatenate([windows[s : s + m - k + 1] for s, m in zip(starts, lengths)], out=X)
 
 
 def convolve(X: np.ndarray, w_conv: np.ndarray, b_conv: np.ndarray) -> np.ndarray:
-    """Z = relu(W_conv X + b), bias broadcast per column."""
-    Z = w_conv @ X
-    Z += b_conv[:, None]
+    """Z = relu(X W_conv^T + b): one row per window, one column per filter, bias
+    broadcast per row."""
+    Z = X @ w_conv.T
+    Z += b_conv
     return relu(Z, out=Z)
 
 
 def pool(
     Z: np.ndarray, bounds: Sequence[tuple[int, int] | None], argmax: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Columnwise max over each 1-based inclusive column range of Z.
+    """Per-filter max over each 1-based inclusive range of Z's rows (windows).
 
     Returns the concatenated pooled vector (one d_c block per range, zeros
-    for empty ranges) and the column of each filter's maximum per range
+    for empty ranges) and the row of each filter's maximum per range
     (the first on ties, -1 for empty ranges), which backward uses for
-    gradient routing; None for the columns when `argmax` is False.  A
+    gradient routing; None for the rows when `argmax` is False.  A
     single full-range segment gives plain max-pooling, and a chunk's
     instances give their segments as ranges of one Z.
     """
-    d_c = Z.shape[0]
-    Zt = Z.T.copy()  # the columns of a range are a block of rows of Zt
+    d_c = Z.shape[1]
     pooled = np.zeros((len(bounds), d_c))
     arg = np.full((len(bounds), d_c), -1) if argmax else None
     for i, rng in enumerate(bounds):
         if rng is not None:
-            block = Zt[rng[0] - 1 : rng[1]]
+            block = Z[rng[0] - 1 : rng[1]]
             np.maximum.reduce(block, axis=0, out=pooled[i])
             if arg is not None:
                 block.argmax(axis=0, out=arg[i])
@@ -459,7 +458,8 @@ def pool(
 def _chunk_bounds(
     encs: Sequence[EncodedInstance], lengths: Sequence[int], k: int, pooling: str
 ) -> list[tuple[int, int] | None]:
-    """Every instance's pooling segments as column ranges of the chunk's window matrix."""
+    """Every instance's pooling segments as ranges of the rows (windows) of the chunk's
+    window matrix."""
     out: list[tuple[int, int] | None] = []
     col0 = 0
     for enc, n in zip(encs, lengths):
@@ -478,7 +478,7 @@ def _pooled_windows(
     Returns r_x, one row of pooled features per instance (instance b's
     pooled blocks of every window size in turn), and per window size the
     chunk's WindowTrace.  Without `trace` the traces hold no argmax
-    columns: only backward reads them.
+    rows: only backward reads them.
     """
     windows: list[WindowTrace] = []
     for j, k in enumerate(hp.windows):
@@ -622,7 +622,7 @@ def backward(
     """Analytic gradients of the traced loss, one ``RowGrad`` per parameter array.
 
     Gradient routing: pooling sends gradient only to the cached argmax
-    columns, and relu passes it only where the pooled value is positive;
+    windows, and relu passes it only where the pooled value is positive;
     the dropout mask is reused, and embedding rows accumulate from every
     position that looked them up.  Class rows outside the sample's loss
     classes get exactly zero.
@@ -679,18 +679,18 @@ def backward(
         # A pooled value is positive only at a live argmax cell; empty segments pool to 0.
         live = (wt.pooled > 0.0).reshape(wt.argmax_cols.shape)
         dpre = np.zeros_like(wt.Z)
-        dpre[np.nonzero(live)[1], wt.argmax_cols[live]] = dr_w[live]
+        dpre[wt.argmax_cols[live], np.nonzero(live)[1]] = dr_w[live]
         w_name, b_name = f"w_conv_{j}", f"b_conv_{j}"
-        data = np.matmul(dpre, wt.X.T, out=None if out is None else out[w_name].rows)
+        data = np.matmul(dpre.T, wt.X, out=None if out is None else out[w_name].rows)
         grads[w_name] = RowGrad(ALL_ROWS, data, decay, params.w_conv[j].shape)
-        bias = np.sum(dpre, axis=1, out=None if out is None else out[b_name].rows)
+        bias = np.sum(dpre, axis=0, out=None if out is None else out[b_name].rows)
         grads[b_name] = RowGrad(ALL_ROWS, bias, 0.0, params.b_conv[j].shape)
 
-        dX = params.w_conv[j].T @ dpre  # (d_x * k, ncols)
-        ncols = dX.shape[1]
+        dX = dpre @ params.w_conv[j]  # (ncols, d_x * k), one window per row
+        ncols = dX.shape[0]
         dE = np.zeros((wt.token_ids.shape[0], hp.d_x))
         for off in range(wt.k):
-            dE[off : off + ncols] += dX[off * hp.d_x : (off + 1) * hp.d_x].T
+            dE[off : off + ncols] += dX[:, off * hp.d_x : (off + 1) * hp.d_x]
         word_ids.append(wt.token_ids)
         word_rows.append(dE[:, : hp.d_w])
         pos_ids += [wt.pos1_ids, wt.pos2_ids]

@@ -41,7 +41,7 @@ import numpy as np
 from .corpus import (
     Concept,
     RelationInstance,
-    instance_from_dict,
+    _instance_from_record,
     instance_to_dict,
     replace_concepts,
 )
@@ -373,7 +373,8 @@ def self_check(
             raise fail(f"gold {inst.gold.value} disagrees with ledger {entry.gold.value}")
         if (entry.gold == entry.rule_label) == entry.flipped:
             raise fail("flip flag inconsistent with gold vs rule label")
-        if instance_from_dict(instance_to_dict(inst)) != inst:
+        # `inst` is valid, so an equal round trip is too: it needs no second validate.
+        if _instance_from_record(instance_to_dict(inst)) != inst:
             raise fail("serialization round-trip changed the instance")
         hits += entry.gold == entry.rule_label
     n = len(instances)

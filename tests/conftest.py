@@ -11,6 +11,8 @@ Provides the things the individual test modules lean on:
   matrix alone, ``bootstrap_ci_reference`` resamples through ``evaluate``,
   ``generate_reference`` and ``encode_reference`` are the per-word
   generator and per-instance encoder the oracle tests compare against,
+  ``pooled_windows_columns`` and ``backward_columns`` run the convolution
+  stages in the column layout the windows-as-rows layout replaced,
   ``rewrite_checkpoint_meta`` makes older-format or hand-edited
   checkpoints, and
 * a small hand-written raw corpus in the classic clinical-annotation
@@ -20,6 +22,7 @@ Provides the things the individual test modules lean on:
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +42,21 @@ from relcnn.encoding import (
     encode,
 )
 from relcnn.evaluator import Micro, evaluate
-from relcnn.model import HyperParams, ModelParams, RowGrad, init_params
+from relcnn.model import (
+    ALL_ROWS,
+    ForwardTrace,
+    HyperParams,
+    ModelParams,
+    RowGrad,
+    WindowTrace,
+    _chunk_bounds,
+    _padded_ids,
+    _row_sums,
+    _sum_rows,
+    init_params,
+    loss_classes,
+)
+from relcnn.numeric import relu, softmax
 from relcnn.relations import (
     CATEGORY_OF,
     CLASS_INDEX,
@@ -373,6 +390,133 @@ def assert_same_encodings(got: list[EncodedInstance], want: list[EncodedInstance
                 np.testing.assert_array_equal(getattr(g, name), value, err_msg=name)
             else:
                 assert getattr(g, name) == value, name
+
+
+# ---------------------------------------------------------------------------
+# Reference column layout: the convolution stages as they ran while X held one
+# window per column, (k d_x, windows), and Z one filter per row, (d_c, windows),
+# kept verbatim as oracles for the windows-as-rows layout.
+# ---------------------------------------------------------------------------
+
+
+def embed_sentence_columns(
+    tok: np.ndarray,
+    pos1: np.ndarray,
+    pos2: np.ndarray,
+    lengths: Sequence[int],
+    params: ModelParams,
+    k: int,
+) -> np.ndarray:
+    """Windowed embedding matrix X, one window per column, C-contiguous."""
+    E = np.concatenate([params.word_rows(tok), params.w_pos[pos1], params.w_pos[pos2]], axis=1)
+    n, d_x = E.shape
+    step = E.itemsize
+    windows = np.ndarray((k * d_x, n - k + 1), E.dtype, buffer=E, strides=(step, d_x * step))
+    starts = accumulate(lengths[:-1], initial=0)
+    X = np.empty((k * d_x, n - len(lengths) * (k - 1)))
+    return np.concatenate(
+        [windows[:, s : s + m - k + 1] for s, m in zip(starts, lengths)], axis=1, out=X
+    )
+
+
+def convolve_columns(X: np.ndarray, w_conv: np.ndarray, b_conv: np.ndarray) -> np.ndarray:
+    """Z = relu(W_conv X + b), bias broadcast per column."""
+    Z = w_conv @ X
+    Z += b_conv[:, None]
+    return relu(Z, out=Z)
+
+
+def pool_columns(
+    Z: np.ndarray, bounds: Sequence[tuple[int, int] | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columnwise max and first argmax column over each 1-based inclusive column range."""
+    d_c = Z.shape[0]
+    Zt = Z.T.copy()  # the columns of a range are a block of rows of Zt
+    pooled = np.zeros((len(bounds), d_c))
+    arg = np.full((len(bounds), d_c), -1)
+    for i, rng in enumerate(bounds):
+        if rng is not None:
+            block = Zt[rng[0] - 1 : rng[1]]
+            np.maximum.reduce(block, axis=0, out=pooled[i])
+            block.argmax(axis=0, out=arg[i])
+            arg[i] += rng[0] - 1
+    return pooled.ravel(), arg
+
+
+def pooled_windows_columns(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
+) -> tuple[np.ndarray, list[WindowTrace]]:
+    """``model._pooled_windows`` with its traces, through the column-layout stages."""
+    windows: list[WindowTrace] = []
+    for j, k in enumerate(hp.windows):
+        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
+        X = embed_sentence_columns(tok, pos1, pos2, lengths, params, k)
+        Z = convolve_columns(X, params.w_conv[j], params.b_conv[j])
+        bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
+        pooled, arg = pool_columns(Z, bounds)
+        windows.append(WindowTrace(k, tok, pos1, pos2, X, Z, bounds, arg, pooled))
+    r_x = np.concatenate([wt.pooled.reshape(len(encs), -1) for wt in windows], axis=1)
+    return r_x, windows
+
+
+def backward_columns(
+    trace: ForwardTrace, params: ModelParams, hp: HyperParams
+) -> dict[str, RowGrad]:
+    """``model.backward`` of a trace whose windows hold the column layout
+    (``pooled_windows_columns``), without the `out` buffers or the revision check."""
+    enc = trace.enc
+    decay = 2.0 * hp.beta
+    classes = loss_classes(enc.category, hp)
+    ds = np.zeros(N_CLASSES)
+    ds[classes] = softmax(trace.scores[classes])
+    ds[CLASS_INDEX[enc.gold]] -= 1.0
+
+    g_classes = np.zeros_like(params.w_classes)
+    active = np.outer(ds[classes], trace.rc_dropped, out=g_classes[classes])
+    active += decay * params.w_classes[classes]
+    grads = {"w_classes": RowGrad(ALL_ROWS, g_classes, 0.0, params.w_classes.shape)}
+
+    drc = (params.w_classes.T @ ds) * trace.dropout_mask
+    dr_x = drc[: hp.pooled_size]
+    dcf = drc[hp.pooled_size :]
+
+    ct1, ct2 = enc.ctype_ids
+    g_ctype = np.zeros_like(params.w_ctype)
+    g_ctype[ct1] += dcf[: hp.d_ct]
+    g_ctype[ct2] += dcf[hp.d_ct : 2 * hp.d_ct]
+    grads["w_ctype"] = RowGrad(ALL_ROWS, g_ctype, decay, params.w_ctype.shape)
+    content_ids = np.concatenate([enc.content1_ids, enc.content2_ids])
+    word_ids = [content_ids]
+    word_rows = [dcf[2 * hp.d_ct :].reshape(content_ids.shape[0], hp.d_w)]
+    pos_ids: list[np.ndarray] = []
+    pos_rows: list[np.ndarray] = []
+
+    per = hp.pooled_per_window
+    for j, wt in enumerate(trace.windows):
+        dr_w = dr_x[j * per : (j + 1) * per].reshape(wt.argmax_cols.shape)
+        live = (wt.pooled > 0.0).reshape(wt.argmax_cols.shape)
+        dpre = np.zeros_like(wt.Z)
+        dpre[np.nonzero(live)[1], wt.argmax_cols[live]] = dr_w[live]
+        data = dpre @ wt.X.T
+        grads[f"w_conv_{j}"] = RowGrad(ALL_ROWS, data, decay, params.w_conv[j].shape)
+        bias = np.sum(dpre, axis=1)
+        grads[f"b_conv_{j}"] = RowGrad(ALL_ROWS, bias, 0.0, params.b_conv[j].shape)
+
+        dX = params.w_conv[j].T @ dpre  # (d_x * k, ncols)
+        ncols = dX.shape[1]
+        dE = np.zeros((wt.token_ids.shape[0], hp.d_x))
+        for off in range(wt.k):
+            dE[off : off + ncols] += dX[off * hp.d_x : (off + 1) * hp.d_x].T
+        word_ids.append(wt.token_ids)
+        word_rows.append(dE[:, : hp.d_w])
+        pos_ids += [wt.pos1_ids, wt.pos2_ids]
+        pos_rows += [dE[:, hp.d_w : hp.d_w + hp.d_p], dE[:, hp.d_w + hp.d_p :]]
+
+    ids, rows = _sum_rows(np.concatenate(word_ids), np.concatenate(word_rows))
+    grads["w_word"] = RowGrad(ids, rows, decay, params.w_word.shape)
+    g_pos = _row_sums(np.concatenate(pos_ids), np.concatenate(pos_rows), params.w_pos.shape[0])
+    grads["w_pos"] = RowGrad(ALL_ROWS, g_pos, decay, params.w_pos.shape)
+    return grads
 
 
 # ---------------------------------------------------------------------------

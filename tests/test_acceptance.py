@@ -135,7 +135,7 @@ def test_criterion_02_pooling_vs_brute_force():
             empties["between"] += 1
         if bounds[2] is None:
             empties["after"] += 1
-        pooled, arg = pool(Z, bounds)
+        pooled, arg = pool(Z.T, bounds)  # pool takes one window per row
         # independent oracle: plain python max over each segment
         expected = []
         for seg in bounds:

@@ -42,9 +42,10 @@ from relcnn.model import (
     predict,
     predict_batch,
     save_checkpoint,
+    score,
     score_chunk,
 )
-from relcnn.numeric import finite_diff_grad, log_sum_exp
+from relcnn.numeric import finite_diff_grad, log_sum_exp, softmax
 from relcnn.relations import (
     CATEGORY_CLASS_IDS,
     CLASS_INDEX,
@@ -57,10 +58,12 @@ from relcnn.relations import (
 
 from conftest import (
     TOY_ENC,
+    backward_columns,
     build_instance,
     densify,
     encoded_instance,
     grad_max_rel_err,
+    pooled_windows_columns,
     rewrite_checkpoint_meta,
     shared_vocab,
     toy_hp,
@@ -144,15 +147,15 @@ def test_init_params_shapes_and_determinism():
 # ---------------------------------------------------------------------------
 
 
-def test_embed_sentence_column_layout():
-    """Column c of X stacks the k consecutive per-token vectors from c; a chunk's X
-    holds each sentence's columns in turn, none straddling two sentences."""
+def test_embed_sentence_window_layout():
+    """Row c of X stacks the k consecutive per-token vectors from c; a chunk's X
+    holds each sentence's windows in turn, none straddling two sentences."""
     hp, params, enc = _setup(seed=2)
     k = hp.windows[0]
     X = embed_sentence(*_padded_ids([enc], params, k), params, k)
     assert X.flags.c_contiguous
     n = enc.n_tokens
-    assert X.shape == (hp.d_x * k, n - k + 1)
+    assert X.shape == (n - k + 1, hp.d_x * k)
     for c in range(n - k + 1):
         col = []
         for o in range(k):
@@ -160,24 +163,24 @@ def test_embed_sentence_column_layout():
             col.extend(params.w_word[enc.token_ids[t]])
             col.extend(params.w_pos[enc.pos1_ids[t]])
             col.extend(params.w_pos[enc.pos2_ids[t]])
-        np.testing.assert_allclose(X[:, c], col, atol=0)
+        np.testing.assert_allclose(X[c], col, atol=0)
     other = encoded_instance(np.random.default_rng(3), RelationType.PIP, VOCAB, TOY_ENC)
     chunk = embed_sentence(*_padded_ids([enc, other, enc], params, k), params, k)
     alone = embed_sentence(*_padded_ids([other], params, k), params, k)
-    np.testing.assert_array_equal(chunk, np.concatenate([X, alone, X], axis=1))
+    np.testing.assert_array_equal(chunk, np.concatenate([X, alone, X]))
 
 
 def test_convolve_matches_loop_oracle():
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(6, 5))
+    X = rng.normal(size=(5, 6))
     w = rng.normal(size=(3, 6))
     b = rng.normal(size=3)
     Z = convolve(X, w, b)
-    assert Z.shape == (3, 5)
+    assert Z.shape == (5, 3)
     for f in range(3):
         for c in range(5):
-            pre = b[f] + sum(w[f, t] * X[t, c] for t in range(6))
-            assert Z[f, c] == pytest.approx(max(pre, 0.0), abs=1e-12)
+            pre = b[f] + sum(w[f, t] * X[c, t] for t in range(6))
+            assert Z[c, f] == pytest.approx(max(pre, 0.0), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +190,7 @@ def test_convolve_matches_loop_oracle():
 
 def _pool_oracle(Z, bounds):
     """Plain-python per-segment max and first argmax, written independently of the library."""
-    d_c, _ = Z.shape
+    _, d_c = Z.shape
     out, arg = [], []
     for seg in bounds:
         if seg is None:
@@ -196,8 +199,8 @@ def _pool_oracle(Z, bounds):
             continue
         lo, hi = seg
         cols = range(lo - 1, hi)
-        out.extend(max(Z[f, c] for c in cols) for f in range(d_c))
-        arg.append([max(cols, key=lambda c: (Z[f, c], -c)) for f in range(d_c)])
+        out.extend(max(Z[c, f] for c in cols) for f in range(d_c))
+        arg.append([max(cols, key=lambda c: (Z[c, f], -c)) for f in range(d_c)])
     return np.array(out), np.array(arg)
 
 
@@ -219,7 +222,7 @@ def test_pool_matches_brute_force(seed):
         ]
         ncols += n - k + 1
     # Half the draws take small integers, so that columns tie.
-    Z = rng.normal(size=(4, ncols)) if rng.random() < 0.5 else rng.integers(0, 3, (4, ncols)) * 1.0
+    Z = rng.normal(size=(ncols, 4)) if rng.random() < 0.5 else rng.integers(0, 3, (ncols, 4)) * 1.0
     pooled, arg = pool(Z, bounds)
     want_pooled, want_arg = _pool_oracle(Z, bounds)
     np.testing.assert_array_equal(pooled, want_pooled)
@@ -228,14 +231,14 @@ def test_pool_matches_brute_force(seed):
 
 def test_pool_single_segment_is_plain_max():
     rng = np.random.default_rng(1)
-    Z = rng.normal(size=(3, 7))
+    Z = rng.normal(size=(7, 3))
     pooled, arg = pool(Z, [(1, 7)])
-    np.testing.assert_array_equal(pooled, Z.max(axis=1))
-    np.testing.assert_array_equal(arg[0], Z.argmax(axis=1))
+    np.testing.assert_array_equal(pooled, Z.max(axis=0))
+    np.testing.assert_array_equal(arg[0], Z.argmax(axis=0))
 
 
 def test_pool_first_occurrence_tie_break():
-    Z = np.array([[1.0, 5.0, 5.0, 0.0]])
+    Z = np.array([[1.0], [5.0], [5.0], [0.0]])
     pooled, arg = pool(Z, [(1, 4)])
     assert pooled[0] == 5.0
     assert arg[0, 0] == 1  # earliest max wins
@@ -243,7 +246,7 @@ def test_pool_first_occurrence_tie_break():
 
 def test_pool_and_backward_route_an_exact_tie_to_its_first_column():
     """Windows 1 and 3 repeat a 2-gram whose distances to both entities are clipped to
-    the radius, so their Z columns are equal.  Pool takes the first, and backward sends
+    the radius, so their Z rows are equal.  Pool takes the first, and backward sends
     each filter's gradient through that one cell: a second cell would double it against
     finite differences, which every parameter keeps the tie for."""
     enc_cfg = EncoderConfig(max_distance=1, concept_len=3, min_word_freq=1)
@@ -258,9 +261,9 @@ def test_pool_and_backward_route_an_exact_tie_to_its_first_column():
     tr = forward(enc, params, hp)
     wt = tr.windows[0]
     assert wt.bounds[0] == (1, 4)
-    assert wt.Z[:, 0].tobytes() == wt.Z[:, 2].tobytes()
+    assert wt.Z[0].tobytes() == wt.Z[2].tobytes()
     first_segment = wt.pooled[: hp.d_c]
-    tied = (wt.Z[:, 0] == first_segment) & (first_segment > 0.0)
+    tied = (wt.Z[0] == first_segment) & (first_segment > 0.0)
     assert 0 < tied.sum() < hp.d_c
     np.testing.assert_array_equal(wt.argmax_cols[0][tied], 0)
 
@@ -806,6 +809,69 @@ def test_predict_batch_matches_per_instance_forward(seed, windows, pooling, size
         one_labels, one_probs = predict_batch([enc], params, hp)
         assert one_labels == [want_label] and one_probs[0].tobytes() == want_probs.tobytes()
         assert score_chunk([enc], params, hp)[0].tobytes() == forward(enc, params, hp).scores.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Windows as rows against the column layout
+# ---------------------------------------------------------------------------
+
+
+def _layout_chunk(seed: int, size: int) -> list:
+    """`size` encoded instances; the first is three tokens long, shorter than windows 4
+    and 5, and about half the rest have no tokens outside the concept pair."""
+    rng = np.random.default_rng(seed)
+    c1 = Concept(tokens=["ent1"], start=1, end=1, ctype=ConceptType.TREATMENT)
+    c2 = Concept(tokens=["ent2"], start=3, end=3, ctype=ConceptType.PROBLEM)
+    short = RelationInstance(["ent1", "tok5", "ent2"], c1, c2, RelationType.TRIP)
+    insts = [short]
+    for i in range(1, size):
+        pre, post = (0, 0) if rng.random() < 0.5 else (None, None)
+        insts.append(build_instance(rng, RELATION_TYPES[i % N_CLASSES], pre=pre, post=post))
+    return encode([replace_concepts(inst) for inst in insts], VOCAB, TOY_ENC)
+
+
+@pytest.mark.parametrize("pooling", [POOL_MULTI, POOL_MAX])
+def test_window_rows_match_the_column_layout(pooling):
+    """The pooled vectors, scores and every backward gradient agree with the column
+    layout's within 1e-12, and the argmax windows exactly: in chunks of 1, of
+    PREDICT_CHUNK and a ragged chunk, at windows (3, 4, 5)."""
+    hp = toy_hp(windows=(3, 4, 5), pooling=pooling, d_c=24, dropout_p=0.3)
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=5)
+    encs = _layout_chunk(seed=7, size=PREDICT_CHUNK + 6)
+    assert encs[0].n_tokens == 3
+    chunks = [encs[:1], encs[1 : 1 + PREDICT_CHUNK], encs[1 + PREDICT_CHUNK :]]
+    want_scores = []
+    for chunk in chunks:
+        r_x, traces = model._pooled_windows(chunk, params, hp, trace=True)
+        want_r_x, want_traces = pooled_windows_columns(chunk, params, hp)
+        np.testing.assert_allclose(r_x, want_r_x, rtol=0, atol=1e-12)
+        for wt, want in zip(traces, want_traces):
+            np.testing.assert_array_equal(wt.argmax_cols, want.argmax_cols)
+            np.testing.assert_allclose(wt.Z, want.Z.T, rtol=0, atol=1e-12)
+        want_scores.append(score(want_r_x, concept_features(chunk, params), params))
+        np.testing.assert_allclose(
+            score_chunk(chunk, params, hp), want_scores[-1], rtol=0, atol=1e-12
+        )
+    # predict_batch's own chunks: PREDICT_CHUNK instances, then a ragged rest.
+    labels, probs = predict_batch(encs[1:], params, hp)
+    want = np.concatenate(want_scores[1:])
+    assert labels == [RELATION_TYPES[i] for i in want.argmax(axis=1)]
+    np.testing.assert_allclose(probs, softmax(want), rtol=0, atol=1e-12)
+
+    dropout_rng = np.random.default_rng(11)
+    for enc in encs:
+        trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
+        grads = backward(trace, params, hp)
+        column_trace = copy.copy(trace)
+        column_trace.windows = pooled_windows_columns([enc], params, hp)[1]
+        want_grads = backward_columns(column_trace, params, hp)
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_equal(g.ids, want_grads[name].ids, err_msg=name)
+            assert g.decay == want_grads[name].decay, name
+            np.testing.assert_allclose(
+                g.rows, want_grads[name].rows, rtol=0, atol=1e-12, err_msg=name
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relcnn.corpus import replace_concepts
+from relcnn.corpus import RelationInstance, replace_concepts
 from relcnn.encoding import EncoderConfig, build_vocab, encode_instances
 from relcnn.relations import Category, ConceptType, RelationType
 from relcnn.synthgen import (
@@ -250,6 +250,22 @@ def test_self_check_catches_token_tampering():
     tampered.tokens[insts[0].concept1.start + 2] = "smuggled"
     with pytest.raises(SynthCheckError):
         self_check([tampered] + insts[1:], ledger)
+
+
+def test_self_check_validates_each_instance_once(monkeypatch):
+    """The round trip is compared with an instance just validated, so it adds no
+    ``validate`` of its own."""
+    insts, ledger = generate(_spec())
+    validated = []
+    validate = RelationInstance.validate
+
+    def counting(inst):
+        validated.append(inst)
+        validate(inst)
+
+    monkeypatch.setattr(RelationInstance, "validate", counting)
+    self_check(insts, ledger)
+    assert validated == insts
 
 
 def test_self_check_rejects_length_mismatch():
