@@ -457,10 +457,8 @@ def cmd_gridsearch(args, run: Run) -> int:
 
 
 def _instance_key(inst: RelationInstance) -> str:
-    c1, c2 = inst.concept1, inst.concept2
-    return (
-        f"{inst.doc_id}|{inst.sent_index}|{c1.start}-{c1.end}|{c2.start}-{c2.end}"
-    )
+    doc, sent, start1, end1, start2, end2 = inst.key
+    return f"{doc}|{sent}|{start1}-{end1}|{start2}-{end2}"
 
 
 def cmd_predict(args, run: Run) -> int:

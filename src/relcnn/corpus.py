@@ -29,6 +29,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 from itertools import combinations
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,12 +60,19 @@ class AnnotationError(ValueError):
 
 @dataclass
 class Concept:
-    """An annotated span. `start`/`end` are 1-based inclusive token positions."""
+    """An annotated span. `start`/`end` are 1-based inclusive token positions.
+
+    A concept validates itself when built: a reversed span, a start below 1
+    or a token count that is not the span's length raises ValueError.
+    """
 
     tokens: list[str]
     start: int
     end: int
     ctype: ConceptType
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def length(self) -> int:
@@ -81,7 +89,14 @@ class Concept:
 
 @dataclass
 class RelationInstance:
-    """One sentence with two marked concepts and a gold relation type."""
+    """One sentence with two marked concepts and a gold relation type.
+
+    An instance validates itself when built, and so does
+    ``dataclasses.replace``: each concept must lie inside the sentence and
+    match its slice, concept1 must end before concept2 starts, and the gold
+    label must fit the category of the concept-type pair.  The concepts are
+    not re-checked, since each checked itself when it was built.
+    """
 
     tokens: list[str]
     concept1: Concept
@@ -90,10 +105,12 @@ class RelationInstance:
     doc_id: str = ""
     sent_index: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         n = len(self.tokens)
         for c in (self.concept1, self.concept2):
-            c.validate()
             if c.end > n:
                 raise ValueError(f"concept span [{c.start}, {c.end}] outside sentence of {n} tokens")
             if self.tokens[c.start - 1 : c.end] != c.tokens:
@@ -110,6 +127,14 @@ class RelationInstance:
             )
         if CATEGORY_OF[self.gold] is not cat:
             raise ValueError(f"label {self.gold.value} does not fit category {cat.value}")
+
+    @property
+    def key(self) -> tuple[str, int, int, int, int, int]:
+        """Which pair this is: (doc_id, sent_index, c1.start, c1.end, c2.start,
+        c2.end).  Corpora are ordered by it, and no two instances of one
+        corpus share it."""
+        c1, c2 = self.concept1, self.concept2
+        return (self.doc_id, self.sent_index, c1.start, c1.end, c2.start, c2.end)
 
     @property
     def category(self) -> Category:
@@ -294,8 +319,8 @@ def parse_document(
             raise _err(relation_source, lineno, f"unknown relation label {rel!r}")
         ref1 = (int(sl1), int(st1), int(et1))
         ref2 = (int(sl2), int(st2), int(et2))
-        for sl, st, et in (ref1, ref2):
-            _resolve_span(relation_source, lineno, sentences, raw_spans, sl, st, sl, et)
+        for (sl, st, et), el in ((ref1, el1), (ref2, el2)):
+            _resolve_span(relation_source, lineno, sentences, raw_spans, sl, st, int(el), et)
         for ref in (ref1, ref2):
             if ref not in by_raw_ref:
                 raise _err(relation_source, lineno, f"relation references unannotated concept at {ref}")
@@ -305,40 +330,26 @@ def parse_document(
         c1, c2 = by_raw_ref[ref1], by_raw_ref[ref2]
         if c1.start > c2.start:
             c1, c2 = c2, c1
-        pair_key = (sent, c1.start, c1.end, c2.start, c2.end)
-        label = _RELATION_NAMES[rel]
-        if pair_key in seen_pairs:
-            if seen_pairs[pair_key] is not label:
-                raise _err(relation_source, lineno, f"conflicting labels for pair at line {sent}")
-            continue
-        seen_pairs[pair_key] = label
-        inst = RelationInstance(
-            tokens=sentences[sent - 1],
-            concept1=c1,
-            concept2=c2,
-            gold=label,
-            doc_id=doc_id,
-            sent_index=sent,
-        )
         try:
-            inst.validate()
+            inst = RelationInstance(
+                tokens=sentences[sent - 1],
+                concept1=c1,
+                concept2=c2,
+                gold=_RELATION_NAMES[rel],
+                doc_id=doc_id,
+                sent_index=sent,
+            )
         except ValueError as exc:
             raise _err(relation_source, lineno, str(exc)) from exc
+        if inst.key in seen_pairs:
+            if seen_pairs[inst.key] is not inst.gold:
+                raise _err(relation_source, lineno, f"conflicting labels for pair at line {sent}")
+            continue
+        seen_pairs[inst.key] = inst.gold
         positives.append(inst)
 
-    positives.sort(key=_instance_sort_key)
+    positives.sort(key=attrgetter("key"))
     return ParsedDocument(doc_id, sentences, concepts, positives)
-
-
-def _instance_sort_key(inst: RelationInstance):
-    return (
-        inst.doc_id,
-        inst.sent_index,
-        inst.concept1.start,
-        inst.concept1.end,
-        inst.concept2.start,
-        inst.concept2.end,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +386,7 @@ def generate_negatives(doc: ParsedDocument) -> list[RelationInstance]:
     skipped (no valid instance can be formed).  All negatives are emitted;
     sub-sampling for training balance, if any, is the trainer's business.
     """
-    positive_keys = {_instance_sort_key(p) for p in doc.positives}
+    positive_keys = {p.key for p in doc.positives}
     negatives: list[RelationInstance] = []
     for sent_index, (tokens, concepts) in enumerate(zip(doc.sentences, doc.concepts), start=1):
         for c1, c2 in combinations(concepts, 2):
@@ -390,18 +401,16 @@ def generate_negatives(doc: ParsedDocument) -> list[RelationInstance]:
                 doc_id=doc.doc_id,
                 sent_index=sent_index,
             )
-            if _instance_sort_key(inst) in positive_keys:
-                continue
-            inst.validate()
-            negatives.append(inst)
-    negatives.sort(key=_instance_sort_key)
+            if inst.key not in positive_keys:
+                negatives.append(inst)
+    negatives.sort(key=attrgetter("key"))
     return negatives
 
 
 def document_instances(doc: ParsedDocument) -> list[RelationInstance]:
     """Positives plus generated negatives, deterministically ordered."""
     merged = doc.positives + generate_negatives(doc)
-    merged.sort(key=_instance_sort_key)
+    merged.sort(key=attrgetter("key"))
     return merged
 
 
@@ -477,14 +486,6 @@ def instance_to_dict(inst: RelationInstance) -> dict:
 
 def instance_from_dict(d: dict) -> RelationInstance:
     """The valid instance record `d` describes; ValueError, KeyError or TypeError if none."""
-    inst = _instance_from_record(d)
-    inst.validate()
-    return inst
-
-
-def _instance_from_record(d: dict) -> RelationInstance:
-    """The instance record `d` describes, its field types checked but not the
-    annotation invariants of ``RelationInstance.validate``."""
     tokens = d["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"tokens must be a list of strings, got {tokens!r}")

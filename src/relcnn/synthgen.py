@@ -41,7 +41,7 @@ import numpy as np
 from .corpus import (
     Concept,
     RelationInstance,
-    _instance_from_record,
+    instance_from_dict,
     instance_to_dict,
     replace_concepts,
 )
@@ -298,7 +298,6 @@ def generate(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLedger]:
                 doc_id=f"synth-{idx:05d}",
                 sent_index=0,
             )
-            inst.validate()
             instances.append(inst)
             ledger.entries.append(
                 LedgerEntry(
@@ -328,11 +327,12 @@ def self_check(
 ) -> SelfCheckReport:
     """Verify corpus and ledger agree; raise SynthCheckError on any mismatch.
 
-    Checks per instance: annotation invariants, ledger identity, the
-    signal planted at the recorded spot inside the recorded region, gold
-    vs rule/flip bookkeeping, and serialization round-trip.  Returns the
-    rule-reader accuracy, which must be 1 when the noise rate is 0 and
-    concentrates around 1 - noise_rate otherwise.
+    Checks per instance: the serialization round trip, which rebuilds the
+    instance and so re-checks its annotation invariants (ValueError if they
+    no longer hold); ledger identity; the signal planted at the recorded
+    spot inside the recorded region; and gold vs rule/flip bookkeeping.
+    Returns the rule-reader accuracy, which must be 1 when the noise rate
+    is 0 and concentrates around 1 - noise_rate otherwise.
     """
     if len(instances) != len(ledger.entries):
         raise SynthCheckError(
@@ -343,9 +343,10 @@ def self_check(
         def fail(msg: str) -> SynthCheckError:
             return SynthCheckError(f"{entry.doc_id}: {msg}")
 
+        if instance_from_dict(instance_to_dict(inst)) != inst:
+            raise fail("serialization round-trip changed the instance")
         if inst.doc_id != entry.doc_id:
             raise fail(f"instance doc id {inst.doc_id} does not match ledger")
-        inst.validate()
         rep = replace_concepts(inst)
         if (rep.p1, rep.p2) != (entry.p1, entry.p2):
             raise fail(f"placeholders at {(rep.p1, rep.p2)}, ledger says {(entry.p1, entry.p2)}")
@@ -373,9 +374,6 @@ def self_check(
             raise fail(f"gold {inst.gold.value} disagrees with ledger {entry.gold.value}")
         if (entry.gold == entry.rule_label) == entry.flipped:
             raise fail("flip flag inconsistent with gold vs rule label")
-        # `inst` is valid, so an equal round trip is too: it needs no second validate.
-        if _instance_from_record(instance_to_dict(inst)) != inst:
-            raise fail("serialization round-trip changed the instance")
         hits += entry.gold == entry.rule_label
     n = len(instances)
     return SelfCheckReport(n=n, rule_accuracy=hits / n if n else 1.0)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relcnn import corpus
@@ -26,7 +27,7 @@ from relcnn.corpus import (
     tokenize_normalize,
     write_instances,
 )
-from relcnn.relations import ConceptType, RelationType
+from relcnn.relations import CATEGORY_OF, Category, ConceptType, RelationType
 
 from conftest import RAW_DOCS, build_instance
 
@@ -154,6 +155,10 @@ def test_parse_errors():
     with pytest.raises(AnnotationError):
         parse_document("d", parts["txt"], parts["con"],
                        'c="steroids" 1:4 1:4||r="TrIP"||c="x" 2:4 2:6\n', "f.con", "f.rel")
+    with pytest.raises(AnnotationError, match=r"^f\.rel:1: concept spans a line boundary"):
+        parse_document("d", parts["txt"], parts["con"],
+                       'c="steroids" 1:4 2:4||r="TrAP"||c="this swelling" 1:6 1:7\n',
+                       "f.con", "f.rel")
 
 
 def test_duplicate_identical_relation_is_deduped():
@@ -295,3 +300,113 @@ def test_instance_validation_rejects_overlap():
     with pytest.raises(ValueError):
         RelationInstance(tokens=toks, concept1=c1, concept2=c2,
                          gold=RelationType.TERP).validate()
+
+
+def test_instance_validates_when_built_and_replaced():
+    toks = ["a", "b", "c", "d"]
+    inst = RelationInstance(
+        tokens=toks, gold=RelationType.TERP,
+        concept1=Concept(tokens=["b", "c"], start=2, end=3, ctype=ConceptType.TEST),
+        concept2=Concept(tokens=["d"], start=4, end=4, ctype=ConceptType.PROBLEM),
+    )
+    overlapping = Concept(tokens=["c", "d"], start=3, end=4, ctype=ConceptType.PROBLEM)
+    with pytest.raises(ValueError, match="concept spans overlap"):
+        dataclasses.replace(inst, concept2=overlapping)
+    with pytest.raises(ValueError, match="does not fit category"):
+        dataclasses.replace(inst, gold=RelationType.TRIP)
+    with pytest.raises(ValueError, match="bad concept span"):
+        dataclasses.replace(inst.concept1, start=4)
+
+
+def test_instance_key_orders_corpora():
+    doc = _parse_fixture()
+    insts = document_instances(doc)
+    keys = [inst.key for inst in insts]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    first = insts[0]
+    c1, c2 = first.concept1, first.concept2
+    assert first.key == (first.doc_id, first.sent_index, c1.start, c1.end, c2.start, c2.end)
+
+
+# Malformed instance records.  Every one must end in an AnnotationError that
+# names the file and line, whatever part of the record is wrong.
+_WRONG_TYPED = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3), st.lists(st.integers(0, 5), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+# _GOOD_RECORD's (test, problem) pair is a TeP pair; only these labels fit it.
+_TEP_LABELS = {t.value for t in RelationType if CATEGORY_OF[t] is Category.TEP}
+
+
+def _non_object():
+    return st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+                     st.lists(st.integers(), max_size=3))
+
+
+def _missing_key():
+    paths = [("tokens",), ("c1",), ("c2",), ("label",)]
+    paths += [(c, key) for c in ("c1", "c2") for key in ("start", "end", "type")]
+    return st.sampled_from(paths).map(lambda path: _edit(path, delete=True))
+
+
+def _wrong_type():
+    path = st.sampled_from([("sent",), ("doc",), ("tokens",), ("c1", "start"), ("c1", "end"),
+                            ("c2", "start"), ("c2", "end"), ("c1",), ("c2",)])
+    cases = st.tuples(path, _WRONG_TYPED).filter(
+        lambda case: not (case[0] == ("doc",) and isinstance(case[1], str)))
+    return cases.map(lambda case: _edit(*case))
+
+
+def _bad_span():
+    spans = st.tuples(*[st.integers(-2, 6)] * 4)
+
+    def record(s):
+        s1, e1, s2, e2 = s
+        return {**_GOOD_RECORD, "c1": {**_GOOD_RECORD["c1"], "start": s1, "end": e1},
+                "c2": {**_GOOD_RECORD["c2"], "start": s2, "end": e2}}
+
+    def invalid(s):
+        s1, e1, s2, e2 = s
+        return not 1 <= s1 <= e1 < s2 <= e2 <= len(_GOOD_RECORD["tokens"])
+
+    return spans.filter(invalid).map(record)
+
+
+def _bad_name():
+    ctype = st.one_of(st.sampled_from([t.value for t in ConceptType]), st.text(max_size=4))
+    label = st.one_of(st.sampled_from([t.value for t in RelationType]), st.text(max_size=4))
+    cases = st.one_of(
+        st.tuples(st.sampled_from([("c1", "type"), ("c2", "type")]), ctype),
+        st.tuples(st.just(("label",)), label.filter(lambda value: value not in _TEP_LABELS)),
+    )
+    return cases.filter(lambda case: case[1] != _at(case[0])).map(lambda case: _edit(*case))
+
+
+def _at(path):
+    value = _GOOD_RECORD
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _edit(path, value=None, delete=False):
+    record = json.loads(json.dumps(_GOOD_RECORD))
+    *parents, name = path
+    target = record
+    for key in parents:
+        target = target[key]
+    if delete:
+        del target[name]
+    else:
+        target[name] = value
+    return record
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record=st.one_of(_non_object(), _missing_key(), _wrong_type(), _bad_span(), _bad_name()),
+       blank_lines=st.integers(0, 2))
+def test_read_instances_fuzz_names_file_and_line(tmp_path, record, blank_lines):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n" * (1 + blank_lines) + json.dumps(record) + "\n")
+    with pytest.raises(AnnotationError, match=f"^{re.escape(str(path))}:{2 + blank_lines}: "):
+        read_instances(path)

@@ -268,6 +268,17 @@ def test_self_check_validates_each_instance_once(monkeypatch):
     assert validated == insts
 
 
+def test_self_check_round_trip_revalidates_mutated_instance():
+    """Instances validate when built; one changed afterwards is caught by the
+    round trip, which rebuilds it, with the error ``validate`` gives."""
+    insts, ledger = generate(_spec())
+    c1, c2 = insts[2].concept1, insts[2].concept2
+    c1.end = c2.start
+    c1.tokens = insts[2].tokens[c1.start - 1 : c1.end]
+    with pytest.raises(ValueError, match="^concept spans overlap$"):
+        self_check(insts, ledger)
+
+
 def test_self_check_rejects_length_mismatch():
     insts, ledger = generate(_spec())
     with pytest.raises(SynthCheckError):
