@@ -515,7 +515,7 @@ def cmd_eval(args, run: Run) -> int:
         try:
             rec = json.loads(line)
             pred_labels.append(RelationType(rec["pred"]))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CliError(f"{pred_path}:{lineno}: bad prediction record: {exc}")
         key = _instance_key(inst)
         if "key" in rec and rec["key"] != key:

@@ -58,15 +58,15 @@ class AnnotationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Concept:
-    """An annotated span. `start`/`end` are 1-based inclusive token positions.
+    """An annotated span of its sentence: `start`/`end` are 1-based inclusive
+    token positions.  Its words are ``inst.tokens[c.start - 1 : c.end]``.
 
-    A concept validates itself when built: a reversed span, a start below 1
-    or a token count that is not the span's length raises ValueError.
+    A concept validates itself when built: a reversed span or a start below 1
+    raises ValueError.  It is frozen, so instances may share it.
     """
 
-    tokens: list[str]
     start: int
     end: int
     ctype: ConceptType
@@ -81,21 +81,18 @@ class Concept:
     def validate(self) -> None:
         if self.start < 1 or self.start > self.end:
             raise ValueError(f"bad concept span [{self.start}, {self.end}]")
-        if len(self.tokens) != self.length:
-            raise ValueError(
-                f"concept has {len(self.tokens)} tokens for span [{self.start}, {self.end}]"
-            )
 
 
 @dataclass
 class RelationInstance:
     """One sentence with two marked concepts and a gold relation type.
 
-    An instance validates itself when built, and so does
-    ``dataclasses.replace``: each concept must lie inside the sentence and
-    match its slice, concept1 must end before concept2 starts, and the gold
-    label must fit the category of the concept-type pair.  The concepts are
-    not re-checked, since each checked itself when it was built.
+    Each concept is a span of `tokens`, whose slice holds its words.  An
+    instance validates itself when built, and so does ``dataclasses.replace``:
+    each concept must lie inside the sentence, concept1 must end before
+    concept2 starts, and the gold label must fit the category of the
+    concept-type pair.  The concepts are not re-checked, since each checked
+    itself when it was built.
     """
 
     tokens: list[str]
@@ -113,8 +110,6 @@ class RelationInstance:
         for c in (self.concept1, self.concept2):
             if c.end > n:
                 raise ValueError(f"concept span [{c.start}, {c.end}] outside sentence of {n} tokens")
-            if self.tokens[c.start - 1 : c.end] != c.tokens:
-                raise ValueError(f"concept tokens {c.tokens} do not match sentence slice")
         if self.concept1.start >= self.concept2.start:
             raise ValueError("concept1 must start before concept2")
         if self.concept1.end >= self.concept2.start:
@@ -148,8 +143,8 @@ class ReplacedInstance:
     """Instance with both concept spans collapsed to single placeholder tokens.
 
     `p1`/`p2` are the 1-based positions of the two placeholders.  The
-    original instance (with real concept contents) stays attached because
-    the model still reads the concept tokens as features.
+    original instance stays attached because the model still reads the
+    concepts' words, slices of its sentence, as features.
     """
 
     tokens: list[str]
@@ -204,12 +199,6 @@ def tokenize_with_alignment(raw_tokens: Sequence[str]) -> tuple[list[str], list[
         tokens.extend(pieces)
         spans.append((start, len(tokens)))
     return tokens, spans
-
-
-def tokenize_normalize(sentence: str) -> list[str]:
-    """Tokenize and normalize raw text (lowercase, digit runs to "0")."""
-    tokens, _ = tokenize_with_alignment(sentence.split())
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +279,7 @@ def parse_document(
         sent, start, end = _resolve_span(
             concept_source, lineno, sentences, raw_spans, int(sl), int(st), int(el), int(et)
         )
-        concept = Concept(
-            tokens=sentences[sent - 1][start - 1 : end],
-            start=start,
-            end=end,
-            ctype=_CTYPE_NAMES[tname],
-        )
+        concept = Concept(start=start, end=end, ctype=_CTYPE_NAMES[tname])
         key = (int(sl), int(st), int(et))
         if key in by_raw_ref:
             if by_raw_ref[key].ctype is not concept.ctype:
@@ -498,9 +482,7 @@ def instance_from_dict(d: dict) -> RelationInstance:
         start, end = c["start"], c["end"]
         if type(start) is not int or type(end) is not int:
             raise ValueError(f"concept start and end must be integers, got {start!r} and {end!r}")
-        return Concept(
-            tokens=tokens[start - 1 : end], start=start, end=end, ctype=ConceptType(c["type"])
-        )
+        return Concept(start=start, end=end, ctype=ConceptType(c["type"]))
 
     return RelationInstance(
         tokens=list(tokens),
@@ -545,6 +527,6 @@ def read_instances(path: str | Path) -> list[RelationInstance]:
             continue
         try:
             out.append(instance_from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise AnnotationError(f"{path}:{lineno}: bad instance record: {exc}") from exc
     return out

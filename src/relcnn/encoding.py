@@ -69,9 +69,6 @@ class Vocab:
     def n_positions(self) -> int:
         return 2 * self.max_distance + 1
 
-    def word_id(self, token: str) -> int:
-        return self.word_ids.get(token, UNK_ID)
-
     def position_id(self, distance: int | np.ndarray) -> int | np.ndarray:
         """Id of a signed distance, or of each entry of an integer array of them."""
         r = self.max_distance
@@ -122,17 +119,17 @@ def encode(
 ) -> list[EncodedInstance]:
     """Map replaced instances into index space, in one pass over the corpus.
 
-    Position ids at token i are clip(i - p1) and clip(i - p2).  Concept
-    contents come from the original concept tokens (pre-replacement),
-    padded with <pad> to concept_len or truncated to the first
-    concept_len tokens.  One id lookup covers every sentence and concept
-    token, and each instance gets its own copy of its slice of the
-    corpus-wide arrays.  One instance is encoded as a corpus of one.
+    Position ids at token i are clip(i - p1) and clip(i - p2).  A concept
+    is a span of the original (pre-replacement) sentence, and its contents
+    are the first concept_len words of that slice, padded with <pad> to
+    concept_len.  One id lookup covers every sentence and concept token,
+    and each instance gets its own copy of its slice of the corpus-wide
+    arrays.  One instance is encoded as a corpus of one.
     """
     heads = [
-        c.tokens[: cfg.concept_len]
-        for rep in reps
-        for c in (rep.original.concept1, rep.original.concept2)
+        inst.tokens[c.start - 1 : c.end][: cfg.concept_len]
+        for inst in (rep.original for rep in reps)
+        for c in (inst.concept1, inst.concept2)
     ]
     words = list(chain(chain.from_iterable(rep.tokens for rep in reps), *heads))
     ids = np.fromiter(map(vocab.word_ids.get, words, repeat(UNK_ID)), np.int64, len(words))

@@ -822,7 +822,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(str(arrays.pop("__meta__")[()]))
-    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file: {exc!r}") from None
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")

@@ -24,7 +24,7 @@ class SchemaError(ValueError):
 def read_json(path: Path):
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -290,10 +290,8 @@ def generate(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLedger]:
             c2_start = p2 + (m - 1)
             inst = RelationInstance(
                 tokens=words[: p1 - 1] + c1_words + words[p1 : p2 - 1] + c2_words + words[p2:],
-                concept1=Concept(tokens=c1_words, start=p1, end=p1 + m - 1, ctype=ctype1),
-                concept2=Concept(
-                    tokens=c2_words, start=c2_start, end=c2_start + m - 1, ctype=ctype2
-                ),
+                concept1=Concept(start=p1, end=p1 + m - 1, ctype=ctype1),
+                concept2=Concept(start=c2_start, end=c2_start + m - 1, ctype=ctype2),
                 gold=gold,
                 doc_id=f"synth-{idx:05d}",
                 sent_index=0,

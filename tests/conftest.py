@@ -14,7 +14,8 @@ Provides the things the individual test modules lean on:
   ``pooled_windows_columns`` and ``backward_columns`` run the convolution
   stages in the column layout the windows-as-rows layout replaced,
   ``rewrite_checkpoint_meta`` makes older-format or hand-edited
-  checkpoints, and
+  checkpoints, ``word_id`` looks one word up in a vocabulary and
+  ``tokenize_normalize`` tokenizes one raw line, and
 * a small hand-written raw corpus in the classic clinical-annotation
   layout (``write_raw_corpus``) used by the CLI and end-to-end tests.
 """
@@ -30,7 +31,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from relcnn.corpus import Concept, RelationInstance, ReplacedInstance, replace_concepts
+from relcnn.corpus import (
+    Concept,
+    RelationInstance,
+    ReplacedInstance,
+    replace_concepts,
+    tokenize_with_alignment,
+)
 from relcnn.encoding import (
     CTYPE_IDS,
     PAD_ID,
@@ -120,8 +127,8 @@ def build_instance(
     c2_words = [_CONCEPT_WORDS[int(i)] for i in rng.integers(0, len(_CONCEPT_WORDS), size=l2)]
     tokens = fill(pre) + c1_words + fill(mid) + c2_words + fill(post)
     # spans are 1-based inclusive
-    c1 = Concept(tokens=c1_words, start=pre + 1, end=pre + l1, ctype=ct1)
-    c2 = Concept(tokens=c2_words, start=pre + l1 + mid + 1, end=pre + l1 + mid + l2, ctype=ct2)
+    c1 = Concept(start=pre + 1, end=pre + l1, ctype=ct1)
+    c2 = Concept(start=pre + l1 + mid + 1, end=pre + l1 + mid + l2, ctype=ct2)
     return RelationInstance(
         tokens=tokens, concept1=c1, concept2=c2, gold=gold,
         doc_id=f"fab-{int(rng.integers(0, 10 ** 6)):06d}", sent_index=1,
@@ -131,8 +138,8 @@ def build_instance(
 def shared_vocab(enc_cfg: EncoderConfig) -> Vocab:
     """Vocabulary covering every word ``build_instance`` can emit."""
     tokens = _WORDS + _CONCEPT_WORDS
-    c1 = Concept(tokens=[tokens[0]], start=1, end=1, ctype=ConceptType.TEST)
-    c2 = Concept(tokens=[tokens[1]], start=2, end=2, ctype=ConceptType.PROBLEM)
+    c1 = Concept(start=1, end=1, ctype=ConceptType.TEST)
+    c2 = Concept(start=2, end=2, ctype=ConceptType.PROBLEM)
     inst = RelationInstance(tokens=list(tokens), concept1=c1, concept2=c2,
                             gold=RelationType.TERP)
     return build_vocab([inst], enc_cfg)
@@ -313,11 +320,9 @@ def generate_reference(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLe
                     tokens.extend(c2_words)
                 else:
                     tokens.append(words[pos - 1])
-            c1 = Concept(tokens=c1_words, start=p1, end=p1 + m - 1, ctype=spec.concept_types[0])
+            c1 = Concept(start=p1, end=p1 + m - 1, ctype=spec.concept_types[0])
             c2_start = p2 + (m - 1)
-            c2 = Concept(
-                tokens=c2_words, start=c2_start, end=c2_start + m - 1, ctype=spec.concept_types[1]
-            )
+            c2 = Concept(start=c2_start, end=c2_start + m - 1, ctype=spec.concept_types[1])
             inst = RelationInstance(
                 tokens=tokens,
                 concept1=c1,
@@ -346,8 +351,19 @@ def generate_reference(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLe
     return instances, ledger
 
 
+def word_id(vocab: Vocab, token: str) -> int:
+    """Id of `token` in `vocab`; <unk>'s id for a word it does not hold."""
+    return vocab.word_ids.get(token, UNK_ID)
+
+
+def tokenize_normalize(sentence: str) -> list[str]:
+    """Tokenize and normalize raw text (lowercase, digit runs to "0")."""
+    tokens, _ = tokenize_with_alignment(sentence.split())
+    return tokens
+
+
 def _content_ids(vocab: Vocab, tokens: Sequence[str], concept_len: int) -> np.ndarray:
-    ids = [vocab.word_id(t) for t in tokens[:concept_len]]
+    ids = [word_id(vocab, t) for t in tokens[:concept_len]]
     ids += [PAD_ID] * (concept_len - len(ids))
     return np.asarray(ids, dtype=np.int64)
 
@@ -356,8 +372,8 @@ def encode_reference(inst: ReplacedInstance, vocab: Vocab, cfg: EncoderConfig) -
     """Map a replaced instance into index space.
 
     Position ids at token i are clip(i - p1) and clip(i - p2).  Concept
-    contents come from the original concept tokens (pre-replacement),
-    padded with <pad> to concept_len or truncated to the first
+    contents come from the concept's slice of the original (pre-replacement)
+    sentence, padded with <pad> to concept_len or truncated to the first
     concept_len tokens.
     """
     word_ids = vocab.word_ids
@@ -366,13 +382,14 @@ def encode_reference(inst: ReplacedInstance, vocab: Vocab, cfg: EncoderConfig) -
     pos1_ids = vocab.position_id(idx - inst.p1)
     pos2_ids = vocab.position_id(idx - inst.p2)
     orig = inst.original
+    c1, c2 = orig.concept1, orig.concept2
     return EncodedInstance(
         token_ids=token_ids,
         pos1_ids=pos1_ids,
         pos2_ids=pos2_ids,
         ctype_ids=(CTYPE_IDS[orig.concept1.ctype], CTYPE_IDS[orig.concept2.ctype]),
-        content1_ids=_content_ids(vocab, orig.concept1.tokens, cfg.concept_len),
-        content2_ids=_content_ids(vocab, orig.concept2.tokens, cfg.concept_len),
+        content1_ids=_content_ids(vocab, orig.tokens[c1.start - 1 : c1.end], cfg.concept_len),
+        content2_ids=_content_ids(vocab, orig.tokens[c2.start - 1 : c2.end], cfg.concept_len),
         p1=inst.p1,
         p2=inst.p2,
         gold=orig.gold,

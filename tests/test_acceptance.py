@@ -57,7 +57,13 @@ from relcnn.relations import (
 from relcnn.synthgen import generate, placement_task_spec
 from relcnn.trainer import TrainConfig, split_dev, train
 
-from conftest import build_instance, grad_max_rel_err, micro_from_confusion, write_raw_corpus
+from conftest import (
+    build_instance,
+    grad_max_rel_err,
+    micro_from_confusion,
+    tokenize_normalize,
+    write_raw_corpus,
+)
 from test_corpus import NORMALIZATION_FIXTURES
 
 T = RelationType
@@ -434,8 +440,6 @@ def test_criterion_10_replacement_and_normalization():
     assert rep.tokens[4] == "__treatment__" and rep.tokens[6] == "__problem__"
     assert segment_bounds(rep.p1, rep.p2, len(rep.tokens), 4) == \
         [(1, 4), (5, 6), (7, 14)]
-
-    from relcnn.corpus import tokenize_normalize
 
     assert len(NORMALIZATION_FIXTURES) == 20
     for raw, expected in NORMALIZATION_FIXTURES:

@@ -101,7 +101,8 @@ def test_synth_vocab_output_feeds_train(tmp_path):
     assert vocab.max_distance == 30
     insts = read_instances(corpus)
     assert all(tok in vocab.word_ids
-               for inst in insts for tok in inst.concept1.tokens)
+               for inst in insts
+               for tok in inst.tokens[inst.concept1.start - 1 : inst.concept1.end])
     manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
     assert str(vocab_path) in manifest["outputs"]
     assert manifest["config"]["encoder"]["max_distance"] == 30
@@ -484,6 +485,48 @@ def test_invalid_json_file_is_named(tmp_path, capsys, flag):
     assert run(*argv, f"--{flag}", bad) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: invalid JSON: ") and err.count("\n") == 1
+    assert list(work.iterdir()) == []
+
+
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind", [
+    "stats-input", "eval-pred", "synth-spec", "train-config", "gridsearch-grid",
+    "predict-checkpoint",
+])
+def test_json_nested_too_deeply_is_named(tmp_path, capsys, kind):
+    """JSON nested past the interpreter's recursion limit ends in one error line
+    naming the file, and its line for a JSON-lines input."""
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    bad = tmp_path / "deep"
+    if kind == "predict-checkpoint":
+        with open(bad, "wb") as fh:
+            np.savez(fh, __meta__=np.array(_DEEP_JSON))
+    else:
+        bad.write_text(_DEEP_JSON + "\n")
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(corpus.read_text().splitlines(keepends=True)[0])
+    train = ["train", "--train", corpus, "--vocab", vocab, "--checkpoint", work / "m.npz"]
+    argv = {
+        "stats-input": ["stats", "--input", bad, "--out", work / "s.json"],
+        "eval-pred": ["eval", "--gold", gold, "--pred", bad, "--out", work / "r.json"],
+        "synth-spec": ["synth", "--spec", bad, "--out", work / "c.jsonl"],
+        "train-config": [*train, "--config", bad],
+        "gridsearch-grid": ["gridsearch", *train[1:5], "--out", work / "g.csv", "--grid", bad],
+        "predict-checkpoint": ["predict", "--checkpoint", bad, "--vocab", vocab,
+                               "--input", corpus, "--out", work / "p.jsonl"],
+    }[kind]
+    where = f"{bad}:1: " if kind in ("stats-input", "eval-pred") else f"{bad}: "
+    capsys.readouterr()
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
     assert list(work.iterdir()) == []
 
 

@@ -24,12 +24,11 @@ from relcnn.corpus import (
     parse_document,
     read_instances,
     replace_concepts,
-    tokenize_normalize,
     write_instances,
 )
 from relcnn.relations import CATEGORY_OF, Category, ConceptType, RelationType
 
-from conftest import RAW_DOCS, build_instance
+from conftest import RAW_DOCS, build_instance, tokenize_normalize
 
 # ---------------------------------------------------------------------------
 # Tokenization / normalization
@@ -100,8 +99,9 @@ def test_parse_document_golden():
     golds = [(i.sent_index, i.gold) for i in doc.positives]
     assert golds == [(1, RelationType.TRIP), (2, RelationType.TERP)]
     inst = doc.positives[0]
-    assert inst.concept1.tokens == ["steroids"]
-    assert inst.concept2.tokens == ["this", "swelling"]
+    c1, c2 = inst.concept1, inst.concept2
+    assert inst.tokens[c1.start - 1 : c1.end] == ["steroids"]
+    assert inst.tokens[c2.start - 1 : c2.end] == ["this", "swelling"]
     assert inst.concept1.ctype is ConceptType.TREATMENT
     assert inst.concept2.ctype is ConceptType.PROBLEM
 
@@ -186,8 +186,8 @@ def test_replacement_of_multiword_concepts():
 def test_replacement_geometry(seed, gold):
     inst = build_instance(np.random.default_rng(seed), gold)
     rep = replace_concepts(inst)
-    l1 = len(inst.concept1.tokens)
-    l2 = len(inst.concept2.tokens)
+    l1 = inst.concept1.length
+    l2 = inst.concept2.length
     assert len(rep.tokens) == len(inst.tokens) - (l1 - 1) - (l2 - 1)
     assert rep.p1 == inst.concept1.start          # spans are 1-based
     assert rep.p2 == inst.concept2.start - (l1 - 1)
@@ -215,7 +215,7 @@ def test_corpus_stats_hand_computed():
     assert stats.n_instances == 3
     assert stats.relation_counts[RelationType.TRIP] == 2
     assert stats.relation_counts[RelationType.NPP] == 1
-    lengths = [len(i.concept1.tokens) for i in insts] + [len(i.concept2.tokens) for i in insts]
+    lengths = [i.concept1.length for i in insts] + [i.concept2.length for i in insts]
     assert stats.mean_concept_tokens_all == pytest.approx(sum(lengths) / len(lengths))
     assert sum(stats.concept_length_hist.values()) == 6
     d = stats.to_dict()
@@ -287,16 +287,21 @@ def test_read_instances_wrong_shape_names_file_and_line(tmp_path, record):
 
 def test_concept_validation():
     with pytest.raises(ValueError):
-        Concept(tokens=["a"], start=0, end=0, ctype=ConceptType.TEST).validate()
-    with pytest.raises(ValueError):
-        Concept(tokens=["a", "b"], start=2, end=2, ctype=ConceptType.TEST).validate()
-    Concept(tokens=["a"], start=1, end=1, ctype=ConceptType.TEST).validate()
+        Concept(start=0, end=0, ctype=ConceptType.TEST).validate()
+    Concept(start=1, end=1, ctype=ConceptType.TEST).validate()
+
+
+def test_concept_is_frozen():
+    concept = Concept(start=1, end=2, ctype=ConceptType.TEST)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        concept.end = 3
+    assert concept == Concept(start=1, end=2, ctype=ConceptType.TEST)
 
 
 def test_instance_validation_rejects_overlap():
     toks = ["a", "b", "c", "d"]
-    c1 = Concept(tokens=["b", "c"], start=2, end=3, ctype=ConceptType.TEST)
-    c2 = Concept(tokens=["c", "d"], start=3, end=4, ctype=ConceptType.PROBLEM)
+    c1 = Concept(start=2, end=3, ctype=ConceptType.TEST)
+    c2 = Concept(start=3, end=4, ctype=ConceptType.PROBLEM)
     with pytest.raises(ValueError):
         RelationInstance(tokens=toks, concept1=c1, concept2=c2,
                          gold=RelationType.TERP).validate()
@@ -306,10 +311,10 @@ def test_instance_validates_when_built_and_replaced():
     toks = ["a", "b", "c", "d"]
     inst = RelationInstance(
         tokens=toks, gold=RelationType.TERP,
-        concept1=Concept(tokens=["b", "c"], start=2, end=3, ctype=ConceptType.TEST),
-        concept2=Concept(tokens=["d"], start=4, end=4, ctype=ConceptType.PROBLEM),
+        concept1=Concept(start=2, end=3, ctype=ConceptType.TEST),
+        concept2=Concept(start=4, end=4, ctype=ConceptType.PROBLEM),
     )
-    overlapping = Concept(tokens=["c", "d"], start=3, end=4, ctype=ConceptType.PROBLEM)
+    overlapping = Concept(start=3, end=4, ctype=ConceptType.PROBLEM)
     with pytest.raises(ValueError, match="concept spans overlap"):
         dataclasses.replace(inst, concept2=overlapping)
     with pytest.raises(ValueError, match="does not fit category"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,7 +27,14 @@ from relcnn.encoding import (
 )
 from relcnn.relations import ConceptType, RelationType
 
-from conftest import TOY_ENC, assert_same_encodings, build_instance, encode_reference, shared_vocab
+from conftest import (
+    TOY_ENC,
+    assert_same_encodings,
+    build_instance,
+    encode_reference,
+    shared_vocab,
+    word_id,
+)
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -61,8 +70,14 @@ def test_build_vocab_counts_original_tokens_and_min_freq():
 
 
 def test_word_id_unknown_maps_to_unk():
-    vocab = build_vocab(_insts(), TOY_ENC)
-    assert vocab.word_id("never-seen-token") == UNK_ID
+    """A word the vocabulary lacks encodes as <unk>, in the sentence and in a concept."""
+    inst = build_instance(np.random.default_rng(1), RelationType.TERP)
+    c1 = inst.concept1
+    tokens = list(inst.tokens)
+    tokens[c1.start - 1] = tokens[c1.end] = "never-seen-token"
+    rep = replace_concepts(dataclasses.replace(inst, tokens=tokens))
+    (enc,) = encode([rep], shared_vocab(TOY_ENC), TOY_ENC)
+    assert enc.content1_ids[0] == enc.token_ids[rep.p1] == UNK_ID
 
 
 def test_position_id_clipping():
@@ -97,7 +112,7 @@ def test_encode_golden_small_sentence():
     (enc,) = encode([rep], vocab, TOY_ENC)
     n = len(rep.tokens)
     assert enc.n_tokens == n
-    assert enc.token_ids.tolist() == [vocab.word_id(t) for t in rep.tokens]
+    assert enc.token_ids.tolist() == [word_id(vocab, t) for t in rep.tokens]
     # distances are (i+1) - p measured on 1-based positions, then shifted
     assert enc.pos1_ids.tolist() == [vocab.position_id(i + 1 - rep.p1) for i in range(n)]
     assert enc.pos2_ids.tolist() == [vocab.position_id(i + 1 - rep.p2) for i in range(n)]
@@ -113,11 +128,12 @@ def test_encode_concept_contents_padded_and_truncated():
     rng = np.random.default_rng(11)
     while True:
         inst = build_instance(rng, RelationType.PIP, max_span=5)
-        if len(inst.concept1.tokens) > 3 and len(inst.concept2.tokens) == 1:
+        if inst.concept1.length > 3 and inst.concept2.length == 1:
             break
     (enc,) = encode([replace_concepts(inst)], vocab, TOY_ENC)
-    ids1 = [vocab.word_id(t) for t in inst.concept1.tokens[:3]]
-    ids2 = [vocab.word_id(inst.concept2.tokens[0]), PAD_ID, PAD_ID]
+    c1, c2 = inst.concept1, inst.concept2
+    ids1 = [word_id(vocab, t) for t in inst.tokens[c1.start - 1 : c1.start + 2]]
+    ids2 = [word_id(vocab, inst.tokens[c2.start - 1]), PAD_ID, PAD_ID]
     assert enc.content1_ids.tolist() == ids1      # truncated to concept_len
     assert enc.content2_ids.tolist() == ids2      # padded with PAD
     assert len(enc.content1_ids) == len(enc.content2_ids) == TOY_ENC.concept_len

@@ -251,8 +251,8 @@ def test_pool_and_backward_route_an_exact_tie_to_its_first_column():
     finite differences, which every parameter keeps the tie for."""
     enc_cfg = EncoderConfig(max_distance=1, concept_len=3, min_word_freq=1)
     vocab = shared_vocab(enc_cfg)
-    c1 = Concept(tokens=["ent1"], start=5, end=5, ctype=ConceptType.TREATMENT)
-    c2 = Concept(tokens=["ent2"], start=7, end=7, ctype=ConceptType.PROBLEM)
+    c1 = Concept(start=5, end=5, ctype=ConceptType.TREATMENT)
+    c2 = Concept(start=7, end=7, ctype=ConceptType.PROBLEM)
     tokens = ["tok3", "tok7", "tok3", "tok7", "ent1", "tok9", "ent2"]
     inst = RelationInstance(tokens=tokens, concept1=c1, concept2=c2, gold=RelationType.TRIP)
     (enc,) = encode([replace_concepts(inst)], vocab, enc_cfg)
@@ -606,8 +606,8 @@ def test_row_sums_match_add_at_bitwise(ids, d, seed):
 def _repeated_word_instance():
     """tok3 occurs twice in the replaced sentence and again in concept 1's content."""
     tokens = ["tok3", "tok7", "tok3", "ent1", "tok3", "ent2", "tok9"]
-    c1 = Concept(tokens=["tok3", "ent1"], start=3, end=4, ctype=ConceptType.TREATMENT)
-    c2 = Concept(tokens=["ent2"], start=6, end=6, ctype=ConceptType.PROBLEM)
+    c1 = Concept(start=3, end=4, ctype=ConceptType.TREATMENT)
+    c2 = Concept(start=6, end=6, ctype=ConceptType.PROBLEM)
     inst = RelationInstance(tokens=tokens, concept1=c1, concept2=c2, gold=RelationType.TRIP)
     (enc,) = encode([replace_concepts(inst)], VOCAB, TOY_ENC)
     tok3 = VOCAB.word_ids["tok3"]
@@ -820,8 +820,8 @@ def _layout_chunk(seed: int, size: int) -> list:
     """`size` encoded instances; the first is three tokens long, shorter than windows 4
     and 5, and about half the rest have no tokens outside the concept pair."""
     rng = np.random.default_rng(seed)
-    c1 = Concept(tokens=["ent1"], start=1, end=1, ctype=ConceptType.TREATMENT)
-    c2 = Concept(tokens=["ent2"], start=3, end=3, ctype=ConceptType.PROBLEM)
+    c1 = Concept(start=1, end=1, ctype=ConceptType.TREATMENT)
+    c2 = Concept(start=3, end=3, ctype=ConceptType.PROBLEM)
     short = RelationInstance(["ent1", "tok5", "ent2"], c1, c2, RelationType.TRIP)
     insts = [short]
     for i in range(1, size):
