@@ -58,7 +58,7 @@ from .model import (
     predict_batch,
     save_checkpoint,
 )
-from .relations import RELATION_TYPES, RelationType
+from .relations import RELATION_TYPES, RelationType, by_value
 from .schema import SchemaError, read_json, typed, typed_fields
 from .synthgen import SynthSpec, SynthCheckError, generate, placement_task_spec, self_check
 from .trainer import (
@@ -93,9 +93,9 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, obj: dict) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True)  # one write, not one per token
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_manifest(
@@ -333,7 +333,11 @@ def cmd_synth(args, run: Run) -> int:
     instances, ledger = generate(spec)
     report = self_check(instances, ledger)
     write_instances(run.output(out), instances)
-    _write_json(run.output(args.ledger or f"{out}.ledger.json"), asdict(ledger))
+    # `asdict` would deep-copy every field of every entry; an entry is flat
+    # (strings, ints, bools, enums and a tuple of strings), so its own
+    # `__dict__` encodes to the same JSON.
+    ledger_dict = {"spec": asdict(ledger.spec), "entries": [vars(e) for e in ledger.entries]}
+    _write_json(run.output(args.ledger or f"{out}.ledger.json"), ledger_dict)
     if args.vocab:
         save_vocab(build_vocab(instances, enc_cfg), run.output(args.vocab))
     run.commit(out, config_snapshot, {"seed": spec.seed})
@@ -478,6 +482,8 @@ def cmd_predict(args, run: Run) -> int:
     instances = read_instances(run.input(args.input))
     encoded = encode_instances(instances, vocab, ckpt.encoder)
     out = Path(args.out)
+    encode = json.JSONEncoder(sort_keys=True).encode  # one encoder per file
+    names = [t.value for t in RELATION_TYPES]
     with open(run.output(out), "w", encoding="utf-8") as fh:
         labels, probs = predict_batch(encoded, ckpt.params, ckpt.hp)
         for inst, label, row in zip(instances, labels, probs.tolist()):
@@ -487,9 +493,9 @@ def cmd_predict(args, run: Run) -> int:
                 "sent": inst.sent_index,
                 "gold": inst.gold.value,
                 "pred": label.value,
-                "probs": {t.value: p for t, p in zip(RELATION_TYPES, row)},
+                "probs": dict(zip(names, row)),
             }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(encode(rec) + "\n")
     run.commit(out, {"checkpoint": str(args.checkpoint)}, {})
     print(f"predicted {len(instances)} instances")
     return 0
@@ -507,14 +513,15 @@ def cmd_eval(args, run: Run) -> int:
     ]
     if len(gold_insts) != len(lines):
         raise CliError(
-            f"gold/prediction length mismatch: {len(gold_insts)} vs {len(lines)}"
+            f"{pred_path}: {len(lines)} prediction records for the "
+            f"{len(gold_insts)} instances of {args.gold}"
         )
     gold_labels = [inst.gold for inst in gold_insts]
     pred_labels = []
     for inst, (lineno, line) in zip(gold_insts, lines):
         try:
             rec = json.loads(line)
-            pred_labels.append(RelationType(rec["pred"]))
+            pred_labels.append(by_value(RelationType, rec["pred"]))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CliError(f"{pred_path}:{lineno}: bad prediction record: {exc}")
         key = _instance_key(inst)

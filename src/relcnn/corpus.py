@@ -28,7 +28,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, asdict
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -39,6 +39,7 @@ from .relations import (
     ConceptType,
     NEGATIVE_OF_CATEGORY,
     RelationType,
+    by_value,
     category_for_pair,
 )
 
@@ -471,7 +472,7 @@ def instance_to_dict(inst: RelationInstance) -> dict:
 def instance_from_dict(d: dict) -> RelationInstance:
     """The valid instance record `d` describes; ValueError, KeyError or TypeError if none."""
     tokens = d["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str))):
         raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
 
     doc, sent = d.get("doc", ""), d.get("sent", 0)
@@ -482,13 +483,13 @@ def instance_from_dict(d: dict) -> RelationInstance:
         start, end = c["start"], c["end"]
         if type(start) is not int or type(end) is not int:
             raise ValueError(f"concept start and end must be integers, got {start!r} and {end!r}")
-        return Concept(start=start, end=end, ctype=ConceptType(c["type"]))
+        return Concept(start=start, end=end, ctype=by_value(ConceptType, c["type"]))
 
     return RelationInstance(
         tokens=list(tokens),
         concept1=concept(d["c1"]),
         concept2=concept(d["c2"]),
-        gold=RelationType(d["label"]),
+        gold=by_value(RelationType, d["label"]),
         doc_id=doc,
         sent_index=sent,
     )
@@ -515,9 +516,10 @@ def read_text(path: str | Path) -> str:
 
 
 def write_instances(path: str | Path, instances: Iterable[RelationInstance]) -> None:
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # one encoder per file
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
-            fh.write(json.dumps(instance_to_dict(inst), ensure_ascii=False) + "\n")
+            fh.write(encode(instance_to_dict(inst)) + "\n")
 
 
 def read_instances(path: str | Path) -> list[RelationInstance]:

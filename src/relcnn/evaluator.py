@@ -79,19 +79,26 @@ class EvalReport:
         return out
 
 
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
-    r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * p * r / (p + r) if p + r else 0.0
+def _prf(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall and F1 in percent, elementwise over integer count arrays.
+
+    The float operations are those of scoring one (tp, fp, fn) triple at a
+    time, so each element is bit-identical to it; a zero denominator scores 0.
+    """
+    with np.errstate(invalid="ignore"):  # 0/0 where a denominator is 0
+        p = np.where(tp + fp > 0, 100.0 * tp / (tp + fp), 0.0)
+        r = np.where(tp + fn > 0, 100.0 * tp / (tp + fn), 0.0)
+        f1 = np.where(p + r > 0, 2.0 * p * r / (p + r), 0.0)
     return p, r, f1
 
 
-def _micro(conf: np.ndarray, class_ids: np.ndarray) -> Micro:
-    """Pool TP/FP/FN of `class_ids` from the diagonal, column and row sums."""
-    tp = int(conf[class_ids, class_ids].sum())
-    fp = int(conf[:, class_ids].sum()) - tp
-    fn = int(conf[class_ids, :].sum()) - tp
-    return Micro(*_prf(tp, fp, fn))
+def _counts(conf: np.ndarray) -> np.ndarray:
+    """TP, FP and FN of every class in each confusion matrix of `conf` (shape
+    (..., 11, 11)), shape (3, ..., 11): the diagonal, and the column and row
+    sums less it.  Summed over some classes, they are those classes' pooled
+    counts."""
+    tp = np.diagonal(conf, axis1=-2, axis2=-1)
+    return np.stack([tp, conf.sum(axis=-2) - tp, conf.sum(axis=-1) - tp])
 
 
 def _codes(gold: Sequence[RelationType], pred: Sequence[RelationType]) -> np.ndarray:
@@ -124,17 +131,21 @@ def evaluate(
     types; category blocks pool the positive types of one category.
     """
     conf = confusion(gold, pred)
-    diag, pred_counts, gold_counts = conf.diagonal(), conf.sum(axis=0), conf.sum(axis=1)
-    per_type: dict[RelationType, TypeScore] = {}
-    for t in RELATION_TYPES:
-        i = CLASS_INDEX[t]
-        tp, fp, fn = int(diag[i]), int(pred_counts[i] - diag[i]), int(gold_counts[i] - diag[i])
-        per_type[t] = TypeScore(tp, fp, fn, int(gold_counts[i]), *_prf(tp, fp, fn))
+    # The 11 types' counts, then the positive types' and each category's
+    # pooled counts: 15 columns, scored in one pass.
+    per_class = _counts(conf)
+    pools = (_POSITIVE_IDS, *_CATEGORY_IDS.values())
+    counts = np.column_stack([per_class, *(per_class[:, ids].sum(axis=1) for ids in pools)])
+    scores = np.column_stack(_prf(*counts)).tolist()
+    tp, fp, fn = counts.tolist()
     return EvalReport(
         n=len(gold),
-        per_type=per_type,
-        micro=_micro(conf, _POSITIVE_IDS),
-        category_micro={cat: _micro(conf, ids) for cat, ids in _CATEGORY_IDS.items()},
+        per_type={
+            t: TypeScore(tp[i], fp[i], fn[i], tp[i] + fn[i], *scores[i])
+            for i, t in enumerate(RELATION_TYPES)
+        },
+        micro=Micro(*scores[N_CLASSES]),
+        category_micro={cat: Micro(*s) for cat, s in zip(_CATEGORY_IDS, scores[N_CLASSES + 1 :])},
         confusion=conf,
     )
 
@@ -150,16 +161,19 @@ def bootstrap_ci(
     Instances are resampled with replacement `resamples` times; each
     resample gets its own spawned seed, so intervals are deterministic in
     (gold, pred, resamples, seed) and independent of evaluation order.
+    Each resample is counted into its own confusion matrix as it is drawn,
+    so memory holds one resample's indices, not all of them, and the micro
+    scores of all the matrices come from one vectorized pass.
     """
     codes = _codes(gold, pred)
     if resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
     n = len(codes)
-    stats = np.empty((resamples, 3))
+    conf = np.empty((resamples, N_CLASSES, N_CLASSES), dtype=np.int64)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(resamples)):
-        idx = np.random.default_rng(child).integers(0, n, size=n)
-        m = _micro(_confusion(codes[idx]), _POSITIVE_IDS)
-        stats[i] = (m.p, m.r, m.f1)
+        conf[i] = _confusion(codes[np.random.default_rng(child).integers(0, n, size=n)])
+    tp, fp, fn = _counts(conf)[..., _POSITIVE_IDS].sum(axis=-1)
+    stats = np.column_stack(_prf(tp, fp, fn))
     out: dict[str, tuple[float, float]] = {}
     for col, name in enumerate(("micro_p", "micro_r", "micro_f1")):
         lo, hi = np.percentile(stats[:, col], [2.5, 97.5])

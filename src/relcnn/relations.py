@@ -14,6 +14,7 @@ problem-test (TeP), problem-problem (PP).
 from __future__ import annotations
 
 from enum import Enum
+from typing import TypeVar
 
 
 class ConceptType(str, Enum):
@@ -78,6 +79,25 @@ NEGATIVE_OF_CATEGORY: dict[Category, RelationType] = {
     Category.TEP: RelationType.NTEP,
     Category.PP: RelationType.NPP,
 }
+
+
+_E = TypeVar("_E", bound=Enum)
+_MEMBERS: dict[type, dict[str, Enum]] = {
+    cls: {m.value: m for m in cls} for cls in (ConceptType, RelationType)
+}
+
+
+def by_value(cls: type[_E], value) -> _E:
+    """`cls(value)` as one dict lookup for ConceptType and RelationType, which
+    the record readers look up per record.
+
+    A value of no member still goes through `cls(value)`, which raises the
+    enum's own ValueError (``'TrXP' is not a valid RelationType``).
+    """
+    try:
+        return _MEMBERS[cls][value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        return cls(value)
 
 
 def category_for_pair(t1: ConceptType, t2: ConceptType) -> Category | None:

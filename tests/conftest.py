@@ -7,8 +7,12 @@ Provides the things the individual test modules lean on:
   (``build_instance`` / ``encoded_instance``),
 * reference helpers: ``grad_max_rel_err`` compares analytic gradients
   (row gradients densified) with finite differences, and
+  ``prf_reference`` scores one (tp, fp, fn) triple in Python floats,
   ``micro_from_confusion`` recomputes micro scores from a confusion
   matrix alone, ``bootstrap_ci_reference`` resamples through ``evaluate``,
+  ``write_ledger_reference``, ``write_instances_reference`` and
+  ``write_predictions_reference`` are the JSON writers that encoded each
+  ledger with ``asdict`` and each line with its own ``json.dumps``,
   ``generate_reference`` and ``encode_reference`` are the per-word
   generator and per-instance encoder the oracle tests compare against,
   ``pooled_windows_columns`` and ``backward_columns`` run the convolution
@@ -23,6 +27,7 @@ Provides the things the individual test modules lean on:
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -31,10 +36,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from relcnn.cli import _instance_key
 from relcnn.corpus import (
     Concept,
     RelationInstance,
     ReplacedInstance,
+    instance_to_dict,
     replace_concepts,
     tokenize_with_alignment,
 )
@@ -69,6 +76,7 @@ from relcnn.relations import (
     CLASS_INDEX,
     N_CLASSES,
     POSITIVE_TYPES,
+    RELATION_TYPES,
     Category,
     ConceptType,
     RelationType,
@@ -196,6 +204,14 @@ def grad_max_rel_err(analytic, numeric, params: ModelParams, floor: float = 1e-5
     return worst
 
 
+def prf_reference(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 in percent of one count triple, in Python floats."""
+    p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
+    r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * p * r / (p + r) if p + r else 0.0
+    return p, r, f1
+
+
 def micro_from_confusion(conf: np.ndarray) -> Micro:
     """Micro P/R/F1 over positive types recomputed from a confusion matrix alone."""
     if conf.shape != (N_CLASSES, N_CLASSES):
@@ -206,10 +222,7 @@ def micro_from_confusion(conf: np.ndarray) -> Micro:
         tp += int(conf[i, i])
         fp += int(conf[:, i].sum() - conf[i, i])
         fn += int(conf[i, :].sum() - conf[i, i])
-    p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
-    r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * p * r / (p + r) if p + r else 0.0
-    return Micro(p, r, f1)
+    return Micro(*prf_reference(tp, fp, fn))
 
 
 def bootstrap_ci_reference(gold, pred, resamples: int, seed: int) -> dict[str, tuple[float, float]]:
@@ -225,6 +238,44 @@ def bootstrap_ci_reference(gold, pred, resamples: int, seed: int) -> dict[str, t
         lo, hi = np.percentile(stats[:, col], [2.5, 97.5])
         out[name] = (float(lo), float(hi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference JSON writers: `asdict` over the whole ledger, and a fresh
+# `json.dumps` encoder for every instance and prediction line.  The CLI
+# must write the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def write_ledger_reference(path: Path, ledger: SynthLedger) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(asdict(ledger), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_instances_reference(path: Path, instances: Sequence[RelationInstance]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for inst in instances:
+            fh.write(json.dumps(instance_to_dict(inst), ensure_ascii=False) + "\n")
+
+
+def write_predictions_reference(
+    path: Path,
+    instances: Sequence[RelationInstance],
+    labels: Sequence[RelationType],
+    probs: np.ndarray,
+) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for inst, label, row in zip(instances, labels, probs.tolist()):
+            rec = {
+                "key": _instance_key(inst),
+                "doc": inst.doc_id,
+                "sent": inst.sent_index,
+                "gold": inst.gold.value,
+                "pred": label.value,
+                "probs": {t.value: p for t, p in zip(RELATION_TYPES, row)},
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

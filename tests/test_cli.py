@@ -21,10 +21,17 @@ from relcnn.corpus import read_instances
 from relcnn.encoding import EncoderConfig, encode_instances, load_vocab
 from relcnn.model import HyperParams
 from relcnn.relations import RELATION_TYPES
-from relcnn.synthgen import LabelRule, SynthSpec, placement_task_spec
+from relcnn.synthgen import LabelRule, SynthSpec, generate, placement_task_spec
 from relcnn.trainer import TrainConfig
 
-from conftest import rewrite_checkpoint_arrays, rewrite_checkpoint_meta, write_raw_corpus
+from conftest import (
+    rewrite_checkpoint_arrays,
+    rewrite_checkpoint_meta,
+    write_instances_reference,
+    write_ledger_reference,
+    write_predictions_reference,
+    write_raw_corpus,
+)
 
 
 def run(*argv: str) -> int:
@@ -164,6 +171,26 @@ def test_synth_spec_from_asdict_round_trips(tmp_path, overrides):
     assert run("synth", "--spec", spec_path, "--out", out) == 0
     assert json.loads(Path(f"{out}.manifest.json").read_text())["config"]["spec"] == spec
     assert json.loads(Path(f"{out}.ledger.json").read_text())["spec"] == spec
+
+
+def test_synth_outputs_match_the_reference_writers(tmp_path):
+    """A spec with a third concept, two-token concepts, label noise and no
+    distractor: the corpus and the ledger, whose `distractor_start` is null,
+    are the bytes the reference writers give for the generated corpus."""
+    overrides = dict(sentences_per_type=5, n_concepts=3, concept_tokens=2, noise_rate=0.3,
+                     distractor_placement=None)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_json(**overrides)))
+    out = tmp_path / "c.jsonl"
+    assert run("synth", "--spec", spec_path, "--out", out) == 0
+    instances, ledger = generate(placement_task_spec(**overrides))
+    write_instances_reference(tmp_path / "want.jsonl", instances)
+    write_ledger_reference(tmp_path / "want.ledger.json", ledger)
+    assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    ledger_bytes = Path(f"{out}.ledger.json").read_bytes()
+    assert ledger_bytes == (tmp_path / "want.ledger.json").read_bytes()
+    assert ledger_bytes.count(b'"distractor_start": null') == len(instances) == 10
+    assert any(entry.flipped for entry in ledger.entries)
 
 
 def test_synth_spec_file_matches_the_preset_with_the_same_overrides(tmp_path):
@@ -644,6 +671,67 @@ def test_eval_rejects_malformed_prediction_line(tmp_path, capsys, bad_line, mess
     assert not Path(str(preds) + ".report.json").exists()
 
 
+_LABELS = [t.value for t in RELATION_TYPES]
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                          st.floats(allow_nan=False, allow_infinity=False))
+# Each fault, as (kind, value): the value replaces or edits one prediction line.
+_PRED_FAULTS = st.one_of(
+    st.tuples(st.just("non-object"), st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))),
+    st.tuples(st.just("missing-pred"), st.none()),
+    st.tuples(st.just("unknown-pred"), st.one_of(
+        _JSON_SCALARS.filter(lambda v: v not in _LABELS),
+        st.lists(st.sampled_from(_LABELS), max_size=2),
+        st.dictionaries(st.sampled_from(_LABELS), st.integers(), max_size=1))),
+    st.tuples(st.just("wrong-key"), _JSON_SCALARS),
+    st.tuples(st.just("not-utf8"), st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])),
+    st.tuples(st.just("deep"), st.none()),
+    st.tuples(st.just("count"), st.sampled_from(["drop", "extra"])),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fault=_PRED_FAULTS, index=st.integers(0, 3), blank_lines=st.integers(0, 2))
+def test_eval_prediction_fuzz_names_file_and_line(fault, index, blank_lines):
+    """A malformed prediction file ends in one error line naming the file, and the
+    line where there is one; no traceback and no report or manifest."""
+    kind, value = fault
+    gold_insts, _ = generate(placement_task_spec(sentences_per_type=2))
+    recs = [{"key": cli._instance_key(inst), "pred": inst.gold.value} for inst in gold_insts]
+    lines = [json.dumps(rec).encode() for rec in recs]
+    rec = dict(recs[index])
+    if kind == "non-object":
+        lines[index] = json.dumps(value).encode()
+    elif kind == "missing-pred":
+        del rec["pred"]
+        lines[index] = json.dumps(rec).encode()
+    elif kind == "unknown-pred":
+        lines[index] = json.dumps({**rec, "pred": value}).encode()
+    elif kind == "wrong-key":
+        lines[index] = json.dumps({**rec, "key": value}).encode()
+    elif kind == "not-utf8":
+        lines[index] = lines[index].replace(b'"pred"', b'"pr' + value + b'ed"')
+    elif kind == "deep":
+        lines[index] = _DEEP_JSON.encode()
+    elif value == "drop":
+        del lines[index]
+    else:
+        lines.insert(index, lines[index])
+    lines[index:index] = [b""] * blank_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        gold, pred = Path(tmp) / "gold.jsonl", Path(tmp) / "pred.jsonl"
+        write_instances_reference(gold, gold_insts)
+        pred.write_bytes(b"\n".join(lines) + b"\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run("eval", "--gold", gold, "--pred", pred, "--bootstrap", 100)
+        files = sorted(p.name for p in Path(tmp).iterdir())
+    where = f"{pred}: " if kind == "count" else f"{pred}:{index + 1 + blank_lines}: "
+    assert rc == 1
+    assert err.getvalue().startswith(f"error: {where}") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+    assert files == ["gold.jsonl", "pred.jsonl"]
+
+
 def test_eval_key_mismatch_names_the_file_line_after_blank_lines(tmp_path, capsys):
     corpus = _synth(tmp_path, n=4)
     preds = tmp_path / "p.jsonl"
@@ -1111,6 +1199,23 @@ def test_predict_labels_equal_per_instance_predict(tmp_path):
         assert rec["pred"] == label.value
         np.testing.assert_allclose([rec["probs"][t.value] for t in RELATION_TYPES], probs,
                                    rtol=0, atol=1e-12)
+
+
+def test_predict_output_matches_the_reference_writer(tmp_path):
+    corpus = _synth(tmp_path, n=10)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    ckpt = _train_tiny(tmp_path, corpus, vocab)
+    preds = tmp_path / "p.jsonl"
+    assert run("predict", "--checkpoint", ckpt, "--vocab", vocab,
+               "--input", corpus, "--out", preds) == 0
+    loaded = model.load_checkpoint(ckpt)
+    insts = read_instances(corpus)
+    encs = encode_instances(insts, load_vocab(vocab), loaded.encoder)
+    labels, probs = model.predict_batch(encs, loaded.params, loaded.hp)
+    want = tmp_path / "want.jsonl"
+    write_predictions_reference(want, insts, labels, probs)
+    assert preds.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["synth", "preprocess"])

@@ -28,7 +28,7 @@ from relcnn.corpus import (
 )
 from relcnn.relations import CATEGORY_OF, Category, ConceptType, RelationType
 
-from conftest import RAW_DOCS, build_instance, tokenize_normalize
+from conftest import RAW_DOCS, build_instance, tokenize_normalize, write_instances_reference
 
 # ---------------------------------------------------------------------------
 # Tokenization / normalization
@@ -244,6 +244,24 @@ def test_write_read_instances_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == len(insts)
     assert all(json.loads(line) for line in lines)
+
+
+def test_write_instances_matches_the_reference_writer(tmp_path):
+    """One encoder per file writes the bytes of one `json.dumps` per line, also
+    for tokens outside ASCII, quotes, backslashes and line separators."""
+    rng = np.random.default_rng(11)
+    words = ["café", "β-blocker", "日本語", "\U0001f489", 'say"x"', "a\\b", "\u2028", "naïve"]
+    insts = []
+    for i, gold in enumerate(RelationType):
+        inst = build_instance(rng, gold)
+        tokens = [words[(i + j) % len(words)] for j in range(len(inst.tokens))]
+        insts.append(dataclasses.replace(inst, tokens=tokens, doc_id=f"doc-é{i}"))
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    write_instances(got, insts)
+    write_instances_reference(want, insts)
+    assert got.read_bytes() == want.read_bytes()
+    assert "日本語".encode() in got.read_bytes()
+    assert read_instances(got) == insts
 
 
 def test_read_instances_rejects_malformed(tmp_path):
