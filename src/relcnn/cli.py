@@ -28,6 +28,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from dataclasses import replace as dc_replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -128,7 +129,7 @@ class Run:
     what was recorded, then moves each staged file onto its target with
     `os.replace`, in staging order and the manifest last.  `discard`
     removes whatever is staged and not committed, so a command that fails
-    changes no target.
+    changes no target.  Two outputs may not name the same file.
     """
 
     def __init__(self, command: str) -> None:
@@ -142,6 +143,8 @@ class Run:
 
     def output(self, path: str | Path) -> Path:
         target = Path(path)
+        if any(os.path.realpath(target) == os.path.realpath(t) for _, t in self.staged):
+            raise CliError(f"{target}: named by two outputs of one {self.command} run")
         target.parent.mkdir(parents=True, exist_ok=True)
         staging = target.with_name(f".{target.name}.{os.getpid()}-{len(self.staged)}.tmp")
         self.staged.append((staging, target))
@@ -165,7 +168,8 @@ class Run:
 # Config merging (flags > config file > defaults)
 #
 # The config dataclasses declare the schema: a config-file key, a grid-file
-# axis and a flag's argparse dest are each exactly a field name.
+# axis and a flag's argparse dest are each exactly a field name.  The parser
+# declares what each command reads, so a config-file key is also a flag dest.
 # ---------------------------------------------------------------------------
 
 
@@ -185,7 +189,12 @@ def _resolve(cls, args, config: dict | None = None, section: str = "", **default
     from_file = {}
     if config:
         where = f"{args.config}: {section}"
-        from_file = typed_fields(cls, config.get(section, {}), where)
+        values = config.get(section, {})
+        settings = [f.name for f in fields(cls) if f.name in vars(args)]
+        ignored = sorted(set(values) - set(settings)) if isinstance(values, dict) else []
+        if ignored:  # a field the command has no flag for is a setting it ignores
+            raise CliError(f"{where}: {', '.join(ignored)}: {args.command} reads only {', '.join(settings)}")
+        from_file = typed_fields(cls, values, where)
     flags = typed_fields(cls, _flags(args, cls), "command line")
     try:
         return cls(**{**defaults, **from_file, **flags})
@@ -203,7 +212,7 @@ def _resolve_train_setup(args, vocab: Vocab) -> tuple[HyperParams, TrainConfig, 
     """Merge defaults, --config file and flags into (hp, cfg, enc, snapshot).
 
     The vocabulary sets the position table, so its radius is the encoder's
-    `max_distance`; an explicit value that disagrees is an error.
+    `max_distance`.
     """
     config = read_json(Path(args.config)) if args.config else {}
     if not isinstance(config, dict):
@@ -217,11 +226,6 @@ def _resolve_train_setup(args, vocab: Vocab) -> tuple[HyperParams, TrainConfig, 
     hp = _resolve(HyperParams, args, config, "hyperparams")
     cfg = _resolve(TrainConfig, args, config, "train")
     enc_cfg = _resolve(EncoderConfig, args, config, "encoder", max_distance=vocab.max_distance)
-    if enc_cfg.max_distance != vocab.max_distance:
-        raise CliError(
-            f"max_distance {enc_cfg.max_distance} disagrees with {args.vocab}, "
-            f"which was built with max_distance {vocab.max_distance}"
-        )
     snapshot = {"hyperparams": asdict(hp), "train": asdict(cfg), "encoder": asdict(enc_cfg)}
     return hp, cfg, enc_cfg, snapshot
 
@@ -310,7 +314,7 @@ def cmd_preprocess(args, run: Run) -> int:
 
 
 def cmd_synth(args, run: Run) -> int:
-    if args.spec:
+    if args.spec is not None:
         where = f"{args.spec}: bad synth spec"
         data = read_json(run.input(args.spec))
         try:
@@ -319,10 +323,8 @@ def cmd_synth(args, run: Run) -> int:
             raise  # it names the file and the key already
         except (TypeError, ValueError) as exc:
             raise CliError(f"{where}: {exc!r}") from None
-    elif args.preset == "placement":
-        spec = placement_task_spec()
     else:
-        raise CliError("provide --spec FILE or --preset placement")
+        spec = placement_task_spec()
     spec = dc_replace(spec, **_flags(args, SynthSpec))
 
     out = Path(args.out)
@@ -330,6 +332,8 @@ def cmd_synth(args, run: Run) -> int:
     if args.vocab:
         enc_cfg = _resolve(EncoderConfig, args)
         config_snapshot["encoder"] = asdict(enc_cfg)
+    elif _flags(args, EncoderConfig):
+        raise CliError("--max-distance and --min-word-freq set the vocabulary; they need --vocab")
     instances, ledger = generate(spec)
     report = self_check(instances, ledger)
     write_instances(run.output(out), instances)
@@ -530,7 +534,7 @@ def cmd_eval(args, run: Run) -> int:
 
     out = Path(args.out or f"{pred_path}.report.json")
     report = evaluate(gold_labels, pred_labels)
-    if args.bootstrap:
+    if args.bootstrap is not None:
         report.ci = bootstrap_ci(gold_labels, pred_labels, args.bootstrap, args.seed)
     _write_json(run.output(out), report.to_dict())
     run.commit(out, {"bootstrap": args.bootstrap}, {"seed": args.seed})
@@ -558,24 +562,26 @@ def cmd_stats(args, run: Run) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_encoder_args(p: argparse.ArgumentParser) -> None:
+def _add_vocab_args(p: argparse.ArgumentParser) -> None:
+    """The `EncoderConfig` fields `build_vocab` reads."""
     p.add_argument("--max-distance", type=int, default=None, help="position clip radius")
-    p.add_argument("--concept-len", type=int, default=None, help="concept content length")
     p.add_argument("--min-word-freq", type=int, default=None, help="rarer words become <unk>")
 
 
-def _add_hp_args(p: argparse.ArgumentParser) -> None:
+def _add_hp_args(p: argparse.ArgumentParser, grid_axes: bool = True) -> None:
+    """`HyperParams` flags; without `grid_axes`, those a `GridSpec` sets."""
     p.add_argument("--d-w", type=int, default=None, help="word embedding size")
-    p.add_argument("--d-p", type=int, default=None, help="position embedding size")
     p.add_argument("--d-ct", type=int, default=None, help="concept-type embedding size")
-    p.add_argument("--d-c", type=int, default=None, help="filters per window size")
-    p.add_argument("--windows", default=None, help="window sizes, e.g. '4' or '3,4,5'")
     p.add_argument("--pooling", choices=["max", "multi"], default=None)
     p.add_argument("--loss", choices=["softmax", "constrained"], default=None)
     p.add_argument("--dropout", dest="dropout_p", type=float, default=None,
                    help="dropout probability on rc")
-    p.add_argument("--beta", type=float, default=None, help="L2 coefficient")
-    p.add_argument("--lr", type=float, default=None, help="SGD learning rate")
+    if grid_axes:
+        p.add_argument("--d-p", type=int, default=None, help="position embedding size")
+        p.add_argument("--d-c", type=int, default=None, help="filters per window size")
+        p.add_argument("--windows", default=None, help="window sizes, e.g. '4' or '3,4,5'")
+        p.add_argument("--beta", type=float, default=None, help="L2 coefficient")
+        p.add_argument("--lr", type=float, default=None, help="SGD learning rate")
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
@@ -583,6 +589,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dev-fraction", type=float, default=None)
+    p.add_argument("--concept-len", type=int, default=None, help="concept content length")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
 
 
@@ -593,28 +600,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, allow_abbrev=False)  # no prefixes: `--d-c` is not `--d-ct`
 
-    p = sub.add_parser("preprocess", help="parse raw corpus into canonical instances")
+    p = add("preprocess", help="parse raw corpus into canonical instances")
     p.add_argument("--input", nargs="+", required=True, help="corpus directories")
     p.add_argument("--out", required=True, help="instances JSON-lines output")
     p.add_argument("--vocab", default=None, help="vocabulary output path")
     p.add_argument("--stats", default=None, help="corpus stats JSON output")
-    _add_encoder_args(p)
+    _add_vocab_args(p)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with ledger")
-    p.add_argument("--spec", default=None, help="SynthSpec JSON file")
-    p.add_argument("--preset", choices=["placement"], default=None)
+    p = add("synth", help="generate a synthetic corpus with ledger")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", default=None, help="SynthSpec JSON file")
+    source.add_argument("--preset", choices=["placement"], default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--ledger", default=None)
     p.add_argument("--vocab", default=None, help="also write a vocabulary built from the output")
     p.add_argument("--sentences-per-type", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--noise-rate", type=float, default=None)
-    _add_encoder_args(p)
+    _add_vocab_args(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model")
+    p = add("train", help="train a model")
     p.add_argument("--train", required=True, help="training instances JSON-lines")
     p.add_argument("--dev", default=None, help="dev instances (default: split from train)")
     p.add_argument("--vocab", required=True)
@@ -624,29 +633,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None, help="pre-trained word vectors (text)")
     _add_hp_args(p)
     _add_train_args(p)
-    _add_encoder_args(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("gridsearch", help="hyperparameter sweep")
+    p = add("gridsearch", help="hyperparameter sweep")
     p.add_argument("--train", required=True)
     p.add_argument("--dev", default=None)
     p.add_argument("--vocab", required=True)
     p.add_argument("--grid", default=None, help="JSON with axes d_p, d_c, lr, beta, windows")
     p.add_argument("--out", required=True, help="ranked results CSV")
     p.add_argument("--json", default=None, help="full results JSON")
-    _add_hp_args(p)
+    _add_hp_args(p, grid_axes=False)  # the grid sets d_p, d_c, windows, lr and beta
     _add_train_args(p)
-    _add_encoder_args(p)
     p.set_defaults(func=cmd_gridsearch)
 
-    p = sub.add_parser("predict", help="label instances with a trained model")
+    p = add("predict", help="label instances with a trained model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="score predictions against gold instances")
+    p = add("eval", help="score predictions against gold instances")
     p.add_argument("--gold", required=True, help="gold instances JSON-lines")
     p.add_argument("--pred", required=True, help="predictions JSON-lines")
     p.add_argument("--out", default=None, help="report JSON output")
@@ -654,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stats", help="corpus statistics")
+    p = add("stats", help="corpus statistics")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)

@@ -39,6 +39,7 @@ from relcnn.model import (
     backward,
     forward,
     init_params,
+    load_checkpoint,
     loss_classes,
     loss_from_trace,
     loss_over,
@@ -386,7 +387,7 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
         assert cli_main([
             "preprocess", "--input", str(raw), "--out", str(out / "insts.jsonl"),
             "--vocab", str(out / "vocab.txt"), "--stats", str(out / "stats.json"),
-            "--max-distance", "20", "--concept-len", "3",
+            "--max-distance", "20",
         ]) == 0
         assert cli_main([
             "train", "--train", str(out / "insts.jsonl"),
@@ -395,7 +396,7 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
             "--metrics", str(out / "metrics.json"),
             "--d-w", "8", "--d-p", "2", "--d-ct", "2", "--d-c", "6",
             "--dropout", "0.25", "--lr", "0.05", "--epochs", "3", "--seed", "0",
-            "--max-distance", "20", "--concept-len", "3",
+            "--concept-len", "3",  # the radius, 20, comes from the vocabulary
         ]) == 0
         assert cli_main([
             "predict", "--checkpoint", str(out / "model.npz"),
@@ -415,6 +416,8 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
 
     a = run_pipeline(tmp_path / "a")
     b = run_pipeline(tmp_path / "b")
+    encoder = load_checkpoint(tmp_path / "a" / "model.npz").encoder
+    assert (encoder.max_distance, encoder.concept_len) == (20, 3)
     diffs = [name for name in a if a[name] != b[name]]
     _report(9, "end-to-end bit determinism", not diffs,
             "two preprocess->train->predict->eval runs, "

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import tempfile
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
@@ -18,11 +19,11 @@ import relcnn.cli as cli
 import relcnn.model as model
 from relcnn.cli import MANIFEST_FORMAT, build_parser, main
 from relcnn.corpus import read_instances
-from relcnn.encoding import EncoderConfig, encode_instances, load_vocab
+from relcnn.encoding import EncoderConfig, build_vocab, encode_instances, load_vocab, save_vocab
 from relcnn.model import HyperParams
 from relcnn.relations import RELATION_TYPES
 from relcnn.synthgen import LabelRule, SynthSpec, generate, placement_task_spec
-from relcnn.trainer import TrainConfig
+from relcnn.trainer import GridSpec, TrainConfig
 
 from conftest import (
     rewrite_checkpoint_arrays,
@@ -113,9 +114,9 @@ def test_synth_vocab_output_feeds_train(tmp_path):
     manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
     assert str(vocab_path) in manifest["outputs"]
     assert manifest["config"]["encoder"]["max_distance"] == 30
-    # the emitted vocabulary is directly usable for training
-    _train_tiny(tmp_path, corpus, vocab_path, max_distance=30)
-    assert (tmp_path / "model.npz").exists()
+    # the emitted vocabulary is directly usable for training, and sets its radius
+    ckpt = _train_tiny(tmp_path, corpus, vocab_path)
+    assert model.load_checkpoint(ckpt).encoder.max_distance == 30
 
 
 def test_synth_spec_file_round_trip(tmp_path):
@@ -429,6 +430,20 @@ def test_eval_with_bootstrap_ci(tmp_path, capsys):
     assert lo <= hi
 
 
+@pytest.mark.parametrize("resamples", [0, 99])
+def test_eval_bootstrap_below_100_resamples_exits_1(tmp_path, capsys, resamples):
+    corpus = _synth(tmp_path, n=4)
+    preds = tmp_path / "p.jsonl"
+    _write_preds(preds, corpus)
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert run("eval", "--gold", corpus, "--pred", preds, "--out", work / "r.json",
+               "--bootstrap", resamples) == 1
+    assert capsys.readouterr().err == f"error: need at least 100 resamples, got {resamples}\n"
+    assert list(work.iterdir()) == []
+
+
 def test_train_rejects_empty_dev_set_without_output(tmp_path, capsys):
     corpus = _synth(tmp_path, n=4)
     vocab = tmp_path / "v.txt"
@@ -599,23 +614,49 @@ def test_predict_rejects_a_mistyped_checkpoint_meta(tmp_path, capsys, edit, key)
     assert "Traceback" not in err
 
 
+# Per command: the config fields it does not read (so has no flag for), its flags that
+# are not config fields, and its flag count.
+_VOCAB_ONLY = {"max_distance", "min_word_freq"}  # read by build_vocab alone
+_FLAG_TABLE = {
+    "train": (_VOCAB_ONLY, {"train", "dev", "vocab", "checkpoint", "metrics", "record",
+                            "embeddings", "config"}, 23),
+    "gridsearch": (_VOCAB_ONLY | {f.name for f in fields(GridSpec)},
+                   {"train", "dev", "vocab", "grid", "out", "json", "config"}, 17),
+    "preprocess": ({"concept_len"}, {"input", "out", "vocab", "stats"}, 6),
+    "synth": ({"concept_len"}, {"spec", "preset", "out", "ledger", "vocab",
+                                "sentences_per_type", "seed", "noise_rate"}, 10),
+    "predict": (set(), {"checkpoint", "vocab", "input", "out"}, 4),
+    "eval": (set(), {"gold", "pred", "out", "bootstrap", "seed"}, 5),
+    "stats": (set(), {"input", "out"}, 2),
+}
+
+
 @pytest.mark.parametrize("command,schemas", [
     ("train", (HyperParams, TrainConfig, EncoderConfig)),
     ("gridsearch", (HyperParams, TrainConfig, EncoderConfig)),
     ("preprocess", (EncoderConfig,)),
     ("synth", (EncoderConfig,)),
+    ("predict", ()),
+    ("eval", ()),
+    ("stats", ()),
 ])
 def test_every_config_field_has_a_flag(command, schemas):
+    """A command's flags are exactly the config fields it reads plus its other options:
+    a missing flag and an extra one both fail."""
     required = {
         "train": ["--train", "t", "--vocab", "v", "--checkpoint", "c"],
         "gridsearch": ["--train", "t", "--vocab", "v", "--out", "o"],
         "preprocess": ["--input", "i", "--out", "o"],
-        "synth": ["--out", "o"],
+        "synth": ["--preset", "placement", "--out", "o"],
+        "predict": ["--checkpoint", "c", "--vocab", "v", "--input", "i", "--out", "o"],
+        "eval": ["--gold", "g", "--pred", "p"],
+        "stats": ["--input", "i"],
     }[command]
-    dests = vars(build_parser().parse_args([command, *required]))
-    for cls in schemas:
-        missing = [f.name for f in fields(cls) if f.name not in dests]
-        assert not missing, f"{command}: no flag for {cls.__name__} fields {missing}"
+    not_read, others, n_flags = _FLAG_TABLE[command]
+    settings = {f.name for cls in schemas for f in fields(cls)} - not_read
+    dests = set(vars(build_parser().parse_args([command, *required]))) - {"command", "func"}
+    assert dests - others == settings, f"{command}: flags {dests - others} for {settings}"
+    assert others <= dests and len(dests) == n_flags
 
 
 @pytest.mark.parametrize("epochs", [0, 2])
@@ -812,7 +853,7 @@ def test_config_file_with_flag_override(tmp_path):
         "hyperparams": {"d_w": 8, "d_p": 2, "d_ct": 2, "d_c": 6, "dropout_p": 0.0,
                         "beta": 0.0, "lr": 0.05},
         "train": {"epochs": 1, "seed": 0},
-        "encoder": {"max_distance": 30, "concept_len": 3},
+        "encoder": {"concept_len": 3},
     }))
     ck1 = tmp_path / "m1.npz"
     assert run("train", "--train", corpus, "--vocab", vocab, "--checkpoint", ck1,
@@ -820,7 +861,7 @@ def test_config_file_with_flag_override(tmp_path):
     from relcnn.model import load_checkpoint
 
     assert load_checkpoint(ck1).hp.lr == 0.05
-    assert load_checkpoint(ck1).encoder.max_distance == 30  # encoder via config
+    assert load_checkpoint(ck1).encoder.concept_len == 3  # encoder via config (default 5)
     ck2 = tmp_path / "m2.npz"
     assert run("train", "--train", corpus, "--vocab", vocab, "--checkpoint", ck2,
                "--config", config, "--lr", 0.02) == 0
@@ -850,6 +891,63 @@ def test_config_rejects_unknown_sections(tmp_path, capsys):
     assert "model" in err and "section" in err
 
 
+_SECTIONS = {"hyperparams": HyperParams, "train": TrainConfig, "encoder": EncoderConfig}
+_CONFIG_VALUES = st.one_of(
+    st.integers(-2, 4),
+    st.floats(-2, 4) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["max", "multi", "softmax", "constrained", "3,4"]) | st.text(max_size=4),
+    st.lists(st.integers(-2, 4), max_size=3),
+    st.dictionaries(st.sampled_from(["d_w", "x"]), st.integers(-2, 4), max_size=2),
+)
+# A section holds keys of its own fields (of every one, read by the command or not) and junk.
+_SECTIONS_OBJECTS = st.fixed_dictionaries({}, optional={
+    name: st.dictionaries(
+        st.sampled_from([*(f.name for f in fields(cls)), "hidden_size", "config", "epochs"]),
+        _CONFIG_VALUES, max_size=3)
+    for name, cls in _SECTIONS.items()
+})
+# Three in five draws are objects of real sections, so most reach the values.  (`one_of`
+# would flatten `_CONFIG_VALUES` into one branch per kind, nearly all of them non-objects.)
+_CONFIGS = st.sampled_from([0, 0, 0, 1, 2]).flatmap(lambda branch: [
+    _SECTIONS_OBJECTS,
+    st.dictionaries(st.sampled_from([*_SECTIONS, "model", ""]), _CONFIG_VALUES, max_size=2),
+    _CONFIG_VALUES,  # not an object
+][branch])
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+@settings(max_examples=30, deadline=None)
+@given(config=_CONFIGS)
+def test_config_file_fuzz_exits_cleanly(command, config):
+    """Any --config object ends in exit 0, or in exit 1 with one error line, no traceback
+    and no new file; gridsearch writes its ranking when every cell failed."""
+    insts, _ = generate(placement_task_spec(sentences_per_type=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus, vocab, cfg, grid = (tmp / n for n in ("c.jsonl", "v.txt", "cfg.json", "grid.json"))
+        write_instances_reference(corpus, insts)
+        save_vocab(build_vocab(insts, EncoderConfig(max_distance=30)), vocab)
+        cfg.write_text(json.dumps(config))
+        grid.write_text(json.dumps({"d_p": [2], "d_c": [4], "lr": [0.05], "beta": [0.0]}))
+        inputs = sorted(p.name for p in tmp.iterdir())
+        out = (["--checkpoint", tmp / "m.npz"] if command == "train"
+               else ["--grid", grid, "--out", tmp / "g.csv"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run(command, "--train", corpus, "--vocab", vocab, *out, "--config", cfg)
+        created = sorted(set(p.name for p in tmp.iterdir()) - set(inputs))
+    err = err.getvalue()
+    assert rc in (0, 1) and "Traceback" not in err
+    if rc == 0:
+        assert created == (["m.npz", "m.npz.manifest.json", "m.npz.metrics.json"]
+                           if command == "train" else ["g.csv", "g.csv.manifest.json"])
+    elif err == "all grid cells failed\n":
+        assert command == "gridsearch" and created == ["g.csv", "g.csv.manifest.json"]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert created == []
+
+
 def test_unknown_subcommand_and_version(capsys):
     with pytest.raises(SystemExit):
         run("frobnicate")
@@ -874,7 +972,7 @@ def test_train_records_the_vocabulary_radius(tmp_path, with_config):
     if with_config:  # a config file without an encoder radius
         flags["config"] = tmp_path / "cfg.json"
         flags["config"].write_text(json.dumps({"encoder": {"concept_len": 3}}))
-    ckpt = _train_tiny(tmp_path, corpus, vocab, **flags)  # no --max-distance: the default is 60
+    ckpt = _train_tiny(tmp_path, corpus, vocab, **flags)  # EncoderConfig's default radius is 60
     from relcnn.model import load_checkpoint
 
     model = load_checkpoint(ckpt)
@@ -884,28 +982,85 @@ def test_train_records_the_vocabulary_radius(tmp_path, with_config):
     assert manifest["config"]["encoder"]["max_distance"] == 30
 
 
-@pytest.mark.parametrize("command,via", [
-    ("train", "flag"), ("train", "config"), ("gridsearch", "flag"), ("gridsearch", "config"),
-])
-def test_explicit_radius_that_disagrees_with_the_vocabulary_exits_1(tmp_path, capsys, command, via):
+_REMOVED_FLAGS = [
+    ("preprocess", "--concept-len"), ("synth", "--concept-len"),
+    ("train", "--max-distance"), ("train", "--min-word-freq"),
+    *(("gridsearch", flag) for flag in ("--d-p", "--d-c", "--windows", "--lr", "--beta",
+                                        "--max-distance", "--min-word-freq")),
+]
+
+
+@pytest.mark.parametrize("command,flag", _REMOVED_FLAGS)
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    """A setting the command would ignore is not a flag of it, nor a prefix of one."""
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = {
+        "preprocess": ["--input", tmp_path, "--out", work / "i.jsonl"],
+        "synth": ["--preset", "placement", "--out", work / "c.jsonl"],
+        "train": ["--train", "t.jsonl", "--vocab", "v.txt", "--checkpoint", work / "m.npz"],
+        "gridsearch": ["--train", "t.jsonl", "--vocab", "v.txt", "--out", work / "g.csv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run(command, *argv, flag, "3")
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
+_IGNORED_KEYS = [
+    ("train", "encoder", "max_distance", 30), ("train", "encoder", "min_word_freq", 1),
+    ("gridsearch", "hyperparams", "d_p", 2), ("gridsearch", "hyperparams", "d_c", 6),
+    ("gridsearch", "hyperparams", "windows", [3]), ("gridsearch", "hyperparams", "lr", 0.05),
+    ("gridsearch", "hyperparams", "beta", 0.0), ("gridsearch", "encoder", "max_distance", 30),
+    ("gridsearch", "encoder", "min_word_freq", 1),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", _IGNORED_KEYS,
+                         ids=[f"{c}-{s}-{k}" for c, s, k, _ in _IGNORED_KEYS])
+def test_config_key_a_command_does_not_read_exits_1(tmp_path, capsys, command, section, key,
+                                                     value):
+    """A config key is a flag dest of the command: the vocabulary's settings, and the grid's
+    axes in gridsearch, are rejected naming the file, section and key, even at the value the
+    command would use."""
     corpus = _synth(tmp_path, n=4)
     vocab = tmp_path / "v.txt"
     _mk_vocab(corpus, vocab, max_distance=30)
     work = tmp_path / "work"
     work.mkdir()
-    if via == "flag":
-        radius = ["--max-distance", 60]
-    else:
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"encoder": {"max_distance": 60}}))
-        radius = ["--config", config]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({section: {key: value}}))
     out = ["--checkpoint", work / "m.npz"] if command == "train" else ["--out", work / "g.csv"]
     capsys.readouterr()
-    assert run(command, "--train", corpus, "--vocab", vocab, *out, *radius, "--epochs", 1) == 1
+    assert run(command, "--train", corpus, "--vocab", vocab, *out, "--config", config,
+               "--epochs", 1) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: max_distance 60 disagrees with ") and err.count("\n") == 1
-    assert str(vocab) in err and "max_distance 30" in err
+    assert err.startswith(f"error: {config}: {section}: {key}: {command} reads only ")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--max-distance", "--min-word-freq"])
+def test_synth_vocabulary_setting_without_vocab_exits_1(tmp_path, capsys, flag):
+    work = tmp_path / "work"
+    work.mkdir()
+    assert run("synth", "--preset", "placement", "--sentences-per-type", 2,
+               "--out", work / "c.jsonl", flag, 3) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --max-distance and --min-word-freq set the vocabulary; they need --vocab\n"
+    assert list(work.iterdir()) == []
+
+
+def test_synth_takes_exactly_one_of_spec_and_preset(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec_json(sentences_per_type=2)))
+    for source in ([], ["--spec", spec, "--preset", "placement"]):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", *source, "--out", tmp_path / "c.jsonl")
+        assert exc.value.code == 2
+        assert "--spec" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 def _break_utf8(src: Path, dst: Path, line: int) -> Path:
@@ -1236,6 +1391,33 @@ def test_side_outputs_into_missing_directories(tmp_path, raw_corpus, command):
     assert all(p.is_file() for p in outputs)
 
 
+@pytest.mark.parametrize("command,outputs", [
+    ("synth", ["--out", "c.jsonl", "--ledger", "c.jsonl"]),
+    ("synth", ["--out", "c.jsonl", "--ledger", "./c.jsonl"]),
+    ("synth", ["--out", "c.jsonl", "--vocab", "WORK/c.jsonl"]),
+    ("train", ["--checkpoint", "m.npz", "--metrics", "m.json", "--record", "m.json"]),
+], ids=["synth-same", "synth-dot-slash", "synth-absolute", "train-metrics-record"])
+def test_two_outputs_naming_one_file_exit_1(tmp_path, capsys, monkeypatch, command, outputs):
+    """Two outputs of one run may not name the same file, however it is spelled."""
+    src = tmp_path / "src"
+    corpus = _synth(src, n=4)
+    _mk_vocab(corpus, src / "v.txt")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    outputs = [str(a).replace("WORK", str(work)) for a in outputs]
+    argv = {
+        "synth": ["synth", "--preset", "placement", "--sentences-per-type", 2],
+        "train": ["train", "--train", corpus, "--vocab", src / "v.txt", "--d-w", 8, "--d-c", 6,
+                  "--epochs", 1],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv, *outputs) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {Path(outputs[-1])}: named by two outputs of one {command} run\n"
+    assert list(work.iterdir()) == []
+
+
 def _command_argv(command: str, src: Path, raw: Path, out: Path) -> list:
     """argv for `command` reading the artifacts under `src`, writing under `out`."""
     corpus, vocab, ckpt, preds = src / "corpus.jsonl", src / "v.txt", src / "model.npz", src / "p.jsonl"
@@ -1246,8 +1428,9 @@ def _command_argv(command: str, src: Path, raw: Path, out: Path) -> list:
                   "--out", out / "c.jsonl", "--vocab", out / "v.txt"],
         "train": ["train", "--train", corpus, "--vocab", vocab, "--checkpoint", out / "m.npz",
                   "--record", out / "r.json", *tiny],
-        "gridsearch": ["gridsearch", "--train", corpus, "--vocab", vocab,
-                       "--out", out / "g.csv", "--json", out / "g.json", "--lr", 0.05, *tiny],
+        "gridsearch": ["gridsearch", "--train", corpus, "--vocab", vocab, "--grid", src / "grid.json",
+                       "--out", out / "g.csv", "--json", out / "g.json",
+                       "--d-w", 8, "--d-ct", 2, "--epochs", 1],
         "predict": ["predict", "--checkpoint", ckpt, "--vocab", vocab, "--input", corpus,
                     "--out", out / "p.jsonl"],
         "eval": ["eval", "--gold", corpus, "--pred", preds, "--out", out / "r.json",
@@ -1266,6 +1449,7 @@ def test_manifest_outputs_are_exactly_the_files_created(tmp_path, raw_corpus, co
     ckpt = _train_tiny(src, corpus, src / "v.txt")
     assert run("predict", "--checkpoint", ckpt, "--vocab", src / "v.txt",
                "--input", corpus, "--out", src / "p.jsonl") == 0
+    (src / "grid.json").write_text(json.dumps({"d_p": [2], "d_c": [6], "lr": [0.05], "beta": [0.0005]}))
     before = set(tmp_path.rglob("*"))
     out = tmp_path / "out" / "nested"
     assert run(*_command_argv(command, src, raw_corpus, out)) == 0
