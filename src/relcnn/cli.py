@@ -9,7 +9,7 @@ Conventions shared by every subcommand:
   and a command that fails or is interrupted leaves no output behind;
   `gridsearch` writes its ranking and then exits 1 when every cell diverged;
 * a run manifest (`<primary output>.manifest.json`) records the command,
-  config snapshot, seeds, sha256 of each input read and the outputs
+  the settings it read, seeds, sha256 of each input read and the outputs
   written, and tool version — enough to reproduce the run bit-exactly;
 * configuration precedence is flags > --config file > defaults;
 * stdout carries human-readable summaries, stderr diagnostics; machine
@@ -50,7 +50,6 @@ from .encoding import (
     encode_instances,
     load_vocab,
     save_vocab,
-    vocab_hash,
 )
 from .evaluator import bootstrap_ci, evaluate, format_report
 from .model import (
@@ -85,14 +84,6 @@ class CliError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_json(path: Path, obj: dict) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)  # one write, not one per token
     with open(path, "w", encoding="utf-8") as fh:
@@ -104,17 +95,17 @@ def write_manifest(
     command: str,
     config: dict,
     seeds: dict,
-    inputs: Sequence[Path],
+    inputs: dict[Path, str],
     outputs: Sequence[Path],
 ) -> None:
-    """Write the record of one run to `path`."""
+    """Write the record of one run to `path`; `inputs` maps each file read to its sha256."""
     manifest = {
         "format": MANIFEST_FORMAT,
         "tool_version": __version__,
         "command": command,
         "config": config,
         "seeds": seeds,
-        "inputs": {str(p): _sha256(Path(p)) for p in sorted(inputs, key=str)},
+        "inputs": {str(p): inputs[p] for p in sorted(inputs, key=str)},
         "outputs": [str(p) for p in outputs],
     }
     _write_json(path, manifest)
@@ -123,7 +114,8 @@ def write_manifest(
 class Run:
     """How one command touches files.
 
-    `input` records a file the command reads.  `output` creates the
+    `input` records a file the command reads and its sha256 in `inputs`;
+    `config` holds the settings the command read.  `output` creates the
     target's directory and returns a staging file beside the target, which
     the command writes in place of it.  `commit` writes the manifest from
     what was recorded, then moves each staged file onto its target with
@@ -134,12 +126,14 @@ class Run:
 
     def __init__(self, command: str) -> None:
         self.command = command
-        self.inputs: list[Path] = []
+        self.config: dict = {}
+        self.inputs: dict[Path, str] = {}
         self.staged: list[tuple[Path, Path]] = []  # (staging file, target)
 
     def input(self, path: str | Path) -> Path:
-        self.inputs.append(Path(path))
-        return self.inputs[-1]
+        path = Path(path)
+        self.inputs[path] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return path
 
     def output(self, path: str | Path) -> Path:
         target = Path(path)
@@ -150,10 +144,10 @@ class Run:
         self.staged.append((staging, target))
         return staging
 
-    def commit(self, primary: Path, config: dict, seeds: dict) -> None:
+    def commit(self, primary: Path, seeds: dict) -> None:
         outputs = [target for _, target in self.staged]
         manifest = self.output(str(primary) + ".manifest.json")
-        write_manifest(manifest, self.command, config, seeds, self.inputs, outputs)
+        write_manifest(manifest, self.command, self.config, seeds, self.inputs, outputs)
         for staging, target in self.staged:
             os.replace(staging, target)
         self.staged.clear()
@@ -169,7 +163,8 @@ class Run:
 #
 # The config dataclasses declare the schema: a config-file key, a grid-file
 # axis and a flag's argparse dest are each exactly a field name.  The parser
-# declares what each command reads, so a config-file key is also a flag dest.
+# declares what each command reads, so a config-file key is also a flag dest,
+# and a manifest records exactly those settings (`_resolve`).
 # ---------------------------------------------------------------------------
 
 
@@ -179,41 +174,49 @@ def _flags(args, cls) -> dict:
     return {k: v for k, v in given.items() if v is not None}
 
 
-def _resolve(cls, args, config: dict | None = None, section: str = "", **defaults):
-    """A `cls` from its flags, over the config file's `section`, over `defaults`,
-    over the defaults of `cls`.
+_CONFIG_SECTIONS = {"hyperparams": HyperParams, "train": TrainConfig, "encoder": EncoderConfig}
 
-    A value `cls` rejects is named with the config file and section when the
-    flags and defaults alone are accepted, so the file supplied it.
+
+def _resolve(run: Run, args, section: str, config: dict | None = None, **defaults):
+    """The `section` dataclass from its flags, over the config file's `section`,
+    over `defaults`, over the dataclass defaults; records in `run.config` the
+    values the command read: its flags' fields and `defaults`.
+
+    A value the dataclass rejects is named with the config file and section
+    when the flags and defaults alone are accepted, so the file supplied it.
     """
+    cls = _CONFIG_SECTIONS[section]
+    settings = [f.name for f in fields(cls) if f.name in vars(args)]
     from_file = {}
     if config:
         where = f"{args.config}: {section}"
         values = config.get(section, {})
-        settings = [f.name for f in fields(cls) if f.name in vars(args)]
-        ignored = sorted(set(values) - set(settings)) if isinstance(values, dict) else []
+        if not isinstance(values, dict):
+            raise CliError(f"{where}: expected an object with keys {', '.join(settings)}, got {values!r}")
+        ignored = sorted(set(values) - set(settings))
         if ignored:  # a field the command has no flag for is a setting it ignores
             raise CliError(f"{where}: {', '.join(ignored)}: {args.command} reads only {', '.join(settings)}")
         from_file = typed_fields(cls, values, where)
     flags = typed_fields(cls, _flags(args, cls), "command line")
     try:
-        return cls(**{**defaults, **from_file, **flags})
+        resolved = cls(**{**defaults, **from_file, **flags})
     except ValueError as exc:
         if not from_file:
             raise
         cls(**{**defaults, **flags})  # raises unchanged when the flags are at fault
         raise CliError(f"{where}: {exc}") from None
+    run.config[section] = {name: getattr(resolved, name) for name in [*settings, *defaults]}
+    return resolved
 
 
-_CONFIG_SECTIONS = {"hyperparams": HyperParams, "train": TrainConfig, "encoder": EncoderConfig}
-
-
-def _resolve_train_setup(args, vocab: Vocab) -> tuple[HyperParams, TrainConfig, EncoderConfig, dict]:
-    """Merge defaults, --config file and flags into (hp, cfg, enc, snapshot).
+def _resolve_train_setup(args, vocab: Vocab, run: Run) -> tuple[HyperParams, TrainConfig, EncoderConfig]:
+    """Merge defaults, --config file and flags into (hp, cfg, enc).
 
     The vocabulary sets the position table, so its radius is the encoder's
     `max_distance`.
     """
+    if args.dev:  # a dev file replaces the split, so `dev_fraction` is no setting of the run
+        del args.dev_fraction
     config = read_json(Path(args.config)) if args.config else {}
     if not isinstance(config, dict):
         raise CliError(f"{args.config}: expected an object of config sections, got {config!r}")
@@ -223,11 +226,10 @@ def _resolve_train_setup(args, vocab: Vocab) -> tuple[HyperParams, TrainConfig, 
             f"{args.config}: unknown config sections {', '.join(unknown)} "
             f"(expected {', '.join(_CONFIG_SECTIONS)})"
         )
-    hp = _resolve(HyperParams, args, config, "hyperparams")
-    cfg = _resolve(TrainConfig, args, config, "train")
-    enc_cfg = _resolve(EncoderConfig, args, config, "encoder", max_distance=vocab.max_distance)
-    snapshot = {"hyperparams": asdict(hp), "train": asdict(cfg), "encoder": asdict(enc_cfg)}
-    return hp, cfg, enc_cfg, snapshot
+    hp = _resolve(run, args, "hyperparams", config)
+    cfg = _resolve(run, args, "train", config)
+    enc_cfg = _resolve(run, args, "encoder", config, max_distance=vocab.max_distance)
+    return hp, cfg, enc_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def _discover_documents(dirs: Sequence[str]) -> list[tuple[str, Path, Path, Path
 
 
 def cmd_preprocess(args, run: Run) -> int:
-    enc_cfg = _resolve(EncoderConfig, args)
+    enc_cfg = _resolve(run, args, "encoder")
     docs = _discover_documents(args.input)
     out = Path(args.out)
 
@@ -297,7 +299,7 @@ def cmd_preprocess(args, run: Run) -> int:
     save_vocab(build_vocab(instances, enc_cfg), run.output(args.vocab or out.with_suffix(".vocab.txt")))
     stats = corpus_stats(instances)
     _write_json(run.output(args.stats or f"{out}.stats.json"), stats.to_dict())
-    run.commit(out, {"encoder": asdict(enc_cfg)}, {})
+    run.commit(out, {})
 
     print(f"documents: {len(docs)}")
     print(f"instances: {stats.n_instances}")
@@ -326,12 +328,11 @@ def cmd_synth(args, run: Run) -> int:
     else:
         spec = placement_task_spec()
     spec = dc_replace(spec, **_flags(args, SynthSpec))
+    run.config["spec"] = asdict(spec)
 
     out = Path(args.out)
-    config_snapshot: dict = {"spec": asdict(spec)}
     if args.vocab:
-        enc_cfg = _resolve(EncoderConfig, args)
-        config_snapshot["encoder"] = asdict(enc_cfg)
+        enc_cfg = _resolve(run, args, "encoder")
     elif _flags(args, EncoderConfig):
         raise CliError("--max-distance and --min-word-freq set the vocabulary; they need --vocab")
     instances, ledger = generate(spec)
@@ -344,7 +345,7 @@ def cmd_synth(args, run: Run) -> int:
     _write_json(run.output(args.ledger or f"{out}.ledger.json"), ledger_dict)
     if args.vocab:
         save_vocab(build_vocab(instances, enc_cfg), run.output(args.vocab))
-    run.commit(out, config_snapshot, {"seed": spec.seed})
+    run.commit(out, {"seed": spec.seed})
     print(f"instances: {report.n}")
     print(f"rule-reader accuracy: {100.0 * report.rule_accuracy:.1f}")
     return 0
@@ -369,7 +370,7 @@ def _load_split(
 
 def cmd_train(args, run: Run) -> int:
     vocab = load_vocab(run.input(args.vocab))
-    hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args, vocab)
+    hp, cfg, enc_cfg = _resolve_train_setup(args, vocab, run)
     train_enc, dev_enc = _load_split(args, cfg, vocab, enc_cfg, run)
 
     init = None
@@ -382,7 +383,7 @@ def cmd_train(args, run: Run) -> int:
     record = result.record
 
     ckpt_path = Path(args.checkpoint)
-    save_checkpoint(run.output(ckpt_path), result.params, hp, enc_cfg, vocab_hash(args.vocab))
+    save_checkpoint(run.output(ckpt_path), result.params, hp, enc_cfg, run.inputs[Path(args.vocab)])
     _write_json(
         run.output(args.metrics or f"{ckpt_path}.metrics.json"),
         {
@@ -393,7 +394,7 @@ def cmd_train(args, run: Run) -> int:
     )
     if args.record:
         _write_json(run.output(args.record), record.to_dict(include_wall_time=True))
-    run.commit(ckpt_path, snapshot, {"seed": cfg.seed})
+    run.commit(ckpt_path, {"seed": cfg.seed})
     print(
         f"epochs: {record.n_epochs}  best epoch: {record.best_epoch}  "
         f"dev micro-F1: {result.dev_report.micro.f1:.1f}"
@@ -408,10 +409,11 @@ def _cell_text(value) -> str:
 
 def cmd_gridsearch(args, run: Run) -> int:
     vocab = load_vocab(run.input(args.vocab))
-    hp, cfg, enc_cfg, snapshot = _resolve_train_setup(args, vocab)
+    hp, cfg, enc_cfg = _resolve_train_setup(args, vocab, run)
     grid = GridSpec()
     if args.grid:
         grid = typed(read_json(run.input(args.grid)), GridSpec, f"{args.grid}: grid axes")
+    run.config["grid"] = asdict(grid)
 
     train_enc, dev_enc = _load_split(args, cfg, vocab, enc_cfg, run)
     results = grid_search(train_enc, dev_enc, hp, grid, cfg, vocab, enc_cfg)
@@ -448,8 +450,7 @@ def cmd_gridsearch(args, run: Run) -> int:
                 ]
             },
         )
-    snapshot["grid"] = asdict(grid)
-    run.commit(out, snapshot, {"seed": cfg.seed})
+    run.commit(out, {"seed": cfg.seed})
     best = results[0]
     if best.failed:
         print("all grid cells failed", file=sys.stderr)
@@ -472,7 +473,7 @@ def _instance_key(inst: RelationInstance) -> str:
 def cmd_predict(args, run: Run) -> int:
     ckpt = load_checkpoint(run.input(args.checkpoint))
     vocab_path = run.input(args.vocab)
-    actual = vocab_hash(vocab_path)
+    actual = run.inputs[vocab_path]
     if actual != ckpt.vocab_sha256:
         raise CliError(
             f"vocabulary mismatch: checkpoint was trained with vocab {ckpt.vocab_sha256[:12]}..., "
@@ -500,13 +501,16 @@ def cmd_predict(args, run: Run) -> int:
                 "probs": dict(zip(names, row)),
             }
             fh.write(encode(rec) + "\n")
-    run.commit(out, {"checkpoint": str(args.checkpoint)}, {})
+    run.commit(out, {})
     print(f"predicted {len(instances)} instances")
     return 0
 
 
 def cmd_eval(args, run: Run) -> int:
-    if args.seed < 0:
+    if args.bootstrap is None and args.seed is not None:
+        raise CliError("--seed seeds the bootstrap resamples; it needs --bootstrap")
+    seeds = {} if args.bootstrap is None else {"seed": args.seed or 0}
+    if seeds.get("seed", 0) < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
     pred_path = run.input(args.pred)
     gold_insts = read_instances(run.input(args.gold))
@@ -535,9 +539,10 @@ def cmd_eval(args, run: Run) -> int:
     out = Path(args.out or f"{pred_path}.report.json")
     report = evaluate(gold_labels, pred_labels)
     if args.bootstrap is not None:
-        report.ci = bootstrap_ci(gold_labels, pred_labels, args.bootstrap, args.seed)
+        report.ci = bootstrap_ci(gold_labels, pred_labels, args.bootstrap, seeds["seed"])
     _write_json(run.output(out), report.to_dict())
-    run.commit(out, {"bootstrap": args.bootstrap}, {"seed": args.seed})
+    run.config["bootstrap"] = args.bootstrap
+    run.commit(out, seeds)
     print(format_report(report))
     return 0
 
@@ -546,7 +551,7 @@ def cmd_stats(args, run: Run) -> int:
     stats = corpus_stats(read_instances(run.input(args.input)))
     if args.out:
         _write_json(run.output(args.out), stats.to_dict())
-        run.commit(Path(args.out), {}, {})
+        run.commit(Path(args.out), {})
     print(f"instances: {stats.n_instances}")
     for name, count in stats.relation_counts.items():
         print(f"  {name:<6} {count}")
@@ -585,10 +590,12 @@ def _add_hp_args(p: argparse.ArgumentParser, grid_axes: bool = True) -> None:
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
+    dev = p.add_mutually_exclusive_group()
+    dev.add_argument("--dev", default=None, help="dev instances (default: split from train)")
+    dev.add_argument("--dev-fraction", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dev-fraction", type=float, default=None)
     p.add_argument("--concept-len", type=int, default=None, help="concept content length")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
 
@@ -625,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train", help="train a model")
     p.add_argument("--train", required=True, help="training instances JSON-lines")
-    p.add_argument("--dev", default=None, help="dev instances (default: split from train)")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True, help="model output (.npz)")
     p.add_argument("--metrics", default=None, help="metrics JSON output")
@@ -637,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gridsearch", help="hyperparameter sweep")
     p.add_argument("--train", required=True)
-    p.add_argument("--dev", default=None)
     p.add_argument("--vocab", required=True)
     p.add_argument("--grid", default=None, help="JSON with axes d_p, d_c, lr, beta, windows")
     p.add_argument("--out", required=True, help="ranked results CSV")
@@ -658,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predictions JSON-lines")
     p.add_argument("--out", default=None, help="report JSON output")
     p.add_argument("--bootstrap", type=int, default=None, help="bootstrap resamples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default 0)")
     p.set_defaults(func=cmd_eval)
 
     p = add("stats", help="corpus statistics")

@@ -9,7 +9,6 @@ placeholders, clipped to a radius and shifted to the dense id range
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -245,8 +244,3 @@ def load_vocab(path: str | Path) -> Vocab:
     if ids != list(range(len(ids))):
         raise ValueError(f"{path}: word ids are not dense from 0")
     return Vocab(word_ids=word_ids, max_distance=int(radius))
-
-
-def vocab_hash(path: str | Path) -> str:
-    """SHA-256 of the serialized vocab file, used to pin checkpoints to vocabs."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -22,7 +22,9 @@ penalty run over a sample's loss classes (``loss_classes``): every class
 under the "softmax" loss, the classes of the sample's category under the
 "constrained" loss, so rows outside the category receive exactly zero
 gradient.  ``backward`` produces analytic gradients for every parameter;
-``numeric.finite_diff_grad`` is the independent check.
+the central differences of ``finite_diff_grad`` in the tests are the
+independent check.  ``predict_batch`` decodes each sample over the same
+loss classes.
 
 Every gradient is a ``RowGrad``: its data gradient plus weight decay as
 one coefficient, which ``apply_sgd`` applies in closed form (Bottou,
@@ -753,18 +755,26 @@ def score_chunk(
 def predict_batch(
     encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
 ) -> tuple[list[RelationType], np.ndarray]:
-    """The most probable relation type of every instance, plus its probability row.
+    """The most probable relation type of every instance among its loss classes,
+    plus its probability row.
 
-    Scores over all classes regardless of the sample's category, mirroring
-    single-model training; cross-category mistakes stay observable in
-    evaluation.  Ties break toward the lowest class index.  Returns the
-    labels and a (len(encs), N_CLASSES) array of probability rows, scored
-    PREDICT_CHUNK instances at a time (``score_chunk``); the chunk size
-    bounds the memory a scoring pass takes.
+    An instance is decoded over the classes its loss normalizes over
+    (``loss_classes``): every class under the softmax loss, its pair's
+    category under the constrained loss, whose loss never pushes down the
+    other categories' rows.  The concept types fix the category, so the
+    decode reads no gold label.  A probability row is the softmax over those
+    classes, with exact zeros elsewhere.  Ties break toward the lowest class
+    index.  Returns the labels and a (len(encs), N_CLASSES) array of
+    probability rows, scored PREDICT_CHUNK instances at a time
+    (``score_chunk``); the chunk size bounds the memory a scoring pass takes.
     """
     scores = np.zeros((len(encs), N_CLASSES))
     for lo in range(0, len(encs), PREDICT_CHUNK):
         scores[lo : lo + PREDICT_CHUNK] = score_chunk(encs[lo : lo + PREDICT_CHUNK], params, hp)
+    if hp.loss != LOSS_SOFTMAX:  # under the softmax loss every row keeps every class
+        for row, enc in zip(scores, encs):
+            classes = loss_classes(enc.category, hp)
+            row[: classes.start] = row[classes.stop :] = -np.inf
     return [RELATION_TYPES[i] for i in np.argmax(scores, axis=1)], softmax(scores)
 
 

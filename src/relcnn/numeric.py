@@ -1,18 +1,14 @@
-"""Dense float64 numerics: nonlinearities, init, finite differences.
+"""Dense float64 numerics: nonlinearities, a stable softmax, init.
 
 All arrays are numpy float64.  The model is small enough that double
-precision everywhere is cheap, and it makes the finite-difference gradient
-checks decisive (central differences at eps=1e-5 resolve relative errors
-well below 1e-4 in float64).
+precision everywhere is cheap, and it makes the tests' finite-difference
+gradient checks decisive (central differences at eps=1e-5 resolve relative
+errors well below 1e-4 in float64).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Union
-
 import numpy as np
-
-ArrayMap = Mapping[str, np.ndarray]
 
 
 class ShapeError(ValueError):
@@ -50,46 +46,3 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
         raise ShapeError(f"glorot_init needs positive dims, got {rows}x{cols}")
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def _as_array_map(params: Union[ArrayMap, object]) -> ArrayMap:
-    arrays = getattr(params, "arrays", None)
-    if callable(arrays):
-        return arrays()
-    if isinstance(params, Mapping):
-        return params
-    raise TypeError(f"expected a name->array mapping or object with .arrays(), got {type(params)}")
-
-
-def finite_diff_grad(
-    f: Callable[..., float],
-    params: Union[ArrayMap, object],
-    epsilon: float = 1e-5,
-) -> dict[str, np.ndarray]:
-    """Central-difference gradient of a scalar function of `params`.
-
-    `params` is either a name->array mapping or an object exposing
-    ``.arrays()`` (e.g. ModelParams).  Each coordinate is perturbed in
-    place by +/- epsilon and `f(params)` re-evaluated; the original value
-    is restored afterwards.  Returns one gradient array per parameter
-    array, same keys and shapes.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    arrays = _as_array_map(params)
-    grads: dict[str, np.ndarray] = {}
-    for name, arr in arrays.items():
-        grad = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = float(f(params))
-            flat[i] = orig - epsilon
-            f_minus = float(f(params))
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise ValueError(f"non-finite objective while perturbing {name}[{i}]")
-            gflat[i] = (f_plus - f_minus) / (2.0 * epsilon)
-        grads[name] = grad
-    return grads

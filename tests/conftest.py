@@ -4,9 +4,11 @@ Provides the things the individual test modules lean on:
 
 * a hypothesis profile tuned for deterministic CI runs,
 * builders for random-but-valid relation instances of any label
-  (``build_instance`` / ``encoded_instance``),
-* reference helpers: ``grad_max_rel_err`` compares analytic gradients
-  (row gradients densified) with finite differences, and
+  (``build_instance`` / ``encoded_instance``) and for a corpus that spans
+  all three categories (``three_category_corpus``),
+* reference helpers: ``finite_diff_grad`` takes central-difference
+  gradients, ``grad_max_rel_err`` compares analytic gradients (row
+  gradients densified) with them, and
   ``prf_reference`` scores one (tp, fp, fn) triple in Python floats,
   ``micro_from_confusion`` recomputes micro scores from a confusion
   matrix alone, ``bootstrap_ci_reference`` resamples through ``evaluate``,
@@ -30,7 +32,7 @@ import json
 from dataclasses import asdict
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 import pytest
@@ -81,7 +83,18 @@ from relcnn.relations import (
     ConceptType,
     RelationType,
 )
-from relcnn.synthgen import LedgerEntry, SynthLedger, SynthSpec, _signal_slot_range
+from relcnn.synthgen import (
+    AFTER_C2,
+    BEFORE_C1,
+    BETWEEN,
+    DEFAULT_SIGNAL,
+    LabelRule,
+    LedgerEntry,
+    SynthLedger,
+    SynthSpec,
+    _signal_slot_range,
+    generate,
+)
 
 settings.register_profile(
     "suite",
@@ -98,6 +111,28 @@ CATEGORY_PAIR = {
     Category.TEP: (ConceptType.TEST, ConceptType.PROBLEM),
     Category.PP: (ConceptType.PROBLEM, ConceptType.PROBLEM),
 }
+
+# One placement task per category: each label's signal lands in its own region.
+_CATEGORY_TASKS = {
+    Category.TRP: (RelationType.TRIP, RelationType.TRWP, RelationType.NTRP),
+    Category.TEP: (RelationType.TERP, RelationType.TECP, RelationType.NTEP),
+    Category.PP: (RelationType.PIP, RelationType.NPP),
+}
+
+
+def three_category_corpus(sentences_per_type: int, seed: int) -> list[RelationInstance]:
+    """Three ``generate`` corpora concatenated, one per category: the first
+    label's signal before the first concept, the second's after the second
+    concept, the third's between them."""
+    instances = []
+    for category, labels in _CATEGORY_TASKS.items():
+        rules = tuple(LabelRule(label, placement, DEFAULT_SIGNAL)
+                      for label, placement in zip(labels, (BEFORE_C1, AFTER_C2, BETWEEN)))
+        spec = SynthSpec(rules=rules, concept_types=CATEGORY_PAIR[category],
+                         sentences_per_type=sentences_per_type, seed=seed)
+        instances += generate(spec)[0]
+    return instances
+
 
 _WORDS = [f"tok{i}" for i in range(40)]
 _CONCEPT_WORDS = [f"ent{i}" for i in range(12)]
@@ -188,6 +223,52 @@ def densify(grad: RowGrad, table: np.ndarray) -> np.ndarray:
     dense = grad.decay * table
     np.add.at(dense, grad.ids, grad.rows)
     return dense
+
+
+ArrayMap = Mapping[str, np.ndarray]
+
+
+def _as_array_map(params: Union[ArrayMap, object]) -> ArrayMap:
+    arrays = getattr(params, "arrays", None)
+    if callable(arrays):
+        return arrays()
+    if isinstance(params, Mapping):
+        return params
+    raise TypeError(f"expected a name->array mapping or object with .arrays(), got {type(params)}")
+
+
+def finite_diff_grad(
+    f: Callable[..., float],
+    params: Union[ArrayMap, object],
+    epsilon: float = 1e-5,
+) -> dict[str, np.ndarray]:
+    """Central-difference gradient of a scalar function of `params`.
+
+    `params` is either a name->array mapping or an object exposing
+    ``.arrays()`` (e.g. ModelParams).  Each coordinate is perturbed in
+    place by +/- epsilon and `f(params)` re-evaluated; the original value
+    is restored afterwards.  Returns one gradient array per parameter
+    array, same keys and shapes.
+    """
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    arrays = _as_array_map(params)
+    grads: dict[str, np.ndarray] = {}
+    for name, arr in arrays.items():
+        grad = np.zeros_like(arr)
+        flat, gflat = arr.ravel(), grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            f_plus = float(f(params))
+            flat[i] = orig - epsilon
+            f_minus = float(f(params))
+            flat[i] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise ValueError(f"non-finite objective while perturbing {name}[{i}]")
+            gflat[i] = (f_plus - f_minus) / (2.0 * epsilon)
+        grads[name] = grad
+    return grads
 
 
 def grad_max_rel_err(analytic, numeric, params: ModelParams, floor: float = 1e-5) -> float:

@@ -46,7 +46,6 @@ from relcnn.model import (
     pool,
     predict,
 )
-from relcnn.numeric import finite_diff_grad
 from relcnn.relations import (
     CATEGORY_CLASS_IDS,
     CATEGORY_TYPES,
@@ -60,6 +59,7 @@ from relcnn.trainer import TrainConfig, split_dev, train
 
 from conftest import (
     build_instance,
+    finite_diff_grad,
     grad_max_rel_err,
     micro_from_confusion,
     tokenize_normalize,

@@ -21,13 +21,14 @@ from relcnn.cli import MANIFEST_FORMAT, build_parser, main
 from relcnn.corpus import read_instances
 from relcnn.encoding import EncoderConfig, build_vocab, encode_instances, load_vocab, save_vocab
 from relcnn.model import HyperParams
-from relcnn.relations import RELATION_TYPES
+from relcnn.relations import CATEGORY_OF, RELATION_TYPES, RelationType
 from relcnn.synthgen import LabelRule, SynthSpec, generate, placement_task_spec
 from relcnn.trainer import GridSpec, TrainConfig
 
 from conftest import (
     rewrite_checkpoint_arrays,
     rewrite_checkpoint_meta,
+    three_category_corpus,
     write_instances_reference,
     write_ledger_reference,
     write_predictions_reference,
@@ -364,6 +365,27 @@ def test_train_predict_eval_chain(tmp_path, capsys):
     assert {"micro", "per_type", "confusion"} <= set(rep)
     out = capsys.readouterr().out
     assert "micro" in out.lower()
+
+
+def test_predict_with_a_constrained_checkpoint_stays_in_the_pair_category(tmp_path):
+    """A constrained model's `pred` is a class of the pair's category, and `probs` is the
+    softmax over that category, with exact zeros for every other class."""
+    corpus = tmp_path / "c.jsonl"
+    write_instances_reference(corpus, three_category_corpus(4, seed=0))
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    ckpt = _train_tiny(tmp_path, corpus, vocab, loss="constrained")
+    preds = tmp_path / "p.jsonl"
+    assert run("predict", "--checkpoint", ckpt, "--vocab", vocab,
+               "--input", corpus, "--out", preds) == 0
+    for rec in map(json.loads, preds.read_text().splitlines()):
+        category = CATEGORY_OF[RelationType(rec["gold"])]
+        inside = {t.value for t in RELATION_TYPES if CATEGORY_OF[t] is category}
+        assert rec["pred"] in inside
+        assert _LABELS[int(np.argmax([rec["probs"][t] for t in _LABELS]))] == rec["pred"]
+        assert all(p == 0.0 for t, p in rec["probs"].items() if t not in inside)
+        assert all(rec["probs"][t] > 0.0 for t in inside)
+        assert sum(rec["probs"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_train_rejects_unreadable_dev_and_missing_vocab(tmp_path, capsys):
@@ -1418,6 +1440,17 @@ def test_two_outputs_naming_one_file_exit_1(tmp_path, capsys, monkeypatch, comma
     assert list(work.iterdir()) == []
 
 
+def _command_sources(src: Path) -> Path:
+    """The corpus, vocabulary, checkpoint, predictions and one-cell grid `_command_argv` reads."""
+    corpus = _synth(src, n=4)
+    _mk_vocab(corpus, src / "v.txt")
+    ckpt = _train_tiny(src, corpus, src / "v.txt")
+    assert run("predict", "--checkpoint", ckpt, "--vocab", src / "v.txt",
+               "--input", corpus, "--out", src / "p.jsonl") == 0
+    (src / "grid.json").write_text(json.dumps({"d_p": [2], "d_c": [6], "lr": [0.05], "beta": [0.0005]}))
+    return src
+
+
 def _command_argv(command: str, src: Path, raw: Path, out: Path) -> list:
     """argv for `command` reading the artifacts under `src`, writing under `out`."""
     corpus, vocab, ckpt, preds = src / "corpus.jsonl", src / "v.txt", src / "model.npz", src / "p.jsonl"
@@ -1443,13 +1476,7 @@ def _command_argv(command: str, src: Path, raw: Path, out: Path) -> list:
     "preprocess", "synth", "train", "gridsearch", "predict", "eval", "stats",
 ])
 def test_manifest_outputs_are_exactly_the_files_created(tmp_path, raw_corpus, command):
-    src = tmp_path / "src"
-    corpus = _synth(src, n=4)
-    _mk_vocab(corpus, src / "v.txt")
-    ckpt = _train_tiny(src, corpus, src / "v.txt")
-    assert run("predict", "--checkpoint", ckpt, "--vocab", src / "v.txt",
-               "--input", corpus, "--out", src / "p.jsonl") == 0
-    (src / "grid.json").write_text(json.dumps({"d_p": [2], "d_c": [6], "lr": [0.05], "beta": [0.0005]}))
+    src = _command_sources(tmp_path / "src")
     before = set(tmp_path.rglob("*"))
     out = tmp_path / "out" / "nested"
     assert run(*_command_argv(command, src, raw_corpus, out)) == 0
@@ -1459,3 +1486,129 @@ def test_manifest_outputs_are_exactly_the_files_created(tmp_path, raw_corpus, co
     outputs = json.loads(manifests[0].read_text())["outputs"]
     assert len(outputs) == len(set(outputs))
     assert {Path(p) for p in outputs} == created - set(manifests)
+
+
+_HP_KEYS, _TRAIN_KEYS, _GRID_KEYS, _SPEC_FIELDS = (
+    {f.name for f in fields(cls)} for cls in (HyperParams, TrainConfig, GridSpec, SynthSpec))
+_VOCAB_KEYS = {"max_distance", "min_word_freq"}  # build_vocab's settings
+_ENCODE_KEYS = {"concept_len", "max_distance"}  # encode's, the radius from the vocabulary
+# Per case: the command, flags added to its `_command_argv` (a flag given as `-F` drops F
+# and its value), the keys of each `config` section (None for a scalar setting) and `seeds`.
+_MANIFEST_TABLE = {
+    "preprocess": ("preprocess", [], {"encoder": _VOCAB_KEYS}, {}),
+    "synth": ("synth", [], {"spec": _SPEC_FIELDS, "encoder": _VOCAB_KEYS}, {"seed": 0}),
+    "synth-without-vocab": ("synth", ["-vocab"], {"spec": _SPEC_FIELDS}, {"seed": 0}),
+    "train": ("train", [], {"hyperparams": _HP_KEYS, "train": _TRAIN_KEYS,
+                            "encoder": _ENCODE_KEYS}, {"seed": 0}),
+    "train-with-dev": ("train", ["dev"], {"hyperparams": _HP_KEYS,
+                                          "train": _TRAIN_KEYS - {"dev_fraction"},
+                                          "encoder": _ENCODE_KEYS}, {"seed": 0}),
+    "gridsearch": ("gridsearch", [], {"hyperparams": _HP_KEYS - _GRID_KEYS, "train": _TRAIN_KEYS,
+                                      "encoder": _ENCODE_KEYS, "grid": _GRID_KEYS}, {"seed": 0}),
+    "gridsearch-with-dev": ("gridsearch", ["dev"], {"hyperparams": _HP_KEYS - _GRID_KEYS,
+                                                    "train": _TRAIN_KEYS - {"dev_fraction"},
+                                                    "encoder": _ENCODE_KEYS, "grid": _GRID_KEYS},
+                            {"seed": 0}),
+    "predict": ("predict", [], {}, {}),
+    "eval": ("eval", [], {"bootstrap": None}, {"seed": 0}),
+    "eval-without-bootstrap": ("eval", ["-bootstrap"], {"bootstrap": None}, {}),
+    "stats": ("stats", [], {}, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_MANIFEST_TABLE))
+def test_manifest_config_records_exactly_the_settings_read(tmp_path, raw_corpus, case):
+    """Every `config` key is a setting the command read, and every setting it read is
+    recorded: its config-field flags, the values it derived from its inputs (the
+    vocabulary's radius), its spec, its grid and its bootstrap count."""
+    command, edits, table, seeds = _MANIFEST_TABLE[case]
+    src = _command_sources(tmp_path / "src")
+    out = tmp_path / "out"
+    argv = _command_argv(command, src, raw_corpus, out)
+    for edit in edits:
+        if edit.startswith("-"):
+            i = argv.index(f"-{edit}")
+            del argv[i : i + 2]
+        else:
+            argv += [f"--{edit}", src / "corpus.jsonl"]
+    assert run(*argv) == 0
+    (path,) = out.glob("*.manifest.json")
+    manifest = json.loads(path.read_text())
+    config = {k: set(v) if isinstance(v, dict) else None for k, v in manifest["config"].items()}
+    assert config == table
+    assert manifest["seeds"] == seeds
+    if command == "train":  # the recorded values are the ones the checkpoint was built with
+        ckpt = model.load_checkpoint(out / "m.npz")
+        recorded = manifest["config"]
+        assert recorded["hyperparams"] == json.loads(json.dumps(asdict(ckpt.hp)))
+        assert recorded["encoder"] == {k: getattr(ckpt.encoder, k) for k in _ENCODE_KEYS}
+        assert recorded["train"]["epochs"] == 1
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+def test_dev_file_with_dev_fraction_exits_2(tmp_path, capsys, command):
+    """A dev file replaces the split, so the two flags exclude each other."""
+    work = tmp_path / "work"
+    work.mkdir()
+    out = ["--checkpoint", work / "m.npz"] if command == "train" else ["--out", work / "g.csv"]
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--train", "t.jsonl", "--vocab", "v.txt", *out,
+            "--dev", "d.jsonl", "--dev-fraction", 0.3)
+    assert exc.value.code == 2
+    assert "argument --dev-fraction: not allowed with argument --dev" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+def test_config_dev_fraction_with_a_dev_file_exits_1(tmp_path, capsys, command):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train": {"dev_fraction": 0.3}}))
+    out = ["--checkpoint", work / "m.npz"] if command == "train" else ["--out", work / "g.csv"]
+    capsys.readouterr()
+    assert run(command, "--train", corpus, "--dev", corpus, "--vocab", vocab, *out,
+               "--config", config, "--epochs", 1) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: train: dev_fraction: {command} reads only epochs, batch_size, seed\n")
+    assert list(work.iterdir()) == []
+
+
+def test_eval_seed_without_bootstrap_exits_1(tmp_path, capsys):
+    corpus = _synth(tmp_path, n=4)
+    preds = tmp_path / "p.jsonl"
+    _write_preds(preds, corpus)
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert run("eval", "--gold", corpus, "--pred", preds, "--out", work / "r.json",
+               "--seed", 3) == 1
+    assert capsys.readouterr().err == "error: --seed seeds the bootstrap resamples; it needs --bootstrap\n"
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,content,keys", [
+    ("gridsearch", {"encoder": 3}, "concept_len"),
+    ("gridsearch", {"hyperparams": []}, "d_w, d_ct, dropout_p, pooling, loss"),
+    ("train", {"train": "x"}, "epochs, batch_size, seed"),  # with --dev
+])
+def test_config_section_that_is_not_an_object_names_the_keys_read(tmp_path, capsys, command,
+                                                                   content, keys):
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(content))
+    out = ["--checkpoint", work / "m.npz"] if command == "train" else ["--out", work / "g.csv"]
+    (section, value), = content.items()
+    capsys.readouterr()
+    assert run(command, "--train", corpus, "--dev", corpus, "--vocab", vocab, *out,
+               "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: {section}: expected an object with keys {keys}, got {value!r}\n")
+    assert list(work.iterdir()) == []

@@ -23,7 +23,6 @@ from relcnn.encoding import (
     load_vocab,
     save_vocab,
     segment_bounds,
-    vocab_hash,
 )
 from relcnn.relations import ConceptType, RelationType
 
@@ -250,11 +249,10 @@ def test_save_load_round_trip_and_hash(tmp_path):
     assert loaded.word_ids == vocab.word_ids
     assert loaded.max_distance == vocab.max_distance
     assert loaded == vocab
-    # same content -> same bytes and same hash on disk
+    # same content -> same bytes on disk, so the same digest pins a checkpoint
     path2 = tmp_path / "vocab2.txt"
     save_vocab(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-    assert vocab_hash(path) == vocab_hash(path2)
 
 
 def test_load_vocab_rejects_wrong_format(tmp_path):
@@ -270,4 +268,4 @@ def test_hash_changes_with_content(tmp_path):
     p1, p3 = tmp_path / "v1.txt", tmp_path / "v3.txt"
     save_vocab(v1, p1)
     save_vocab(v3, p3)
-    assert vocab_hash(p1) != vocab_hash(p3)
+    assert p1.read_bytes() != p3.read_bytes()

@@ -45,7 +45,7 @@ from relcnn.model import (
     score,
     score_chunk,
 )
-from relcnn.numeric import finite_diff_grad, log_sum_exp, softmax
+from relcnn.numeric import log_sum_exp, softmax
 from relcnn.relations import (
     CATEGORY_CLASS_IDS,
     CLASS_INDEX,
@@ -62,6 +62,7 @@ from conftest import (
     build_instance,
     densify,
     encoded_instance,
+    finite_diff_grad,
     grad_max_rel_err,
     pooled_windows_columns,
     rewrite_checkpoint_meta,

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from relcnn.numeric import (
     ShapeError,
-    finite_diff_grad,
     glorot_init,
     log_sum_exp,
     relu,
     softmax,
 )
+
+from conftest import finite_diff_grad
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -17,21 +17,29 @@ from relcnn.model import (
     forward,
     init_params,
     load_checkpoint,
+    loss_classes,
     loss_from_trace,
     predict,
+    predict_batch,
     save_checkpoint,
+    score_chunk,
     sq_norm,
 )
+from relcnn.numeric import softmax
+from relcnn.relations import CATEGORY_OF
 from relcnn.synthgen import generate, placement_task_spec
 from relcnn.trainer import (
     GridSpec,
     TrainConfig,
     TrainingDiverged,
     grid_search,
+    initial_params,
     load_word_vectors,
     split_dev,
     train,
 )
+
+from conftest import three_category_corpus
 
 ENC = EncoderConfig(max_distance=30, concept_len=3)
 
@@ -363,6 +371,29 @@ def test_train_dev_report_scores_the_returned_params(epochs):
         assert res.record.dev_f1[-1] < res.record.dev_f1[best]  # the last epoch is not the best
         assert res.dev_report.micro.f1 == res.record.dev_f1[best]
         assert np.trace(res.dev_report.confusion) / len(dev) == res.record.dev_acc[best]
+
+
+def test_constrained_loss_decodes_within_the_pair_category():
+    """Under the constrained loss a sample is predicted only as a class of its pair's
+    category, and its probability row is the softmax over that category; trained on
+    three categories at once, the model then scores the held-out set correctly."""
+    corpora = [three_category_corpus(n, seed) for n, seed in ((10, 0), (10, 1), (20, 2))]
+    vocab = build_vocab(corpora[0], ENC)
+    tr, dev, test = (encode_instances(insts, vocab, ENC) for insts in corpora)
+    hp = _hp(loss="constrained")
+    cfg = TrainConfig(epochs=3, seed=0)
+    params = initial_params(hp, cfg, vocab, ENC)
+    labels, probs = predict_batch(test, params, hp)
+    scores = score_chunk(test, params, hp)
+    for enc, label, row, s in zip(test, labels, probs, scores):
+        classes = loss_classes(enc.category, hp)
+        assert CATEGORY_OF[label] is enc.category
+        assert not row[: classes.start].any() and not row[classes.stop :].any()
+        np.testing.assert_allclose(row[classes], softmax(s[classes]), rtol=1e-12)
+    res = train(tr, dev, hp, cfg, vocab, ENC)
+    labels, _ = predict_batch(test, res.params, hp)
+    assert all(CATEGORY_OF[label] is enc.category for enc, label in zip(test, labels))
+    assert evaluate([enc.gold for enc in test], labels).micro.f1 > 90.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
