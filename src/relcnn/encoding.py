@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -76,7 +77,13 @@ class Vocab:
 
 @dataclass
 class EncodedInstance:
-    """Index-space view of a replaced instance, ready for the model."""
+    """Index-space view of a replaced instance, ready for the model.
+
+    Its arrays are not written after ``encode``.  So the instance keeps what
+    the model derives from its ids alone, each part computed on first use:
+    the word layout of its embedding gradient (``word_layout``) and its
+    pooling segments per window size (``segments``).
+    """
 
     token_ids: np.ndarray  # (n,) int64
     pos1_ids: np.ndarray  # (n,) int64, distance to placeholder 1
@@ -92,6 +99,31 @@ class EncodedInstance:
     @property
     def n_tokens(self) -> int:
         return int(self.token_ids.shape[0])
+
+    @cached_property
+    def word_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct ids of [content1_ids; content2_ids; token_ids], ascending, and each
+        position's index into them; both read-only."""
+        ids = np.concatenate([self.content1_ids, self.content2_ids, self.token_ids])
+        uniq, index = np.unique(ids, return_inverse=True)
+        uniq.setflags(write=False)
+        index.setflags(write=False)
+        return uniq, index
+
+    @cached_property
+    def _segments(self) -> dict[tuple[int, bool], list[tuple[int, int] | None]]:
+        return {}
+
+    def segments(self, k: int, split: bool) -> list[tuple[int, int] | None]:
+        """Pooling ranges of the windows of size k over the sentence, padded to k tokens:
+        the three ``segment_bounds`` when `split`, else the one range of every window.
+        The list is kept for the next call with the same (k, split); do not write it."""
+        segs = self._segments.get((k, split))
+        if segs is None:
+            n = max(self.n_tokens, k)
+            segs = segment_bounds(self.p1, self.p2, n, k) if split else [(1, n - k + 1)]
+            self._segments[k, split] = segs
+        return segs
 
 
 def build_vocab(train_instances: Sequence[RelationInstance], cfg: EncoderConfig) -> Vocab:

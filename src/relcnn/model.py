@@ -61,7 +61,9 @@ GEMM per window size over every instance's windows.  ``forward`` runs
 them on a chunk of one and keeps the trace backward needs; ``score_chunk``
 runs them on PREDICT_CHUNK instances at a time for ``predict_batch``,
 without the argmax rows only backward reads.  ``predict`` is
-``predict_batch`` of one instance.
+``predict_batch`` of one instance.  A chunk of one reads what its instance
+keeps (``EncodedInstance``): its own id arrays when no window pads it, its
+pooling segments, and the word layout backward sums the word rows by.
 """
 
 from __future__ import annotations
@@ -376,10 +378,14 @@ def _padded_ids(
     encs: Sequence[EncodedInstance], params: ModelParams, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Token/position ids of a chunk's sentences, each extended with <pad> tokens up to
-    length k, concatenated; and the length of each extended sentence.
+    length k, concatenated; and the length of each extended sentence.  A chunk of one
+    that needs no <pad> gets its instance's own arrays.
 
     The <pad> embedding row is trainable and receives gradient when looked up.
     """
+    if len(encs) == 1 and encs[0].n_tokens >= k:
+        enc = encs[0]
+        return enc.token_ids, enc.pos1_ids, enc.pos2_ids, [enc.n_tokens]
     radius = (params.w_pos.shape[0] - 1) // 2
     tok, pos1, pos2 = [], [], []
     for enc in encs:
@@ -419,6 +425,8 @@ def embed_sentence(
     n, d_x = E.shape
     step = E.itemsize
     windows = np.ndarray((n - k + 1, k * d_x), E.dtype, buffer=E, strides=(d_x * step, step))
+    if len(lengths) == 1:
+        return windows.copy()
     starts = accumulate(lengths[:-1], initial=0)
     X = np.empty((n - len(lengths) * (k - 1), k * d_x))
     return np.concatenate([windows[s : s + m - k + 1] for s, m in zip(starts, lengths)], out=X)
@@ -461,7 +469,11 @@ def _chunk_bounds(
     encs: Sequence[EncodedInstance], lengths: Sequence[int], k: int, pooling: str
 ) -> list[tuple[int, int] | None]:
     """Every instance's pooling segments as ranges of the rows (windows) of the chunk's
-    window matrix."""
+    window matrix.  A chunk of one's are the ones its instance keeps
+    (``EncodedInstance.segments``); a larger chunk's instances are mostly scored once,
+    so theirs are computed afresh."""
+    if len(encs) == 1:
+        return encs[0].segments(k, pooling == POOL_MULTI)
     out: list[tuple[int, int] | None] = []
     col0 = 0
     for enc, n in zip(encs, lengths):
@@ -534,8 +546,7 @@ def forward(
     if train and hp.dropout_p > 0.0:
         if dropout_rng is None:
             raise ValueError("training forward with dropout_p > 0 needs a dropout_rng")
-        keep = dropout_rng.random(rc.shape[0]) >= hp.dropout_p
-        mask = keep.astype(np.float64) / (1.0 - hp.dropout_p)
+        mask = (dropout_rng.random(rc.shape[0]) >= hp.dropout_p) / (1.0 - hp.dropout_p)
     else:
         mask = np.ones(rc.shape[0])
     rc_dropped = rc * mask
@@ -632,9 +643,10 @@ def backward(
     Decay is 2 beta for the convolution filters and the position and
     concept-type tables, over all rows, and for ``w_word`` over the
     deduplicated ids this sample looked up (sentence tokens, <pad>
-    included, and both concept contents).  The biases and the class matrix
-    get decay 0 over all rows, the class matrix's rows holding its L2 term
-    over the loss classes.
+    included, and both concept contents); those ids may be the instance's
+    own read-only array (``EncodedInstance.word_layout``).  The biases and
+    the class matrix get decay 0 over all rows, the class matrix's rows
+    holding its L2 term over the loss classes.
 
     `out` is a dict an earlier ``backward`` returned for parameters of the
     same shapes, possibly consumed by ``apply_sgd`` since: the convolution,
@@ -653,8 +665,9 @@ def backward(
     ds[CLASS_INDEX[enc.gold]] -= 1.0
 
     g_classes = np.empty_like(params.w_classes) if out is None else out["w_classes"].rows
-    g_classes.fill(0.0)
-    active = np.outer(ds[classes], trace.rc_dropped, out=g_classes[classes])
+    if classes != slice(0, N_CLASSES):  # rows outside the loss classes get exactly zero
+        g_classes.fill(0.0)
+    active = np.multiply(ds[classes, None], trace.rc_dropped, out=g_classes[classes])
     active += decay * params.w_classes[classes]
     grads = {"w_classes": RowGrad(ALL_ROWS, g_classes, 0.0, params.w_classes.shape)}
 
@@ -668,9 +681,19 @@ def backward(
     g_ctype[ct1] += dcf[: hp.d_ct]
     g_ctype[ct2] += dcf[hp.d_ct : 2 * hp.d_ct]
     grads["w_ctype"] = RowGrad(ALL_ROWS, g_ctype, decay, params.w_ctype.shape)
-    content_ids = np.concatenate([enc.content1_ids, enc.content2_ids])
-    word_ids = [content_ids]
-    word_rows = [dcf[2 * hp.d_ct :].reshape(content_ids.shape[0], hp.d_w)]
+
+    # Word rows: both concept contents, then each window size's tokens, <pad> included,
+    # summed per distinct id through the instance's word layout.
+    uniq, index = enc.word_layout
+    n = enc.n_tokens
+    token_index = index[-n:]
+    if max(hp.windows) > n and uniq[0] != PAD_ID:
+        # <pad> is the smallest id, so it becomes the first distinct id.
+        uniq = np.concatenate(([PAD_ID], uniq))
+        index = index + 1
+        token_index = token_index + 1
+    word_index = [index]
+    word_rows = [dcf[2 * hp.d_ct :].reshape(-1, hp.d_w)]
     pos_ids: list[np.ndarray] = []
     pos_rows: list[np.ndarray] = []
 
@@ -693,13 +716,17 @@ def backward(
         dE = np.zeros((wt.token_ids.shape[0], hp.d_x))
         for off in range(wt.k):
             dE[off : off + ncols] += dX[:, off * hp.d_x : (off + 1) * hp.d_x]
-        word_ids.append(wt.token_ids)
+        if j:
+            word_index.append(token_index)
+        if wt.k > n:
+            word_index.append(np.zeros(wt.k - n, dtype=np.int64))
         word_rows.append(dE[:, : hp.d_w])
         pos_ids += [wt.pos1_ids, wt.pos2_ids]
         pos_rows += [dE[:, hp.d_w : hp.d_w + hp.d_p], dE[:, hp.d_w + hp.d_p :]]
 
-    ids, rows = _sum_rows(np.concatenate(word_ids), np.concatenate(word_rows))
-    grads["w_word"] = RowGrad(ids, rows, decay, params.w_word.shape)
+    word_index = word_index[0] if len(word_index) == 1 else np.concatenate(word_index)
+    rows = _row_sums(word_index, np.concatenate(word_rows), uniq.shape[0])
+    grads["w_word"] = RowGrad(uniq, rows, decay, params.w_word.shape)
     g_pos = _row_sums(np.concatenate(pos_ids), np.concatenate(pos_rows), params.w_pos.shape[0])
     grads["w_pos"] = RowGrad(ALL_ROWS, g_pos, decay, params.w_pos.shape)
     return grads
@@ -768,9 +795,12 @@ def predict_batch(
     probability rows, scored PREDICT_CHUNK instances at a time
     (``score_chunk``); the chunk size bounds the memory a scoring pass takes.
     """
-    scores = np.zeros((len(encs), N_CLASSES))
-    for lo in range(0, len(encs), PREDICT_CHUNK):
-        scores[lo : lo + PREDICT_CHUNK] = score_chunk(encs[lo : lo + PREDICT_CHUNK], params, hp)
+    if 0 < len(encs) <= PREDICT_CHUNK:
+        scores = score_chunk(encs, params, hp)
+    else:
+        scores = np.zeros((len(encs), N_CLASSES))
+        for lo in range(0, len(encs), PREDICT_CHUNK):
+            scores[lo : lo + PREDICT_CHUNK] = score_chunk(encs[lo : lo + PREDICT_CHUNK], params, hp)
     if hp.loss != LOSS_SOFTMAX:  # under the softmax loss every row keeps every class
         for row, enc in zip(scores, encs):
             classes = loss_classes(enc.category, hp)

@@ -17,8 +17,10 @@ Provides the things the individual test modules lean on:
   ledger with ``asdict`` and each line with its own ``json.dumps``,
   ``generate_reference`` and ``encode_reference`` are the per-word
   generator and per-instance encoder the oracle tests compare against,
-  ``pooled_windows_columns`` and ``backward_columns`` run the convolution
-  stages in the column layout the windows-as-rows layout replaced,
+  ``pooled_windows_columns`` runs the convolution stages in the column
+  layout the windows-as-rows layout replaced, ``backward_reference`` is
+  ``backward`` as it summed the word rows before instances kept their word
+  layout (in either layout),
   ``rewrite_checkpoint_meta`` makes older-format or hand-edited
   checkpoints, ``word_id`` looks one word up in a vocabulary and
   ``tokenize_normalize`` tokenizes one raw line, and
@@ -608,11 +610,15 @@ def pooled_windows_columns(
     return r_x, windows
 
 
-def backward_columns(
-    trace: ForwardTrace, params: ModelParams, hp: HyperParams
+def backward_reference(
+    trace: ForwardTrace, params: ModelParams, hp: HyperParams, columns: bool = False
 ) -> dict[str, RowGrad]:
-    """``model.backward`` of a trace whose windows hold the column layout
-    (``pooled_windows_columns``), without the `out` buffers or the revision check."""
+    """``model.backward`` as it stood before an instance kept its word layout, without
+    the `out` buffers or the revision check: the class gradient zero-filled and then
+    written by ``np.outer``, and the word rows summed by ``_sum_rows`` over the
+    concatenated ids of the concept contents and of each window's padded tokens.
+    With `columns`, the trace's windows hold the column layout
+    (``pooled_windows_columns``) and the convolution stages run in it."""
     enc = trace.enc
     decay = 2.0 * hp.beta
     classes = loss_classes(enc.category, hp)
@@ -645,17 +651,23 @@ def backward_columns(
         dr_w = dr_x[j * per : (j + 1) * per].reshape(wt.argmax_cols.shape)
         live = (wt.pooled > 0.0).reshape(wt.argmax_cols.shape)
         dpre = np.zeros_like(wt.Z)
-        dpre[np.nonzero(live)[1], wt.argmax_cols[live]] = dr_w[live]
-        data = dpre @ wt.X.T
+        if columns:  # Z is (d_c, ncols), X is (d_x * k, ncols)
+            dpre[np.nonzero(live)[1], wt.argmax_cols[live]] = dr_w[live]
+            data = dpre @ wt.X.T
+            bias = np.sum(dpre, axis=1)
+            dX = (params.w_conv[j].T @ dpre).T
+        else:
+            dpre[wt.argmax_cols[live], np.nonzero(live)[1]] = dr_w[live]
+            data = dpre.T @ wt.X
+            bias = np.sum(dpre, axis=0)
+            dX = dpre @ params.w_conv[j]
         grads[f"w_conv_{j}"] = RowGrad(ALL_ROWS, data, decay, params.w_conv[j].shape)
-        bias = np.sum(dpre, axis=1)
         grads[f"b_conv_{j}"] = RowGrad(ALL_ROWS, bias, 0.0, params.b_conv[j].shape)
 
-        dX = params.w_conv[j].T @ dpre  # (d_x * k, ncols)
-        ncols = dX.shape[1]
+        ncols = dX.shape[0]  # (ncols, d_x * k), one window per row
         dE = np.zeros((wt.token_ids.shape[0], hp.d_x))
         for off in range(wt.k):
-            dE[off : off + ncols] += dX[off * hp.d_x : (off + 1) * hp.d_x].T
+            dE[off : off + ncols] += dX[:, off * hp.d_x : (off + 1) * hp.d_x]
         word_ids.append(wt.token_ids)
         word_rows.append(dE[:, : hp.d_w])
         pos_ids += [wt.pos1_ids, wt.pos2_ids]

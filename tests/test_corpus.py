@@ -218,6 +218,12 @@ def test_corpus_stats_hand_computed():
     lengths = [i.concept1.length for i in insts] + [i.concept2.length for i in insts]
     assert stats.mean_concept_tokens_all == pytest.approx(sum(lengths) / len(lengths))
     assert sum(stats.concept_length_hist.values()) == 6
+    # Tokens strictly between the pair, counted by hand from the three sentences:
+    # "tok36"; "tok22 tok1 tok30"; "tok0".
+    assert [inst.tokens[inst.concept1.end : inst.concept2.start - 1] for inst in insts] == [
+        ["tok36"], ["tok22", "tok1", "tok30"], ["tok0"]
+    ]
+    assert stats.distance_hist == {"NPP": {1: 1}, "TrIP": {1: 1, 3: 1}}
     d = stats.to_dict()
     assert d["n_instances"] == 3
     assert json.dumps(d)  # JSON-serializable

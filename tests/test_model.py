@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from relcnn import model
 from relcnn.corpus import Concept, RelationInstance, replace_concepts
-from relcnn.encoding import EncoderConfig, encode, segment_bounds
+from relcnn.encoding import PAD, PAD_ID, EncoderConfig, encode, segment_bounds
 from relcnn.model import (
     CHECKPOINT_FORMAT,
     LOSS_CONSTRAINED,
@@ -58,7 +58,7 @@ from relcnn.relations import (
 
 from conftest import (
     TOY_ENC,
-    backward_columns,
+    backward_reference,
     build_instance,
     densify,
     encoded_instance,
@@ -865,7 +865,7 @@ def test_window_rows_match_the_column_layout(pooling):
         grads = backward(trace, params, hp)
         column_trace = copy.copy(trace)
         column_trace.windows = pooled_windows_columns([enc], params, hp)[1]
-        want_grads = backward_columns(column_trace, params, hp)
+        want_grads = backward_reference(column_trace, params, hp, columns=True)
         assert grads.keys() == want_grads.keys()
         for name, g in grads.items():
             np.testing.assert_equal(g.ids, want_grads[name].ids, err_msg=name)
@@ -873,6 +873,117 @@ def test_window_rows_match_the_column_layout(pooling):
             np.testing.assert_allclose(
                 g.rows, want_grads[name].rows, rtol=0, atol=1e-12, err_msg=name
             )
+
+
+# ---------------------------------------------------------------------------
+# What an instance keeps: padded ids, word layout, segments
+# ---------------------------------------------------------------------------
+
+
+def _short_instance(tokens: list[str], c1: int, c2: int) -> RelationInstance:
+    """One-token concepts at 1-based positions c1 < c2 of `tokens`."""
+    return RelationInstance(
+        tokens,
+        Concept(start=c1, end=c1, ctype=ConceptType.TREATMENT),
+        Concept(start=c2, end=c2, ctype=ConceptType.PROBLEM),
+        RelationType.TRIP,
+    )
+
+
+@pytest.mark.parametrize("max_distance", [8, 1])
+def test_pad_position_ids_are_those_of_explicit_pad_tokens(max_distance):
+    """A 3-token sentence at windows=(5,) is padded with two <pad> tokens whose ids are
+    what ``encode`` gives the sentence written with two explicit <pad> tokens:
+    position ids Vocab.position_id(i - p) for i = 4, 5, clipped to the radius."""
+    enc_cfg = EncoderConfig(max_distance=max_distance, concept_len=3, min_word_freq=1)
+    vocab = shared_vocab(enc_cfg)
+    short = _short_instance(["ent1", "tok5", "ent2"], 1, 3)
+    explicit = _short_instance(["ent1", "tok5", "ent2", PAD, PAD], 1, 3)
+    enc, want = encode([replace_concepts(short), replace_concepts(explicit)], vocab, enc_cfg)
+    hp = toy_hp(windows=(5,))
+    wt = forward(enc, toy_params(hp, vocab, enc_cfg), hp).windows[0]
+    assert wt.token_ids.tolist() == want.token_ids.tolist() == [*enc.token_ids, PAD_ID, PAD_ID]
+    assert wt.pos1_ids.tolist() == want.pos1_ids.tolist()
+    assert wt.pos2_ids.tolist() == want.pos2_ids.tolist()
+    assert want.pos1_ids[3:].tolist() == [vocab.position_id(i - enc.p1) for i in (4, 5)]
+    assert want.pos2_ids[3:].tolist() == [vocab.position_id(i - enc.p2) for i in (4, 5)]
+
+
+def _assert_same_grads(got: dict[str, RowGrad], want: dict[str, RowGrad]) -> None:
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        if isinstance(want[name].ids, slice):
+            assert g.ids == want[name].ids, name
+        else:
+            assert np.array_equal(g.ids, want[name].ids), name
+        assert g.decay == want[name].decay, name
+        assert g.rows.tobytes() == want[name].rows.tobytes(), name  # bitwise
+
+
+def _word_layout_cases():
+    """(hp, params, encs): the layout chunk at windows (3, 4, 5), whose first sentence
+    pads, under either loss; a sentence shorter than its window whose concept contents
+    hold no <pad> (concept_len 1); and a concept word repeated in the sentence."""
+    for loss in [LOSS_SOFTMAX, LOSS_CONSTRAINED]:
+        hp = toy_hp(windows=(3, 4, 5), d_c=24, dropout_p=0.3, loss=loss)
+        yield hp, toy_params(hp, VOCAB, TOY_ENC, seed=5), _layout_chunk(seed=7, size=8)
+
+    enc_cfg = EncoderConfig(max_distance=8, concept_len=1, min_word_freq=1)
+    vocab = shared_vocab(enc_cfg)
+    insts = [_short_instance(["ent1", "tok5", "ent2"], 1, 3)]
+    (enc,) = encode([replace_concepts(inst) for inst in insts], vocab, enc_cfg)
+    assert PAD_ID not in enc.word_layout[0]
+    for windows in [(5,), (2, 5)]:
+        hp = toy_hp(windows=windows, d_c=6, dropout_p=0.3)
+        yield hp, toy_params(hp, vocab, enc_cfg, seed=2), [enc]
+
+    repeated = _short_instance(["tok5", "ent1", "tok7", "ent2", "ent1", "ent2"], 2, 4)
+    (enc,) = encode([replace_concepts(repeated)], VOCAB, TOY_ENC)
+    assert enc.content1_ids[0] in enc.token_ids and enc.content2_ids[0] in enc.token_ids
+    hp = toy_hp(windows=(2, 3), d_c=6, dropout_p=0.3)
+    yield hp, toy_params(hp, VOCAB, TOY_ENC, seed=3), [enc]
+
+
+def test_word_gradient_equals_the_concatenated_ids_sum_exactly():
+    """Every gradient, and the w_word ids and rows in particular, equal bit for bit
+    those of the word rows summed over the concatenated ids (``backward_reference``):
+    per sample, and for two samples summed through ``RowGrad.__iadd__``."""
+    for hp, params, encs in _word_layout_cases():
+        dropout_rng = np.random.default_rng(11)
+        got, want = [], []
+        for enc in encs:
+            trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
+            got.append(backward(trace, params, hp))
+            want.append(backward_reference(trace, params, hp))
+            _assert_same_grads(got[-1], want[-1])
+        # A second sample of the same batch, added in place: the first sample again.
+        trace = forward(encs[0], params, hp, train=True, dropout_rng=dropout_rng)
+        seconds = [
+            (got[0], backward(trace, params, hp)),
+            (want[0], backward_reference(trace, params, hp)),
+        ]
+        for total, other in seconds:
+            for name, g in total.items():
+                g += other[name]
+        _assert_same_grads(got[0], want[0])
+
+
+def test_an_instance_keeps_its_layout_and_segments():
+    """The word layout and the segments are computed once per instance, read-only
+    where they are arrays, and what a chunk of one pools over."""
+    hp = toy_hp(windows=(2, 5))
+    params = toy_params(hp, VOCAB, TOY_ENC)
+    enc = _layout_chunk(seed=7, size=1)[0]
+    uniq, index = enc.word_layout
+    assert enc.word_layout[0] is uniq and not uniq.flags.writeable and not index.flags.writeable
+    ids = np.concatenate([enc.content1_ids, enc.content2_ids, enc.token_ids])
+    assert uniq.tolist() == sorted(set(ids.tolist())) and uniq[index].tolist() == ids.tolist()
+    trace = forward(enc, params, hp)
+    for wt in trace.windows:
+        assert wt.bounds is enc.segments(wt.k, True)
+        assert wt.bounds == segment_bounds(enc.p1, enc.p2, max(enc.n_tokens, wt.k), wt.k)
+    assert trace.windows[0].token_ids is enc.token_ids  # no <pad> needed at k = 2
+    assert enc.segments(5, False) == [(1, 1)]
 
 
 # ---------------------------------------------------------------------------

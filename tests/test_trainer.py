@@ -77,6 +77,8 @@ class TestSplitDev:
     def test_rounding(self):
         tr, dev = split_dev(list(range(7)), 0.2, seed=0)  # round(1.4) = 1
         assert len(dev) == 1 and len(tr) == 6
+        tr, dev = split_dev([0, 1], 0.5, seed=0)  # the smallest split: one and one
+        assert len(dev) == 1 and len(tr) == 1 and sorted(tr + dev) == [0, 1]
 
     @pytest.mark.parametrize("n,frac", [(1, 0.2), (3, 0.9), (4, 0.05)])
     def test_degenerate_split_rejected(self, n, frac):
