@@ -2,6 +2,9 @@
 
 Conventions shared by every subcommand:
 
+* the subcommand `<name>` runs the module function `cmd_<name>(args, run)`,
+  looked up when `main` runs it, so a function replaced on the module
+  after import is the one called; the parser is built once per process;
 * JSON-lines instance files are the universal inter-stage format;
 * every output is written to a staging file beside its target and moved
   onto it with `os.replace` only once the command has finished its work
@@ -28,7 +31,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from dataclasses import replace as dc_replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -43,9 +46,7 @@ from .corpus import (
     write_instances,
 )
 from .encoding import (
-    EncodedInstance,
     EncoderConfig,
-    Vocab,
     build_vocab,
     encode_instances,
     load_vocab,
@@ -209,15 +210,19 @@ def _resolve(run: Run, args, section: str, config: dict | None = None, **default
     return resolved
 
 
-def _resolve_train_setup(args, vocab: Vocab, run: Run) -> tuple[HyperParams, TrainConfig, EncoderConfig]:
-    """Merge defaults, --config file and flags into (hp, cfg, enc).
+def _train_setup(args, run: Run):
+    """What `train` and `gridsearch` read: the vocabulary, the settings
+    merged from defaults, the --config file and flags into (hp, cfg, enc),
+    and the training and dev instances, encoded.
 
     The vocabulary sets the position table, so its radius is the encoder's
-    `max_distance`.
+    `max_distance`.  Without a dev file, dev is split from the training
+    instances by `cfg`'s fraction and seed.
     """
+    vocab = load_vocab(run.input(args.vocab))
     if args.dev:  # a dev file replaces the split, so `dev_fraction` is no setting of the run
         del args.dev_fraction
-    config = read_json(Path(args.config)) if args.config else {}
+    config = read_json(run.input(args.config)) if args.config else {}
     if not isinstance(config, dict):
         raise CliError(f"{args.config}: expected an object of config sections, got {config!r}")
     unknown = sorted(set(config) - set(_CONFIG_SECTIONS))
@@ -229,7 +234,14 @@ def _resolve_train_setup(args, vocab: Vocab, run: Run) -> tuple[HyperParams, Tra
     hp = _resolve(run, args, "hyperparams", config)
     cfg = _resolve(run, args, "train", config)
     enc_cfg = _resolve(run, args, "encoder", config, max_distance=vocab.max_distance)
-    return hp, cfg, enc_cfg
+
+    train_insts = read_instances(run.input(args.train))
+    if args.dev:
+        dev_insts = read_instances(run.input(args.dev))
+    else:
+        train_insts, dev_insts = split_dev(train_insts, cfg.dev_fraction, cfg.seed)
+    train_enc = encode_instances(train_insts, vocab, enc_cfg)
+    return vocab, hp, cfg, enc_cfg, train_enc, encode_instances(dev_insts, vocab, enc_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +368,8 @@ def cmd_synth(args, run: Run) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_split(
-    args, cfg: TrainConfig, vocab: Vocab, enc_cfg: EncoderConfig, run: Run
-) -> tuple[list[EncodedInstance], list[EncodedInstance]]:
-    """Training and dev instances, encoded."""
-    train_insts = read_instances(run.input(args.train))
-    if args.dev:
-        dev_insts = read_instances(run.input(args.dev))
-    else:
-        train_insts, dev_insts = split_dev(train_insts, cfg.dev_fraction, cfg.seed)
-    return encode_instances(train_insts, vocab, enc_cfg), encode_instances(dev_insts, vocab, enc_cfg)
-
-
 def cmd_train(args, run: Run) -> int:
-    vocab = load_vocab(run.input(args.vocab))
-    hp, cfg, enc_cfg = _resolve_train_setup(args, vocab, run)
-    train_enc, dev_enc = _load_split(args, cfg, vocab, enc_cfg, run)
+    vocab, hp, cfg, enc_cfg, train_enc, dev_enc = _train_setup(args, run)
 
     init = None
     if args.embeddings:
@@ -407,49 +405,39 @@ def _cell_text(value) -> str:
     return ",".join(str(k) for k in value) if isinstance(value, tuple) else str(value)
 
 
+def _csv_row(row: dict) -> dict:
+    """A results row as CSV columns: one per grid axis, a flag as 0 or 1 (csv
+    writes None as an empty field)."""
+    columns = {}
+    for key, value in row.items():
+        if key == "cell":
+            columns.update((name, _cell_text(v)) for name, v in value.items())
+        else:
+            columns[key] = int(value) if isinstance(value, bool) else value
+    return columns
+
+
 def cmd_gridsearch(args, run: Run) -> int:
-    vocab = load_vocab(run.input(args.vocab))
-    hp, cfg, enc_cfg = _resolve_train_setup(args, vocab, run)
     grid = GridSpec()
     if args.grid:
         grid = typed(read_json(run.input(args.grid)), GridSpec, f"{args.grid}: grid axes")
     run.config["grid"] = asdict(grid)
-
-    train_enc, dev_enc = _load_split(args, cfg, vocab, enc_cfg, run)
+    vocab, hp, cfg, enc_cfg, train_enc, dev_enc = _train_setup(args, run)
     results = grid_search(train_enc, dev_enc, hp, grid, cfg, vocab, enc_cfg)
+    rows = [  # the results table, as --json writes it and the CSV's columns
+        {"rank": rank, "cell": res.cell, "dev_f1": None if res.failed else res.dev_f1,
+         "best_epoch": res.best_epoch, "failed": res.failed, "error": res.error}
+        for rank, res in enumerate(results, start=1)
+    ]
 
     out = Path(args.out)
     with open(run.output(out), "w", encoding="utf-8", newline="") as fh:
+        table = [_csv_row(row) for row in rows]
         writer = csv.writer(fh)
-        writer.writerow(["rank", *(f.name for f in fields(GridSpec)), "dev_f1", "best_epoch", "failed", "error"])
-        for rank, res in enumerate(results, start=1):
-            writer.writerow(
-                [
-                    rank,
-                    *map(_cell_text, res.cell.values()),
-                    "" if res.failed else repr(res.dev_f1),
-                    res.best_epoch,
-                    int(res.failed),
-                    res.error,
-                ]
-            )
+        writer.writerow(table[0])
+        writer.writerows(row.values() for row in table)
     if args.json:
-        _write_json(
-            run.output(args.json),
-            {
-                "results": [
-                    {
-                        "rank": rank,
-                        "cell": res.cell,
-                        "dev_f1": None if res.failed else res.dev_f1,
-                        "best_epoch": res.best_epoch,
-                        "failed": res.failed,
-                        "error": res.error,
-                    }
-                    for rank, res in enumerate(results, start=1)
-                ]
-            },
-        )
+        _write_json(run.output(args.json), {"results": rows})
     run.commit(out, {"seed": cfg.seed})
     best = results[0]
     if best.failed:
@@ -600,6 +588,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relcnn",
@@ -615,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None, help="vocabulary output path")
     p.add_argument("--stats", default=None, help="corpus stats JSON output")
     _add_vocab_args(p)
-    p.set_defaults(func=cmd_preprocess)
 
     p = add("synth", help="generate a synthetic corpus with ledger")
     source = p.add_mutually_exclusive_group(required=True)
@@ -628,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--noise-rate", type=float, default=None)
     _add_vocab_args(p)
-    p.set_defaults(func=cmd_synth)
 
     p = add("train", help="train a model")
     p.add_argument("--train", required=True, help="training instances JSON-lines")
@@ -639,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None, help="pre-trained word vectors (text)")
     _add_hp_args(p)
     _add_train_args(p)
-    p.set_defaults(func=cmd_train)
 
     p = add("gridsearch", help="hyperparameter sweep")
     p.add_argument("--train", required=True)
@@ -649,14 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="full results JSON")
     _add_hp_args(p, grid_axes=False)  # the grid sets d_p, d_c, windows, lr and beta
     _add_train_args(p)
-    p.set_defaults(func=cmd_gridsearch)
 
     p = add("predict", help="label instances with a trained model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
     p = add("eval", help="score predictions against gold instances")
     p.add_argument("--gold", required=True, help="gold instances JSON-lines")
@@ -664,12 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="report JSON output")
     p.add_argument("--bootstrap", type=int, default=None, help="bootstrap resamples")
     p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default 0)")
-    p.set_defaults(func=cmd_eval)
 
     p = add("stats", help="corpus statistics")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_stats)
 
     return parser
 
@@ -678,7 +660,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     run = Run(args.command)
     try:
-        return args.func(args, run)
+        return globals()[f"cmd_{args.command}"](args, run)
     except (CliError, SynthCheckError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,8 @@ def typed(value, tp, where: str, required: bool = False):
     """`value` as the field type `tp`: int, float, str, an enum, a dataclass,
     `X | None` or a tuple of those.
 
-    An int is a valid float; a bool is neither.  A string stands for a tuple
+    An int is a valid float and is read as one, so `1` and `1.0` give the
+    same setting; a bool is neither.  A string stands for a tuple
     of ints as comma-separated sizes, as in `--windows 3,4,5`.  An enum takes
     one of its values and a dataclass an object of its fields, every field
     when `required`.
@@ -64,7 +65,7 @@ def typed(value, tp, where: str, required: bool = False):
         return tp(value)
     if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
         raise SchemaError(f"{where}: expected {tp.__name__}, got {value!r}")
-    return value
+    return float(value) if tp is float else value
 
 
 def typed_fields(cls, values, source: str, required: bool = False) -> dict:

@@ -151,8 +151,15 @@ class SynthSpec:
                     f"two concepts and window-{self.window} segments "
                     f"(need >= {self.min_length(len(rule.signal))})"
                 )
-            if self.len_lo - 2 - len(rule.signal) < self.n_concepts - 2:
-                raise ValueError("not enough filler positions for extra concept tokens")
+            # The distractor plants a second copy of the signal.
+            signal_tokens = len(rule.signal) * (1 if self.distractor_placement is None else 2)
+            free = self.len_lo - 2 - signal_tokens
+            if free < self.n_concepts - 2:
+                raise ValueError(
+                    f"n_concepts={self.n_concepts} needs {self.n_concepts - 2} free positions; "
+                    f"len_lo={self.len_lo} leaves {free} beside two placeholders and "
+                    f"{signal_tokens} signal tokens"
+                )
         if self.noise_rate > 0 and len({r.label for r in self.rules}) < 2:
             raise ValueError("label noise needs at least two distinct labels to flip between")
         if self.distractor_placement is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -676,7 +677,7 @@ def test_every_config_field_has_a_flag(command, schemas):
     }[command]
     not_read, others, n_flags = _FLAG_TABLE[command]
     settings = {f.name for cls in schemas for f in fields(cls)} - not_read
-    dests = set(vars(build_parser().parse_args([command, *required]))) - {"command", "func"}
+    dests = set(vars(build_parser().parse_args([command, *required]))) - {"command"}
     assert dests - others == settings, f"{command}: flags {dests - others} for {settings}"
     assert others <= dests and len(dests) == n_flags
 
@@ -890,6 +891,25 @@ def test_config_file_with_flag_override(tmp_path):
     assert load_checkpoint(ck2).hp.lr == 0.02  # flag beats config
 
 
+def test_a_float_setting_read_as_an_integer_is_the_same_setting(tmp_path):
+    """`"lr": 1` in a config file and `--lr 1` train one model: byte-identical
+    checkpoints and one recorded config, its rates floats."""
+    corpus = _synth(tmp_path, n=4)
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(corpus, vocab)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"hyperparams": {"lr": 1, "beta": 0}}))
+    tiny = ["train", "--train", corpus, "--vocab", vocab,
+            "--d-w", 8, "--d-p", 2, "--d-ct", 2, "--d-c", 6, "--epochs", 1]
+    assert run(*tiny, "--checkpoint", tmp_path / "a.npz", "--config", config) == 0
+    assert run(*tiny, "--checkpoint", tmp_path / "b.npz", "--lr", 1, "--beta", 0) == 0
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    a, b = (json.loads((tmp_path / f"{name}.npz.manifest.json").read_text())["config"]
+            for name in "ab")
+    assert a == b
+    assert {type(a["hyperparams"][k]) for k in ("lr", "beta", "dropout_p")} == {float}
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     corpus = _synth(tmp_path, n=4)
     vocab = tmp_path / "v.txt"
@@ -978,6 +998,25 @@ def test_unknown_subcommand_and_version(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "relcnn" in capsys.readouterr().out
+
+
+def test_a_command_replaced_after_import_is_the_one_run(tmp_path, monkeypatch):
+    """`main` builds its parser once and looks up `cmd_<name>` on the module when
+    it runs a command, so a wrapper set after the first call is run (perfbench's
+    tracer wraps the commands this way)."""
+    corpus = _synth(tmp_path, n=2)
+    parser = build_parser()
+    calls = []
+    stats = cli.cmd_stats
+
+    def wrapper(args, run):
+        calls.append(args.input)
+        return stats(args, run)
+
+    monkeypatch.setattr(cli, "cmd_stats", wrapper)
+    assert run("stats", "--input", corpus) == 0
+    assert calls == [str(corpus)]
+    assert build_parser() is parser
 
 
 # ---------------------------------------------------------------------------
@@ -1441,13 +1480,15 @@ def test_two_outputs_naming_one_file_exit_1(tmp_path, capsys, monkeypatch, comma
 
 
 def _command_sources(src: Path) -> Path:
-    """The corpus, vocabulary, checkpoint, predictions and one-cell grid `_command_argv` reads."""
+    """The corpus, vocabulary, checkpoint, predictions, one-cell grid and config file
+    `_command_argv` and `_MANIFEST_TABLE` read."""
     corpus = _synth(src, n=4)
     _mk_vocab(corpus, src / "v.txt")
     ckpt = _train_tiny(src, corpus, src / "v.txt")
     assert run("predict", "--checkpoint", ckpt, "--vocab", src / "v.txt",
                "--input", corpus, "--out", src / "p.jsonl") == 0
     (src / "grid.json").write_text(json.dumps({"d_p": [2], "d_c": [6], "lr": [0.05], "beta": [0.0005]}))
+    (src / "cfg.json").write_text(json.dumps({"hyperparams": {"dropout_p": 0.5}, "train": {"batch_size": 2}}))
     return src
 
 
@@ -1493,7 +1534,9 @@ _HP_KEYS, _TRAIN_KEYS, _GRID_KEYS, _SPEC_FIELDS = (
 _VOCAB_KEYS = {"max_distance", "min_word_freq"}  # build_vocab's settings
 _ENCODE_KEYS = {"concept_len", "max_distance"}  # encode's, the radius from the vocabulary
 # Per case: the command, flags added to its `_command_argv` (a flag given as `-F` drops F
-# and its value), the keys of each `config` section (None for a scalar setting) and `seeds`.
+# and its value; `--dev` reads the corpus, `--config` cfg.json), the keys of each `config`
+# section (None for a scalar setting) and `seeds`.
+_ADDED_FILES = {"dev": "corpus.jsonl", "config": "cfg.json"}
 _MANIFEST_TABLE = {
     "preprocess": ("preprocess", [], {"encoder": _VOCAB_KEYS}, {}),
     "synth": ("synth", [], {"spec": _SPEC_FIELDS, "encoder": _VOCAB_KEYS}, {"seed": 0}),
@@ -1503,8 +1546,14 @@ _MANIFEST_TABLE = {
     "train-with-dev": ("train", ["dev"], {"hyperparams": _HP_KEYS,
                                           "train": _TRAIN_KEYS - {"dev_fraction"},
                                           "encoder": _ENCODE_KEYS}, {"seed": 0}),
+    "train-with-config": ("train", ["config"], {"hyperparams": _HP_KEYS, "train": _TRAIN_KEYS,
+                                                "encoder": _ENCODE_KEYS}, {"seed": 0}),
     "gridsearch": ("gridsearch", [], {"hyperparams": _HP_KEYS - _GRID_KEYS, "train": _TRAIN_KEYS,
                                       "encoder": _ENCODE_KEYS, "grid": _GRID_KEYS}, {"seed": 0}),
+    "gridsearch-with-config": ("gridsearch", ["config"], {"hyperparams": _HP_KEYS - _GRID_KEYS,
+                                                          "train": _TRAIN_KEYS,
+                                                          "encoder": _ENCODE_KEYS,
+                                                          "grid": _GRID_KEYS}, {"seed": 0}),
     "gridsearch-with-dev": ("gridsearch", ["dev"], {"hyperparams": _HP_KEYS - _GRID_KEYS,
                                                     "train": _TRAIN_KEYS - {"dev_fraction"},
                                                     "encoder": _ENCODE_KEYS, "grid": _GRID_KEYS},
@@ -1520,7 +1569,8 @@ _MANIFEST_TABLE = {
 def test_manifest_config_records_exactly_the_settings_read(tmp_path, raw_corpus, case):
     """Every `config` key is a setting the command read, and every setting it read is
     recorded: its config-field flags, the values it derived from its inputs (the
-    vocabulary's radius), its spec, its grid and its bootstrap count."""
+    vocabulary's radius), its spec, its grid and its bootstrap count.  A file a flag
+    adds, the config file too, is an input with its sha256."""
     command, edits, table, seeds = _MANIFEST_TABLE[case]
     src = _command_sources(tmp_path / "src")
     out = tmp_path / "out"
@@ -1530,13 +1580,20 @@ def test_manifest_config_records_exactly_the_settings_read(tmp_path, raw_corpus,
             i = argv.index(f"-{edit}")
             del argv[i : i + 2]
         else:
-            argv += [f"--{edit}", src / "corpus.jsonl"]
+            argv += [f"--{edit}", src / _ADDED_FILES[edit]]
     assert run(*argv) == 0
     (path,) = out.glob("*.manifest.json")
     manifest = json.loads(path.read_text())
     config = {k: set(v) if isinstance(v, dict) else None for k, v in manifest["config"].items()}
     assert config == table
     assert manifest["seeds"] == seeds
+    for edit in edits:
+        if not edit.startswith("-"):
+            added = src / _ADDED_FILES[edit]
+            assert manifest["inputs"][str(added)] == hashlib.sha256(added.read_bytes()).hexdigest()
+    if "config" in edits:
+        assert manifest["config"]["hyperparams"]["dropout_p"] == 0.5
+        assert manifest["config"]["train"]["batch_size"] == 2
     if command == "train":  # the recorded values are the ones the checkpoint was built with
         ckpt = model.load_checkpoint(out / "m.npz")
         recorded = manifest["config"]

@@ -19,6 +19,7 @@ from relcnn.synthgen import (
     BETWEEN,
     DEFAULT_SIGNAL,
     MAX_POOL,
+    PLACEMENTS,
     LabelRule,
     SynthCheckError,
     SynthLedger,
@@ -87,6 +88,17 @@ class TestSpecValidation:
     def test_distractor_must_avoid_informative_placements(self):
         with pytest.raises(ValueError):
             _spec(distractor_placement=BEFORE_C1)
+
+    @pytest.mark.parametrize("distractor,most", [(BETWEEN, 10), (None, 14)])
+    def test_extra_concepts_fit_beside_every_signal_copy(self, distractor, most):
+        """A sentence of len_lo 18 less its two placeholders and the 4-token signal,
+        planted once or, with a distractor, twice, has `most - 2` free positions."""
+        spec = _spec(n_concepts=most, distractor_placement=distractor)
+        insts, ledger = generate(spec)
+        self_check(insts, ledger)
+        assert all(sum(t.startswith("cw") for t in inst.tokens) == most for inst in insts)
+        with pytest.raises(ValueError, match=f"^n_concepts={most + 1} needs {most - 1} free"):
+            _spec(n_concepts=most + 1, distractor_placement=distractor)
 
     @pytest.mark.parametrize("name", ["vocab_size", "concept_vocab_size"])
     def test_word_pools_are_limited_to_three_letters(self, name):
@@ -276,6 +288,42 @@ def test_self_check_round_trip_revalidates_mutated_instance():
     insts[2].concept1 = dataclasses.replace(c1, end=c2.start)
     with pytest.raises(ValueError, match="^concept spans overlap$"):
         self_check(insts, ledger)
+
+
+def _region_of(start: int, s: int, p1: int, p2: int) -> str:
+    """The region an s-gram at 1-based `start` lies in; it overlaps no placeholder."""
+    assert start + s - 1 < p1 or p1 < start < start + s - 1 < p2 or p2 < start
+    return BEFORE_C1 if start < p1 else BETWEEN if start < p2 else AFTER_C2
+
+
+@pytest.mark.parametrize("region", PLACEMENTS)
+def test_self_check_rejects_a_signal_outside_its_recorded_region(region):
+    """Each planted copy, recorded as the signal of a region it is not in, fails
+    naming its position and that region.  The copies lie in every region: the
+    placement task's and its between distractor, and those of a rule per region."""
+    three_rules = SynthSpec(
+        rules=(
+            LabelRule(T.TERP, BEFORE_C1, DEFAULT_SIGNAL),
+            LabelRule(T.NTEP, BETWEEN, DEFAULT_SIGNAL),
+            LabelRule(T.TECP, AFTER_C2, DEFAULT_SIGNAL),
+        ),
+        sentences_per_type=30,
+        seed=2,
+    )
+    tried = 0
+    for spec in (placement_task_spec(40, seed=0), three_rules):
+        insts, ledger = generate(spec)
+        for inst, entry in zip(insts, ledger.entries):
+            for start in (entry.signal_start, entry.distractor_start):
+                if start is None or _region_of(start, 4, entry.p1, entry.p2) == region:
+                    continue
+                bad = dataclasses.replace(entry, placement=region, signal_start=start)
+                with pytest.raises(SynthCheckError,
+                                   match=f"^{entry.doc_id}: signal at {start} is outside "
+                                         f"region {region}$"):
+                    self_check([inst], SynthLedger(spec=spec, entries=[bad]))
+                tried += 1
+    assert tried >= 100
 
 
 def test_self_check_rejects_length_mismatch():
