@@ -336,7 +336,7 @@ def cmd_synth(args, run: Run) -> int:
         except SchemaError:
             raise  # it names the file and the key already
         except (TypeError, ValueError) as exc:
-            raise CliError(f"{where}: {exc!r}") from None
+            raise CliError(f"{where}: {exc}") from None
     else:
         spec = placement_task_spec()
     spec = dc_replace(spec, **_flags(args, SynthSpec))

@@ -58,12 +58,17 @@ window size and concatenate the pooled outputs before scoring.
 The forward stages (``embed_sentence``, ``convolve``, ``pool``,
 ``concept_features``, ``score``) each run on a chunk of instances, with one
 GEMM per window size over every instance's windows.  ``forward`` runs
-them on a chunk of one and keeps the trace backward needs; ``score_chunk``
-runs them on PREDICT_CHUNK instances at a time for ``predict_batch``,
-without the argmax rows only backward reads.  ``predict`` is
-``predict_batch`` of one instance.  A chunk of one reads what its instance
-keeps (``EncodedInstance``): its own id arrays when no window pads it, its
-pooling segments, and the word layout backward sums the word rows by.
+them on a chunk of one and keeps the trace backward needs: the feature map
+relu(Z + b) and the argmax rows, whose ties break on the relu'd values.
+``score_chunk`` scores PREDICT_CHUNK instances at a time for
+``predict_batch`` and does inference work only: it pools the raw feature
+map X W_conv^T, then adds b and takes relu on the pooled maxima alone.
+IEEE addition and max(., 0) are monotone, so max_t relu(z_t + b) equals
+relu(max_t z_t + b) bit for bit, and the scores are those of the traced
+stages.  ``predict`` is ``predict_batch`` of one instance.  A chunk of one
+reads what its instance keeps (``EncodedInstance``): its own id arrays when
+no window pads it, its pooling segments, and the word layout backward sums
+the word rows by.
 """
 
 from __future__ import annotations
@@ -291,7 +296,7 @@ class WindowTrace:
     X: np.ndarray  # (ncols, d_x * k): one window per row
     Z: np.ndarray  # (ncols, d_c): one window per row, one filter per column
     bounds: list[tuple[int, int] | None]  # n_segments per instance, ranges of Z's rows
-    argmax_cols: np.ndarray | None  # (segments, d_c): row of Z; -1 marks an empty segment
+    argmax_cols: np.ndarray  # (segments, d_c): row of Z; -1 marks an empty segment
     pooled: np.ndarray  # (segments * d_c,)
 
 
@@ -441,27 +446,26 @@ def convolve(X: np.ndarray, w_conv: np.ndarray, b_conv: np.ndarray) -> np.ndarra
 
 
 def pool(
-    Z: np.ndarray, bounds: Sequence[tuple[int, int] | None], argmax: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+    Z: np.ndarray, bounds: Sequence[tuple[int, int] | None]
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-filter max over each 1-based inclusive range of Z's rows (windows).
 
     Returns the concatenated pooled vector (one d_c block per range, zeros
     for empty ranges) and the row of each filter's maximum per range
     (the first on ties, -1 for empty ranges), which backward uses for
-    gradient routing; None for the rows when `argmax` is False.  A
-    single full-range segment gives plain max-pooling, and a chunk's
-    instances give their segments as ranges of one Z.
+    gradient routing.  A single full-range segment gives plain
+    max-pooling, and a chunk's instances give their segments as ranges of
+    one Z.
     """
     d_c = Z.shape[1]
     pooled = np.zeros((len(bounds), d_c))
-    arg = np.full((len(bounds), d_c), -1) if argmax else None
+    arg = np.full((len(bounds), d_c), -1)
     for i, rng in enumerate(bounds):
         if rng is not None:
             block = Z[rng[0] - 1 : rng[1]]
             np.maximum.reduce(block, axis=0, out=pooled[i])
-            if arg is not None:
-                block.argmax(axis=0, out=arg[i])
-                arg[i] += rng[0] - 1
+            block.argmax(axis=0, out=arg[i])
+            arg[i] += rng[0] - 1
     return pooled.ravel(), arg
 
 
@@ -485,14 +489,15 @@ def _chunk_bounds(
 
 
 def _pooled_windows(
-    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams, trace: bool
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
 ) -> tuple[np.ndarray, list[WindowTrace]]:
-    """Embed, convolve and pool a chunk once per window size.
+    """Embed, convolve and pool a chunk once per window size, keeping the trace.
 
     Returns r_x, one row of pooled features per instance (instance b's
     pooled blocks of every window size in turn), and per window size the
-    chunk's WindowTrace.  Without `trace` the traces hold no argmax
-    rows: only backward reads them.
+    chunk's WindowTrace.  The pooling runs over relu(Z + b) and records
+    each filter's argmax row, which backward routes its gradient through;
+    ``score_chunk`` pools the raw map instead and records nothing.
     """
     windows: list[WindowTrace] = []
     for j, k in enumerate(hp.windows):
@@ -500,10 +505,22 @@ def _pooled_windows(
         X = embed_sentence(tok, pos1, pos2, lengths, params, k)
         Z = convolve(X, params.w_conv[j], params.b_conv[j])
         bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
-        pooled, arg = pool(Z, bounds, argmax=trace)
+        pooled, arg = pool(Z, bounds)
         windows.append(WindowTrace(k, tok, pos1, pos2, X, Z, bounds, arg, pooled))
     r_x = np.concatenate([wt.pooled.reshape(len(encs), -1) for wt in windows], axis=1)
     return r_x, windows
+
+
+def _segment_maxima(Z: np.ndarray, bounds: Sequence[tuple[int, int] | None]) -> np.ndarray:
+    """Per-filter max over each 1-based inclusive range of Z's rows, one row per range;
+    -inf for an empty range."""
+    out = np.empty((len(bounds), Z.shape[1]))
+    for row, rng in zip(out, bounds):
+        if rng is None:
+            row.fill(-np.inf)
+        else:
+            np.maximum.reduce(Z[rng[0] - 1 : rng[1]], axis=0, out=row)
+    return out
 
 
 def concept_features(encs: Sequence[EncodedInstance], params: ModelParams) -> np.ndarray:
@@ -539,7 +556,7 @@ def forward(
     are kept with probability 1 - dropout_p and scaled by 1/(1 - p), so
     inference needs no rescaling.
     """
-    r_x, window_traces = _pooled_windows([enc], params, hp, trace=True)
+    r_x, window_traces = _pooled_windows([enc], params, hp)
     r_x = r_x[0]
     cf_x = concept_features([enc], params)[0]
     rc = np.concatenate([r_x, cf_x])
@@ -771,12 +788,29 @@ def score_chunk(
 ) -> np.ndarray:
     """Inference-mode class scores of a nonempty chunk of instances, one row each.
 
-    The forward stages, run once for the whole chunk: one GEMM per window
-    size over every instance's windows.  The scores equal ``forward``'s up
-    to the summation order the GEMMs' shapes give.
+    The forward stages, run once for the whole chunk, with inference work
+    only.  Per window size, one GEMM X W_conv^T over every instance's
+    windows, without bias or relu; the per-filter maxima of each pooling
+    segment of that raw map; then b_conv and relu on the pooled rows alone.
+    The training trace keeps relu(Z + b) whole (``_pooled_windows``), and
+    max_t relu(z_t + b) == relu(max_t z_t + b) bit for bit, since IEEE
+    addition and max(., 0) are monotone.  An empty segment pools to -inf,
+    which bias and relu take to 0.  Every instance's row rc = [r_x; cf_x]
+    is written in place, and one GEMM scores them all.  The scores equal
+    ``forward``'s up to the summation order the GEMMs' shapes give.
     """
-    r_x, _ = _pooled_windows(encs, params, hp, trace=False)
-    return score(r_x, concept_features(encs, params), params)
+    n = len(encs)
+    rc = np.empty((n, params.w_classes.shape[1]))
+    per = hp.pooled_per_window
+    for j, k in enumerate(hp.windows):
+        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
+        Z = embed_sentence(tok, pos1, pos2, lengths, params, k) @ params.w_conv[j].T
+        maxima = _segment_maxima(Z, _chunk_bounds(encs, lengths, k, hp.pooling))
+        pooled = rc[:, j * per : (j + 1) * per].reshape(n, hp.n_segments, hp.d_c)
+        np.add(maxima.reshape(pooled.shape), params.b_conv[j], out=pooled)
+        relu(pooled, out=pooled)
+    rc[:, hp.pooled_size :] = concept_features(encs, params)
+    return rc @ params.w_classes.T
 
 
 def predict_batch(
@@ -790,9 +824,10 @@ def predict_batch(
     category under the constrained loss, whose loss never pushes down the
     other categories' rows.  The concept types fix the category, so the
     decode reads no gold label.  A probability row is the softmax over those
-    classes, with exact zeros elsewhere.  Ties break toward the lowest class
-    index.  Returns the labels and a (len(encs), N_CLASSES) array of
-    probability rows, scored PREDICT_CHUNK instances at a time
+    classes, with exact zeros elsewhere, computed in place with
+    ``numeric.softmax``'s max-subtraction, bit for bit.  Ties break toward
+    the lowest class index.  Returns the labels and a (len(encs), N_CLASSES)
+    array of probability rows, scored PREDICT_CHUNK instances at a time
     (``score_chunk``); the chunk size bounds the memory a scoring pass takes.
     """
     if 0 < len(encs) <= PREDICT_CHUNK:
@@ -805,7 +840,11 @@ def predict_batch(
         for row, enc in zip(scores, encs):
             classes = loss_classes(enc.category, hp)
             row[: classes.start] = row[classes.stop :] = -np.inf
-    return [RELATION_TYPES[i] for i in np.argmax(scores, axis=1)], softmax(scores)
+    labels = [RELATION_TYPES[i] for i in scores.argmax(axis=1).tolist()]
+    scores -= scores.max(axis=1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return labels, probs
 
 
 def predict(

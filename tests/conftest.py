@@ -62,6 +62,8 @@ from relcnn.encoding import (
 from relcnn.evaluator import Micro, evaluate
 from relcnn.model import (
     ALL_ROWS,
+    LOSS_SOFTMAX,
+    PREDICT_CHUNK,
     ForwardTrace,
     HyperParams,
     ModelParams,
@@ -71,8 +73,12 @@ from relcnn.model import (
     _padded_ids,
     _row_sums,
     _sum_rows,
+    convolve,
+    embed_sentence,
     init_params,
     loss_classes,
+    pool,
+    score,
 )
 from relcnn.numeric import relu, softmax
 from relcnn.relations import (
@@ -608,6 +614,48 @@ def pooled_windows_columns(
         windows.append(WindowTrace(k, tok, pos1, pos2, X, Z, bounds, arg, pooled))
     r_x = np.concatenate([wt.pooled.reshape(len(encs), -1) for wt in windows], axis=1)
     return r_x, windows
+
+
+def score_chunk_reference(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
+) -> np.ndarray:
+    """``model.score_chunk`` as it stood before inference pooled the raw feature map:
+    per window size bias and relu over every window (``convolve``), then the segment
+    maxima with zeros for an empty segment (``pool``), the pooled blocks and the
+    concept features each concatenated, and ``score`` concatenating them again."""
+    n = len(encs)
+    blocks = []
+    for j, k in enumerate(hp.windows):
+        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
+        Z = convolve(embed_sentence(tok, pos1, pos2, lengths, params, k),
+                     params.w_conv[j], params.b_conv[j])
+        pooled, _ = pool(Z, _chunk_bounds(encs, lengths, k, hp.pooling))
+        blocks.append(pooled.reshape(n, -1))
+    words = np.concatenate([ids for enc in encs for ids in (enc.content1_ids, enc.content2_ids)])
+    cf_x = np.concatenate(
+        [params.w_ctype[[enc.ctype_ids for enc in encs]].reshape(n, -1),
+         params.word_rows(words).reshape(n, -1)],
+        axis=1,
+    )
+    return score(np.concatenate(blocks, axis=1), cf_x, params)
+
+
+def predict_batch_reference(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
+) -> tuple[list[RelationType], np.ndarray]:
+    """``model.predict_batch`` as it stood before inference pooled the raw feature map:
+    ``score_chunk_reference`` in chunks of PREDICT_CHUNK, the decode mask of the
+    constrained loss, and ``numeric.softmax`` of the masked scores."""
+    scores = np.zeros((len(encs), N_CLASSES))
+    for lo in range(0, len(encs), PREDICT_CHUNK):
+        scores[lo : lo + PREDICT_CHUNK] = score_chunk_reference(
+            encs[lo : lo + PREDICT_CHUNK], params, hp
+        )
+    if hp.loss != LOSS_SOFTMAX:
+        for row, enc in zip(scores, encs):
+            classes = loss_classes(enc.category, hp)
+            row[: classes.start] = row[classes.stop :] = -np.inf
+    return [RELATION_TYPES[i] for i in np.argmax(scores, axis=1)], softmax(scores)
 
 
 def backward_reference(

@@ -129,18 +129,29 @@ def test_synth_spec_file_round_trip(tmp_path):
     assert len(read_instances(out)) == 6
 
 
-@pytest.mark.parametrize("spec", [
-    {"sentences_per_type": "many"},
-    {**asdict(placement_task_spec()), "sentences_per_type": "3"},
-], ids=["no-rules", "string-count"])
-def test_synth_rejects_a_bad_spec_naming_the_file(tmp_path, capsys, spec):
+_CROWDED_RULES = [
+    {"label": label, "placement": placement, "signal": ["siga", "sigb", "sigc", "sigd"]}
+    for label, placement in (("TeRP", "before_c1"), ("TeCP", "after_c2"))
+]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"sentences_per_type": "many"}, "sentences_per_type: expected int, got 'many'"),
+    ({**asdict(placement_task_spec()), "sentences_per_type": "3"},
+     "sentences_per_type: expected int, got '3'"),
+    ({"rules": _CROWDED_RULES, "distractor_placement": "between", "sentences_per_type": 5,
+      "n_concepts": 11},
+     "n_concepts=11 needs 9 free positions; len_lo=18 leaves 8 beside two placeholders "
+     "and 8 signal tokens"),
+], ids=["no-rules", "string-count", "crowded"])
+def test_synth_rejects_a_bad_spec_naming_the_file(tmp_path, capsys, spec, message):
+    """One plain-text line: the file, then the reader's or the spec's own message."""
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     work = tmp_path / "work"
     work.mkdir()
     assert run("synth", "--spec", spec_path, "--out", work / "c.jsonl") == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {spec_path}: bad synth spec: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {spec_path}: bad synth spec: {message}\n"
     assert list(work.iterdir()) == []
 
 
@@ -151,9 +162,10 @@ def test_synth_rejects_a_word_pool_beyond_three_letters(tmp_path, capsys, key):
     work = tmp_path / "work"
     work.mkdir()
     assert run("synth", "--spec", spec_path, "--out", work / "c.jsonl") == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {spec_path}: bad synth spec: ") and err.count("\n") == 1
-    assert f"{key} must be <= 17576" in err
+    assert capsys.readouterr().err == (
+        f"error: {spec_path}: bad synth spec: "
+        f"{key} must be <= 17576, the number of distinct three-letter words: 20000\n"
+    )
     assert list(work.iterdir()) == []
 
 

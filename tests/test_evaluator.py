@@ -65,6 +65,17 @@ def test_all_negative_predictions_score_zero():
     assert (rep.micro.p, rep.micro.r, rep.micro.f1) == (0.0, 0.0, 0.0)
 
 
+def test_f1_is_scored_when_precision_and_recall_sum_to_one_percent():
+    # tp=1, fp=199, fn=199: P = R = 0.5%, so P + R is exactly 1 and F1 is 0.5, not 0
+    gold = [T.TRIP] + [T.TRIP] * 199 + [T.NTRP] * 199
+    pred = [T.TRIP] + [T.NTRP] * 199 + [T.TRIP] * 199
+    rep = evaluate(gold, pred)
+    trip = rep.per_type[T.TRIP]
+    assert (trip.tp, trip.fp, trip.fn) == (1, 199, 199)
+    assert (trip.p, trip.r, trip.f1) == (0.5, 0.5, 0.5)
+    assert (rep.micro.p, rep.micro.r, rep.micro.f1) == (0.5, 0.5, 0.5)
+
+
 def test_negative_only_instances_do_not_enter_micro():
     gold = [T.NTRP, T.NPP, T.TRIP]
     pred = [T.NTRP, T.NPP, T.TRIP]

@@ -65,7 +65,9 @@ from conftest import (
     finite_diff_grad,
     grad_max_rel_err,
     pooled_windows_columns,
+    predict_batch_reference,
     rewrite_checkpoint_meta,
+    score_chunk_reference,
     shared_vocab,
     toy_hp,
     toy_params,
@@ -843,7 +845,7 @@ def test_window_rows_match_the_column_layout(pooling):
     chunks = [encs[:1], encs[1 : 1 + PREDICT_CHUNK], encs[1 + PREDICT_CHUNK :]]
     want_scores = []
     for chunk in chunks:
-        r_x, traces = model._pooled_windows(chunk, params, hp, trace=True)
+        r_x, traces = model._pooled_windows(chunk, params, hp)
         want_r_x, want_traces = pooled_windows_columns(chunk, params, hp)
         np.testing.assert_allclose(r_x, want_r_x, rtol=0, atol=1e-12)
         for wt, want in zip(traces, want_traces):
@@ -873,6 +875,30 @@ def test_window_rows_match_the_column_layout(pooling):
             np.testing.assert_allclose(
                 g.rows, want_grads[name].rows, rtol=0, atol=1e-12, err_msg=name
             )
+
+
+@pytest.mark.parametrize("loss", [LOSS_SOFTMAX, LOSS_CONSTRAINED])
+@pytest.mark.parametrize("pooling", [POOL_MULTI, POOL_MAX])
+@pytest.mark.parametrize("windows", [(4,), (3, 4, 5), (2, 5)])
+def test_inference_pools_the_raw_map_bit_for_bit(windows, pooling, loss):
+    """``score_chunk`` and ``predict_batch``, which pool the raw feature map and bias and
+    relu the maxima, give byte for byte the scores, labels and probabilities of the
+    bias -> relu -> max reference, on 1, PREDICT_CHUNK and PREDICT_CHUNK + 1 instances
+    (``predict_batch`` scores the last as a full chunk and a ragged one).  Every bias is positive and the first instance, three tokens
+    long, has an empty first segment, so biasing an empty segment fails under "multi"."""
+    hp = toy_hp(windows=windows, pooling=pooling, loss=loss, d_c=24)
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=3)
+    rng = np.random.default_rng(4)
+    for b in params.b_conv:
+        b[...] = rng.uniform(0.05, 0.5, size=b.shape)
+    encs = _layout_chunk(seed=9, size=PREDICT_CHUNK + 1)
+    assert encs[0].n_tokens == 3 and encs[0].segments(windows[0], True)[0] is None
+    for chunk in (encs[:1], encs[:PREDICT_CHUNK], encs):
+        want = score_chunk_reference(chunk, params, hp)
+        assert score_chunk(chunk, params, hp).tobytes() == want.tobytes()
+        labels, probs = predict_batch(chunk, params, hp)
+        want_labels, want_probs = predict_batch_reference(chunk, params, hp)
+        assert labels == want_labels and probs.tobytes() == want_probs.tobytes()
 
 
 # ---------------------------------------------------------------------------
