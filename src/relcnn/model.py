@@ -7,11 +7,13 @@ p1 < p2):
   d_x = d_w + 2 d_p (one shared position table serves both distance
   channels),
 * each window of k consecutive token vectors is one row of X (shape n-k+1
-  by k d_x) and is convolved into one row of the feature map:
-  Z = relu(X W_conv^T + b), one column per filter,
+  by k d_x) and is convolved into one row of the raw feature map
+  X W_conv^T, one column per filter,
 * max-pooling runs either over all windows ("max") or independently over
   the three window segments delimited by the placeholders ("multi"),
-  concatenating the results; empty segments pool to zero vectors,
+  concatenating the results; the bias b and relu then apply to the pooled
+  maxima, which equals pooling relu(X W_conv^T + b) bit for bit, and
+  empty segments pool to zero vectors,
 * the pooled vector is joined with concept features (two concept-type
   vectors plus the word vectors of both original concept contents, padded
   to a fixed length) and, after inverted dropout, scored against one row
@@ -57,18 +59,17 @@ window size and concatenate the pooled outputs before scoring.
 
 The forward stages (``embed_sentence``, ``convolve``, ``pool``,
 ``concept_features``, ``score``) each run on a chunk of instances, with one
-GEMM per window size over every instance's windows.  ``forward`` runs
-them on a chunk of one and keeps the trace backward needs: the feature map
-relu(Z + b) and the argmax rows, whose ties break on the relu'd values.
-``score_chunk`` scores PREDICT_CHUNK instances at a time for
-``predict_batch`` and does inference work only: it pools the raw feature
-map X W_conv^T, then adds b and takes relu on the pooled maxima alone.
-IEEE addition and max(., 0) are monotone, so max_t relu(z_t + b) equals
-relu(max_t z_t + b) bit for bit, and the scores are those of the traced
-stages.  ``predict`` is ``predict_batch`` of one instance.  A chunk of one
-reads what its instance keeps (``EncodedInstance``): its own id arrays when
-no window pads it, its pooling segments, and the word layout backward sums
-the word rows by.
+GEMM per window size over every instance's windows.  ``forward`` (a chunk
+of one, traced) and ``score_chunk`` (PREDICT_CHUNK instances for
+``predict_batch``) share one pooling stage (``_features``): it pools the
+raw feature map X W_conv^T, then adds b and takes relu on the pooled
+maxima alone.  IEEE addition and max(., 0) are monotone, so
+relu(max_t z_t + b) equals max_t relu(z_t + b) bit for bit.  Only a traced
+pass records each filter's argmax row, the first maximum of the raw map,
+which backward routes its gradient through.  ``predict`` is
+``predict_batch`` of one instance.  A chunk of one reads what its instance
+keeps (``EncodedInstance``): its own id arrays when no window pads it, its
+pooling segments, and the word layout backward sums the word rows by.
 """
 
 from __future__ import annotations
@@ -286,18 +287,17 @@ def init_params(
 
 @dataclass
 class WindowTrace:
-    """One window size's stages over a chunk; its instances' ids, windows and
-    segments follow each other in order."""
+    """One window size's stages over a traced chunk; its instances' ids, windows and
+    segments follow each other in order.  The feature map itself is not kept: backward
+    needs only the argmax rows and the pooled values."""
 
     k: int
     token_ids: np.ndarray  # padded to at least k tokens per instance
     pos1_ids: np.ndarray
     pos2_ids: np.ndarray
     X: np.ndarray  # (ncols, d_x * k): one window per row
-    Z: np.ndarray  # (ncols, d_c): one window per row, one filter per column
-    bounds: list[tuple[int, int] | None]  # n_segments per instance, ranges of Z's rows
-    argmax_cols: np.ndarray  # (segments, d_c): row of Z; -1 marks an empty segment
-    pooled: np.ndarray  # (segments * d_c,)
+    argmax_cols: np.ndarray  # (segments, d_c): row of X W_conv^T; -1 marks an empty segment
+    pooled: np.ndarray  # (segments * d_c,): relu(max + b), 0 for an empty segment
 
 
 @dataclass
@@ -306,9 +306,9 @@ class ForwardTrace:
 
     enc: EncodedInstance
     windows: list[WindowTrace]
-    r_x: np.ndarray
-    cf_x: np.ndarray
-    rc: np.ndarray
+    r_x: np.ndarray  # rc[:pooled_size], a view
+    cf_x: np.ndarray  # rc[pooled_size:], a view
+    rc: np.ndarray  # [r_x; cf_x]
     dropout_mask: np.ndarray
     rc_dropped: np.ndarray
     scores: np.ndarray
@@ -437,35 +437,36 @@ def embed_sentence(
     return np.concatenate([windows[s : s + m - k + 1] for s, m in zip(starts, lengths)], out=X)
 
 
-def convolve(X: np.ndarray, w_conv: np.ndarray, b_conv: np.ndarray) -> np.ndarray:
-    """Z = relu(X W_conv^T + b): one row per window, one column per filter, bias
-    broadcast per row."""
-    Z = X @ w_conv.T
-    Z += b_conv
-    return relu(Z, out=Z)
+def convolve(X: np.ndarray, w_conv: np.ndarray) -> np.ndarray:
+    """The raw feature map X W_conv^T: one row per window, one column per filter."""
+    return X @ w_conv.T
 
 
 def pool(
-    Z: np.ndarray, bounds: Sequence[tuple[int, int] | None]
-) -> tuple[np.ndarray, np.ndarray]:
+    Z: np.ndarray,
+    bounds: Sequence[tuple[int, int] | None],
+    argmax: bool = True,
+    empty: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-filter max over each 1-based inclusive range of Z's rows (windows).
 
-    Returns the concatenated pooled vector (one d_c block per range, zeros
-    for empty ranges) and the row of each filter's maximum per range
-    (the first on ties, -1 for empty ranges), which backward uses for
-    gradient routing.  A single full-range segment gives plain
-    max-pooling, and a chunk's instances give their segments as ranges of
-    one Z.
+    Returns the concatenated pooled vector (one d_c block per range, `empty`
+    for empty ranges) and, with `argmax`, the row of each filter's maximum
+    per range (the first on ties, -1 for empty ranges), which backward uses
+    for gradient routing; without it, None.  A single full-range segment
+    gives plain max-pooling, and a chunk's instances give their segments as
+    ranges of one Z.
     """
     d_c = Z.shape[1]
-    pooled = np.zeros((len(bounds), d_c))
-    arg = np.full((len(bounds), d_c), -1)
+    pooled = np.full((len(bounds), d_c), empty)
+    arg = np.full((len(bounds), d_c), -1) if argmax else None
     for i, rng in enumerate(bounds):
         if rng is not None:
             block = Z[rng[0] - 1 : rng[1]]
             np.maximum.reduce(block, axis=0, out=pooled[i])
-            block.argmax(axis=0, out=arg[i])
-            arg[i] += rng[0] - 1
+            if arg is not None:
+                block.argmax(axis=0, out=arg[i])
+                arg[i] += rng[0] - 1
     return pooled.ravel(), arg
 
 
@@ -485,41 +486,6 @@ def _chunk_bounds(
         segs = segment_bounds(enc.p1, enc.p2, n, k) if pooling == POOL_MULTI else [(1, ncols)]
         out += [None if seg is None else (seg[0] + col0, seg[1] + col0) for seg in segs]
         col0 += ncols
-    return out
-
-
-def _pooled_windows(
-    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
-) -> tuple[np.ndarray, list[WindowTrace]]:
-    """Embed, convolve and pool a chunk once per window size, keeping the trace.
-
-    Returns r_x, one row of pooled features per instance (instance b's
-    pooled blocks of every window size in turn), and per window size the
-    chunk's WindowTrace.  The pooling runs over relu(Z + b) and records
-    each filter's argmax row, which backward routes its gradient through;
-    ``score_chunk`` pools the raw map instead and records nothing.
-    """
-    windows: list[WindowTrace] = []
-    for j, k in enumerate(hp.windows):
-        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
-        X = embed_sentence(tok, pos1, pos2, lengths, params, k)
-        Z = convolve(X, params.w_conv[j], params.b_conv[j])
-        bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
-        pooled, arg = pool(Z, bounds)
-        windows.append(WindowTrace(k, tok, pos1, pos2, X, Z, bounds, arg, pooled))
-    r_x = np.concatenate([wt.pooled.reshape(len(encs), -1) for wt in windows], axis=1)
-    return r_x, windows
-
-
-def _segment_maxima(Z: np.ndarray, bounds: Sequence[tuple[int, int] | None]) -> np.ndarray:
-    """Per-filter max over each 1-based inclusive range of Z's rows, one row per range;
-    -inf for an empty range."""
-    out = np.empty((len(bounds), Z.shape[1]))
-    for row, rng in zip(out, bounds):
-        if rng is None:
-            row.fill(-np.inf)
-        else:
-            np.maximum.reduce(Z[rng[0] - 1 : rng[1]], axis=0, out=row)
     return out
 
 
@@ -543,6 +509,41 @@ def score(r_x: np.ndarray, cf_x: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.concatenate([r_x, cf_x], axis=-1) @ params.w_classes.T
 
 
+def _features(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams, traced: bool
+) -> tuple[np.ndarray, list[WindowTrace]]:
+    """rc = [r_x; cf_x] of a nonempty chunk, one row per instance, and with `traced`
+    each window size's WindowTrace for backward (else no traces).
+
+    Per window size: every instance's windows (``embed_sentence``), one GEMM
+    X W_conv^T over them without bias or relu (``convolve``), the per-filter
+    maxima of each pooling segment of that raw map, with the argmax rows only
+    when `traced` (``pool``), then b_conv and relu on the pooled rows alone,
+    written into each instance's r_x block.  max_t relu(z_t + b) ==
+    relu(max_t z_t + b) bit for bit, since IEEE addition and max(., 0) are
+    monotone.  An empty segment pools to -inf, which bias and relu take to 0.
+    The concept features fill the tail of each row.
+    """
+    n = len(encs)
+    rc = np.empty((n, params.w_classes.shape[1]))
+    per = hp.pooled_per_window
+    windows: list[WindowTrace] = []
+    for j, k in enumerate(hp.windows):
+        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
+        X = embed_sentence(tok, pos1, pos2, lengths, params, k)
+        Z = convolve(X, params.w_conv[j])
+        bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
+        maxima, arg = pool(Z, bounds, argmax=traced, empty=-np.inf)
+        pooled = rc[:, j * per : (j + 1) * per]
+        blocks = pooled.reshape(n, hp.n_segments, hp.d_c)  # a view of rc
+        np.add(maxima.reshape(blocks.shape), params.b_conv[j], out=blocks)
+        relu(blocks, out=blocks)
+        if traced:
+            windows.append(WindowTrace(k, tok, pos1, pos2, X, arg, pooled.reshape(-1)))
+    rc[:, hp.pooled_size :] = concept_features(encs, params)
+    return rc, windows
+
+
 def forward(
     enc: EncodedInstance,
     params: ModelParams,
@@ -556,10 +557,8 @@ def forward(
     are kept with probability 1 - dropout_p and scaled by 1/(1 - p), so
     inference needs no rescaling.
     """
-    r_x, window_traces = _pooled_windows([enc], params, hp)
-    r_x = r_x[0]
-    cf_x = concept_features([enc], params)[0]
-    rc = np.concatenate([r_x, cf_x])
+    rows, window_traces = _features([enc], params, hp, traced=True)
+    rc = rows[0]
     if train and hp.dropout_p > 0.0:
         if dropout_rng is None:
             raise ValueError("training forward with dropout_p > 0 needs a dropout_rng")
@@ -571,8 +570,8 @@ def forward(
     return ForwardTrace(
         enc=enc,
         windows=window_traces,
-        r_x=r_x,
-        cf_x=cf_x,
+        r_x=rc[: hp.pooled_size],
+        cf_x=rc[hp.pooled_size :],
         rc=rc,
         dropout_mask=mask,
         rc_dropped=rc_dropped,
@@ -720,7 +719,7 @@ def backward(
         dr_w = dr_x[j * per : (j + 1) * per].reshape(wt.argmax_cols.shape)
         # A pooled value is positive only at a live argmax cell; empty segments pool to 0.
         live = (wt.pooled > 0.0).reshape(wt.argmax_cols.shape)
-        dpre = np.zeros_like(wt.Z)
+        dpre = np.zeros((wt.X.shape[0], hp.d_c))
         dpre[wt.argmax_cols[live], np.nonzero(live)[1]] = dr_w[live]
         w_name, b_name = f"w_conv_{j}", f"b_conv_{j}"
         data = np.matmul(dpre.T, wt.X, out=None if out is None else out[w_name].rows)
@@ -788,28 +787,12 @@ def score_chunk(
 ) -> np.ndarray:
     """Inference-mode class scores of a nonempty chunk of instances, one row each.
 
-    The forward stages, run once for the whole chunk, with inference work
-    only.  Per window size, one GEMM X W_conv^T over every instance's
-    windows, without bias or relu; the per-filter maxima of each pooling
-    segment of that raw map; then b_conv and relu on the pooled rows alone.
-    The training trace keeps relu(Z + b) whole (``_pooled_windows``), and
-    max_t relu(z_t + b) == relu(max_t z_t + b) bit for bit, since IEEE
-    addition and max(., 0) are monotone.  An empty segment pools to -inf,
-    which bias and relu take to 0.  Every instance's row rc = [r_x; cf_x]
-    is written in place, and one GEMM scores them all.  The scores equal
-    ``forward``'s up to the summation order the GEMMs' shapes give.
+    The forward stages, run once for the whole chunk without a trace
+    (``_features``), so no argmax row is computed; one GEMM then scores
+    every instance's row rc = [r_x; cf_x].  The scores equal ``forward``'s
+    up to the summation order the GEMMs' shapes give.
     """
-    n = len(encs)
-    rc = np.empty((n, params.w_classes.shape[1]))
-    per = hp.pooled_per_window
-    for j, k in enumerate(hp.windows):
-        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
-        Z = embed_sentence(tok, pos1, pos2, lengths, params, k) @ params.w_conv[j].T
-        maxima = _segment_maxima(Z, _chunk_bounds(encs, lengths, k, hp.pooling))
-        pooled = rc[:, j * per : (j + 1) * per].reshape(n, hp.n_segments, hp.d_c)
-        np.add(maxima.reshape(pooled.shape), params.b_conv[j], out=pooled)
-        relu(pooled, out=pooled)
-    rc[:, hp.pooled_size :] = concept_features(encs, params)
+    rc, _ = _features(encs, params, hp, traced=False)
     return rc @ params.w_classes.T
 
 

@@ -18,7 +18,9 @@ Provides the things the individual test modules lean on:
   ``generate_reference`` and ``encode_reference`` are the per-word
   generator and per-instance encoder the oracle tests compare against,
   ``pooled_windows_columns`` runs the convolution stages in the column
-  layout the windows-as-rows layout replaced, ``backward_reference`` is
+  layout the windows-as-rows layout replaced, ``relu_map_pooling`` pools
+  the feature map after its bias and relu, as training did before it
+  pooled the raw map, ``backward_reference`` is
   ``backward`` as it summed the word rows before instances kept their word
   layout (in either layout),
   ``rewrite_checkpoint_meta`` makes older-format or hand-edited
@@ -73,7 +75,6 @@ from relcnn.model import (
     _padded_ids,
     _row_sums,
     _sum_rows,
-    convolve,
     embed_sentence,
     init_params,
     loss_classes,
@@ -576,11 +577,9 @@ def embed_sentence_columns(
     )
 
 
-def convolve_columns(X: np.ndarray, w_conv: np.ndarray, b_conv: np.ndarray) -> np.ndarray:
-    """Z = relu(W_conv X + b), bias broadcast per column."""
-    Z = w_conv @ X
-    Z += b_conv[:, None]
-    return relu(Z, out=Z)
+def convolve_columns(X: np.ndarray, w_conv: np.ndarray) -> np.ndarray:
+    """The raw feature map Z = W_conv X, one window per column."""
+    return w_conv @ X
 
 
 def pool_columns(
@@ -603,34 +602,47 @@ def pool_columns(
 def pooled_windows_columns(
     encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
 ) -> tuple[np.ndarray, list[WindowTrace]]:
-    """``model._pooled_windows`` with its traces, through the column-layout stages."""
+    """The pooled blocks r_x of ``model._features`` with its traces, through the
+    column-layout stages: each segment's maxima and first argmax column of the raw map,
+    then the bias and relu on the maxima, and zeros for an empty segment."""
     windows: list[WindowTrace] = []
     for j, k in enumerate(hp.windows):
         tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
         X = embed_sentence_columns(tok, pos1, pos2, lengths, params, k)
-        Z = convolve_columns(X, params.w_conv[j], params.b_conv[j])
         bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
-        pooled, arg = pool_columns(Z, bounds)
-        windows.append(WindowTrace(k, tok, pos1, pos2, X, Z, bounds, arg, pooled))
+        maxima, arg = pool_columns(convolve_columns(X, params.w_conv[j]), bounds)
+        pooled = relu(maxima.reshape(arg.shape) + params.b_conv[j])
+        pooled[np.array([rng is None for rng in bounds])] = 0.0
+        windows.append(WindowTrace(k, tok, pos1, pos2, X, arg, pooled.ravel()))
     r_x = np.concatenate([wt.pooled.reshape(len(encs), -1) for wt in windows], axis=1)
     return r_x, windows
+
+
+def relu_map_pooling(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per window size, a chunk's pooled blocks (one row per instance) and argmax rows
+    as they stood before pooling ran on the raw feature map: the bias and relu over
+    every window of X W_conv^T, then each segment's maxima, zeros for an empty
+    segment, and first argmax row (``pool``)."""
+    out = []
+    for j, k in enumerate(hp.windows):
+        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
+        Z = embed_sentence(tok, pos1, pos2, lengths, params, k) @ params.w_conv[j].T
+        Z += params.b_conv[j]
+        pooled, arg = pool(relu(Z, out=Z), _chunk_bounds(encs, lengths, k, hp.pooling))
+        out.append((pooled.reshape(len(encs), -1), arg))
+    return out
 
 
 def score_chunk_reference(
     encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams
 ) -> np.ndarray:
     """``model.score_chunk`` as it stood before inference pooled the raw feature map:
-    per window size bias and relu over every window (``convolve``), then the segment
-    maxima with zeros for an empty segment (``pool``), the pooled blocks and the
-    concept features each concatenated, and ``score`` concatenating them again."""
+    the pooled blocks of bias -> relu -> max (``relu_map_pooling``) and the concept
+    features each concatenated, and ``score`` concatenating them again."""
     n = len(encs)
-    blocks = []
-    for j, k in enumerate(hp.windows):
-        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
-        Z = convolve(embed_sentence(tok, pos1, pos2, lengths, params, k),
-                     params.w_conv[j], params.b_conv[j])
-        pooled, _ = pool(Z, _chunk_bounds(encs, lengths, k, hp.pooling))
-        blocks.append(pooled.reshape(n, -1))
+    blocks = [pooled for pooled, _ in relu_map_pooling(encs, params, hp)]
     words = np.concatenate([ids for enc in encs for ids in (enc.content1_ids, enc.content2_ids)])
     cf_x = np.concatenate(
         [params.w_ctype[[enc.ctype_ids for enc in encs]].reshape(n, -1),
@@ -698,13 +710,14 @@ def backward_reference(
     for j, wt in enumerate(trace.windows):
         dr_w = dr_x[j * per : (j + 1) * per].reshape(wt.argmax_cols.shape)
         live = (wt.pooled > 0.0).reshape(wt.argmax_cols.shape)
-        dpre = np.zeros_like(wt.Z)
-        if columns:  # Z is (d_c, ncols), X is (d_x * k, ncols)
+        if columns:  # the map is (d_c, ncols), X is (d_x * k, ncols)
+            dpre = np.zeros((hp.d_c, wt.X.shape[1]))
             dpre[np.nonzero(live)[1], wt.argmax_cols[live]] = dr_w[live]
             data = dpre @ wt.X.T
             bias = np.sum(dpre, axis=1)
             dX = (params.w_conv[j].T @ dpre).T
         else:
+            dpre = np.zeros((wt.X.shape[0], hp.d_c))
             dpre[wt.argmax_cols[live], np.nonzero(live)[1]] = dr_w[live]
             data = dpre.T @ wt.X
             bias = np.sum(dpre, axis=0)

@@ -66,6 +66,7 @@ from conftest import (
     grad_max_rel_err,
     pooled_windows_columns,
     predict_batch_reference,
+    relu_map_pooling,
     rewrite_checkpoint_meta,
     score_chunk_reference,
     shared_vocab,
@@ -174,16 +175,16 @@ def test_embed_sentence_window_layout():
 
 
 def test_convolve_matches_loop_oracle():
+    """The raw feature map X W_conv^T: the bias and relu come after pooling."""
     rng = np.random.default_rng(0)
     X = rng.normal(size=(5, 6))
     w = rng.normal(size=(3, 6))
-    b = rng.normal(size=3)
-    Z = convolve(X, w, b)
+    Z = convolve(X, w)
     assert Z.shape == (5, 3)
     for f in range(3):
         for c in range(5):
-            pre = b[f] + sum(w[f, t] * X[c, t] for t in range(6))
-            assert Z[c, f] == pytest.approx(max(pre, 0.0), abs=1e-12)
+            pre = sum(w[f, t] * X[c, t] for t in range(6))
+            assert Z[c, f] == pytest.approx(pre, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,8 @@ def test_pool_first_occurrence_tie_break():
 
 def test_pool_and_backward_route_an_exact_tie_to_its_first_column():
     """Windows 1 and 3 repeat a 2-gram whose distances to both entities are clipped to
-    the radius, so their Z rows are equal.  Pool takes the first, and backward sends
+    the radius, so their rows of the raw map are equal.  Pool takes the first, and
+    backward sends
     each filter's gradient through that one cell: a second cell would double it against
     finite differences, which every parameter keeps the tie for."""
     enc_cfg = EncoderConfig(max_distance=1, concept_len=3, min_word_freq=1)
@@ -263,10 +265,12 @@ def test_pool_and_backward_route_an_exact_tie_to_its_first_column():
     params = toy_params(hp, vocab, enc_cfg, seed=1)
     tr = forward(enc, params, hp)
     wt = tr.windows[0]
-    assert wt.bounds[0] == (1, 4)
-    assert wt.Z[0].tobytes() == wt.Z[2].tobytes()
+    lo, hi = enc.segments(wt.k, True)[0]
+    assert (lo, hi) == (1, 4)
+    Z = wt.X @ params.w_conv[0].T
+    assert Z[0].tobytes() == Z[2].tobytes()
     first_segment = wt.pooled[: hp.d_c]
-    tied = (wt.Z[0] == first_segment) & (first_segment > 0.0)
+    tied = (Z[0] == Z[lo - 1 : hi].max(axis=0)) & (first_segment > 0.0)
     assert 0 < tied.sum() < hp.d_c
     np.testing.assert_array_equal(wt.argmax_cols[0][tied], 0)
 
@@ -275,6 +279,44 @@ def test_pool_and_backward_route_an_exact_tie_to_its_first_column():
         lambda _: loss_from_trace(forward(enc, params, hp), params, hp), params, epsilon=1e-5
     )
     assert grad_max_rel_err(analytic, numeric, params) < GRAD_TOL
+
+
+def test_a_rounding_tie_routes_to_the_raw_maximum():
+    """Filter 0 reads the first word coordinate of a window's first token: 1e-17 in
+    window t = 0 and 2e-17 in window s = 1, -1 elsewhere.  Its bias 1.0 rounds both
+    maxima to 1.0, so the biased map ties where the raw map does not.  Pooling runs on
+    the raw map: the trace names s, and backward sends the filter's gradient through
+    window s alone."""
+    hp = toy_hp(pooling=POOL_MAX)
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=2)
+    inst = _short_instance(["tok3", "tok5", "tok7", "ent1", "tok9", "ent2"], 4, 6)
+    (enc,) = encode([replace_concepts(inst)], VOCAB, TOY_ENC)
+    t_word, s_word = enc.token_ids[:2].tolist()
+    params.w_conv[0][...] = 0.0
+    params.w_conv[0][0, 0] = 1.0
+    params.b_conv[0][...] = 0.0
+    params.b_conv[0][0] = 1.0
+    params.w_word[:, 0] = -1.0
+    params.w_word[t_word, 0] = 1e-17
+    params.w_word[s_word, 0] = 2e-17
+
+    tr = forward(enc, params, hp)
+    wt = tr.windows[0]
+    raw = (wt.X @ params.w_conv[0].T)[:, 0]
+    assert raw[0] < raw[1] and raw[0] + 1.0 == raw[1] + 1.0 == 1.0 and (raw[2:] < 0).all()
+    assert tr.r_x[0] == 1.0
+    assert wt.argmax_cols[0, 0] == 1
+
+    ds = softmax(tr.scores)
+    ds[CLASS_INDEX[enc.gold]] -= 1.0
+    dr = float(params.w_classes[:, 0] @ ds)
+    assert dr != 0.0
+    grads = backward(tr, params, hp)
+    np.testing.assert_allclose(grads["w_conv_0"].rows[0], dr * wt.X[1], rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(grads["w_conv_0"].rows[1:], 0.0)
+    word = dict(zip(grads["w_word"].ids.tolist(), grads["w_word"].rows[:, 0]))
+    assert word[t_word] == 0.0
+    assert word[s_word] == pytest.approx(dr, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +373,14 @@ def test_forward_multi_window_concatenates_banks():
 
 
 def test_forward_uses_window_specific_bounds():
+    """The pooled values are those of relu(X W_conv^T + b) over the window size's
+    segments."""
     hp, params, enc = _setup()
     tr = forward(enc, params, hp)
     w = tr.windows[0]
-    assert w.bounds == segment_bounds(enc.p1, enc.p2, enc.n_tokens, w.k)
+    Z = np.maximum(w.X @ params.w_conv[0].T + params.b_conv[0], 0.0)
+    want, _ = pool(Z, segment_bounds(enc.p1, enc.p2, enc.n_tokens, w.k))
+    assert w.pooled.tobytes() == want.tobytes()
 
 
 class TestDropout:
@@ -845,12 +891,12 @@ def test_window_rows_match_the_column_layout(pooling):
     chunks = [encs[:1], encs[1 : 1 + PREDICT_CHUNK], encs[1 + PREDICT_CHUNK :]]
     want_scores = []
     for chunk in chunks:
-        r_x, traces = model._pooled_windows(chunk, params, hp)
+        rc, traces = model._features(chunk, params, hp, traced=True)
         want_r_x, want_traces = pooled_windows_columns(chunk, params, hp)
-        np.testing.assert_allclose(r_x, want_r_x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rc[:, : hp.pooled_size], want_r_x, rtol=0, atol=1e-12)
         for wt, want in zip(traces, want_traces):
             np.testing.assert_array_equal(wt.argmax_cols, want.argmax_cols)
-            np.testing.assert_allclose(wt.Z, want.Z.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(wt.X, want.X.T, rtol=0, atol=1e-12)
         want_scores.append(score(want_r_x, concept_features(chunk, params), params))
         np.testing.assert_allclose(
             score_chunk(chunk, params, hp), want_scores[-1], rtol=0, atol=1e-12
@@ -884,8 +930,11 @@ def test_inference_pools_the_raw_map_bit_for_bit(windows, pooling, loss):
     """``score_chunk`` and ``predict_batch``, which pool the raw feature map and bias and
     relu the maxima, give byte for byte the scores, labels and probabilities of the
     bias -> relu -> max reference, on 1, PREDICT_CHUNK and PREDICT_CHUNK + 1 instances
-    (``predict_batch`` scores the last as a full chunk and a ragged one).  Every bias is positive and the first instance, three tokens
-    long, has an empty first segment, so biasing an empty segment fails under "multi"."""
+    (``predict_batch`` scores the last as a full chunk and a ragged one).  The traced
+    path, ``forward`` of each instance, gives byte for byte the reference's pooled
+    blocks, and its live argmax rows are the reference's.  Every bias is positive and
+    the first instance, three tokens long, has an empty first segment, so biasing an
+    empty segment fails under "multi"."""
     hp = toy_hp(windows=windows, pooling=pooling, loss=loss, d_c=24)
     params = toy_params(hp, VOCAB, TOY_ENC, seed=3)
     rng = np.random.default_rng(4)
@@ -899,6 +948,13 @@ def test_inference_pools_the_raw_map_bit_for_bit(windows, pooling, loss):
         labels, probs = predict_batch(chunk, params, hp)
         want_labels, want_probs = predict_batch_reference(chunk, params, hp)
         assert labels == want_labels and probs.tobytes() == want_probs.tobytes()
+    for enc in encs:
+        trace = forward(enc, params, hp)
+        want = relu_map_pooling([enc], params, hp)
+        assert trace.r_x.tobytes() == np.concatenate([p[0] for p, _ in want]).tobytes()
+        for wt, (pooled, arg) in zip(trace.windows, want):
+            live = pooled.reshape(arg.shape) > 0.0
+            np.testing.assert_array_equal(wt.argmax_cols[live], arg[live])
 
 
 # ---------------------------------------------------------------------------
@@ -996,7 +1052,8 @@ def test_word_gradient_equals_the_concatenated_ids_sum_exactly():
 
 def test_an_instance_keeps_its_layout_and_segments():
     """The word layout and the segments are computed once per instance, read-only
-    where they are arrays, and what a chunk of one pools over."""
+    where they are arrays, and what a chunk of one pools over; a chunk of one that
+    needs no <pad> reads the instance's own id arrays."""
     hp = toy_hp(windows=(2, 5))
     params = toy_params(hp, VOCAB, TOY_ENC)
     enc = _layout_chunk(seed=7, size=1)[0]
@@ -1006,9 +1063,13 @@ def test_an_instance_keeps_its_layout_and_segments():
     assert uniq.tolist() == sorted(set(ids.tolist())) and uniq[index].tolist() == ids.tolist()
     trace = forward(enc, params, hp)
     for wt in trace.windows:
-        assert wt.bounds is enc.segments(wt.k, True)
-        assert wt.bounds == segment_bounds(enc.p1, enc.p2, max(enc.n_tokens, wt.k), wt.k)
+        n = max(enc.n_tokens, wt.k)
+        segments = enc.segments(wt.k, True)
+        assert model._chunk_bounds([enc], [n], wt.k, POOL_MULTI) is segments
+        assert segments == segment_bounds(enc.p1, enc.p2, n, wt.k)
     assert trace.windows[0].token_ids is enc.token_ids  # no <pad> needed at k = 2
+    own = (enc.token_ids, enc.pos1_ids, enc.pos2_ids)  # nor at k = n, one window
+    assert all(a is b for a, b in zip(_padded_ids([enc], params, enc.n_tokens), own))
     assert enc.segments(5, False) == [(1, 1)]
 
 
