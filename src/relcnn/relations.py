@@ -7,8 +7,8 @@ probability vectors use the same order everywhere):
 
 The three N* types are the negative ("no relation") classes; the other
 eight are positive.  Each relation type belongs to exactly one category,
-determined by the concept-type pair: problem-treatment (TrP),
-problem-test (TeP), problem-problem (PP).
+determined by the concept-type pair (`CATEGORY_PAIR`): problem-treatment
+(TrP), problem-test (TeP), problem-problem (PP).
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ N_CLASSES = len(RELATION_TYPES)
 
 CLASS_INDEX: dict[RelationType, int] = {t: i for i, t in enumerate(RELATION_TYPES)}
 
-NEGATIVE_TYPES = frozenset({RelationType.NTRP, RelationType.NTEP, RelationType.NPP})
-POSITIVE_TYPES: tuple[RelationType, ...] = tuple(
-    t for t in RELATION_TYPES if t not in NEGATIVE_TYPES
-)
-
 CATEGORY_TYPES: dict[Category, tuple[RelationType, ...]] = {
     Category.TRP: (
         RelationType.TRIP,
@@ -80,6 +75,21 @@ NEGATIVE_OF_CATEGORY: dict[Category, RelationType] = {
     Category.PP: RelationType.NPP,
 }
 
+NEGATIVE_TYPES = frozenset(NEGATIVE_OF_CATEGORY.values())
+POSITIVE_TYPES: tuple[RelationType, ...] = tuple(
+    t for t in RELATION_TYPES if t not in NEGATIVE_TYPES
+)
+
+# The concept types that make each category, in the order text writes them.
+# Pairs without a medical problem (treatment-treatment, test-test,
+# treatment-test) are not annotated in this scheme.
+CATEGORY_PAIR: dict[Category, tuple[ConceptType, ConceptType]] = {
+    Category.TRP: (ConceptType.TREATMENT, ConceptType.PROBLEM),
+    Category.TEP: (ConceptType.TEST, ConceptType.PROBLEM),
+    Category.PP: (ConceptType.PROBLEM, ConceptType.PROBLEM),
+}
+_CATEGORY_OF_PAIR = {frozenset(pair): cat for cat, pair in CATEGORY_PAIR.items()}
+
 
 _E = TypeVar("_E", bound=Enum)
 _MEMBERS: dict[type, dict[str, Enum]] = {
@@ -101,19 +111,9 @@ def by_value(cls: type[_E], value) -> _E:
 
 
 def category_for_pair(t1: ConceptType, t2: ConceptType) -> Category | None:
-    """Category of a concept-type pair, or None if the pair carries no relation.
-
-    Order does not matter.  Pairs without a medical problem (treatment-treatment,
-    test-test, treatment-test) are not annotated in this scheme.
-    """
-    pair = {t1, t2}
-    if pair == {ConceptType.PROBLEM, ConceptType.TREATMENT}:
-        return Category.TRP
-    if pair == {ConceptType.PROBLEM, ConceptType.TEST}:
-        return Category.TEP
-    if pair == {ConceptType.PROBLEM}:
-        return Category.PP
-    return None
+    """Category of a concept-type pair in either order (`CATEGORY_PAIR`), or
+    None if the pair carries no relation."""
+    return _CATEGORY_OF_PAIR.get(frozenset((t1, t2)))
 
 
 def is_positive(t: RelationType) -> bool:

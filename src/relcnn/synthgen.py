@@ -3,11 +3,11 @@
 Each generated sentence contains one annotated concept pair plus an
 exact signal n-gram planted entirely inside one of the three regions the
 pair induces: before the first concept, between the two, or after the
-second.  The gold label is a pure function of (signal, region).  When
-the SAME n-gram maps to different labels in different regions, a model
-that max-pools over the whole sentence sees identical features for both
-labels, while segment-wise pooling separates them; this is the testbed
-for the multi- vs max-pooling comparison.
+second.  Within the pair's category the gold label is a pure function of
+(signal, region).  When the SAME n-gram maps to different labels in
+different regions, a model that max-pools over the whole sentence sees
+identical features for both labels, while segment-wise pooling separates
+them; this is the testbed for the multi- vs max-pooling comparison.
 
 Construction guarantees:
 
@@ -25,6 +25,9 @@ a distractor copy in every sentence removes the "signal present at all"
 shortcut, so whole-sentence pooling must learn position-conjunctive
 filters while segment pooling still reads the label off one segment.
 
+A rule's label fixes its pair's concept types (`CATEGORY_PAIR` of the
+label's category), so one spec may mix categories as the clinical corpus
+does; a noisy label flips only to another label of its rule's category.
 The ledger records the planted truth per instance and `self_check`
 verifies corpus and ledger agree; with label-noise rate r a rule reader
 scores about 1 - r, exactly 1 at r = 0.
@@ -45,12 +48,7 @@ from .corpus import (
     instance_to_dict,
     replace_concepts,
 )
-from .relations import (
-    CATEGORY_OF,
-    ConceptType,
-    RelationType,
-    category_for_pair,
-)
+from .relations import CATEGORY_OF, CATEGORY_PAIR, RelationType
 
 BEFORE_C1 = "before_c1"
 BETWEEN = "between"
@@ -91,7 +89,6 @@ class SynthSpec:
     (placeholders in place of concepts), the form the model consumes."""
 
     rules: tuple[LabelRule, ...]
-    concept_types: tuple[ConceptType, ConceptType] = (ConceptType.TEST, ConceptType.PROBLEM)
     sentences_per_type: int = 100
     len_lo: int = 18
     len_hi: int = 26
@@ -133,17 +130,17 @@ class SynthSpec:
             raise ValueError(f"noise_rate must lie in [0, 1): {self.noise_rate}")
         if self.len_hi < self.len_lo:
             raise ValueError(f"empty length range [{self.len_lo}, {self.len_hi}]")
-        cat = category_for_pair(*self.concept_types)
-        if cat is None:
-            raise ValueError(f"concept types {self.concept_types} form no category")
         for rule in self.rules:
             if rule.placement not in PLACEMENTS:
                 raise ValueError(f"unknown placement {rule.placement!r}")
             if not rule.signal:
                 raise ValueError(f"rule {rule.label.value}: empty signal")
-            if CATEGORY_OF[rule.label] is not cat:
+            cat = CATEGORY_OF[rule.label]
+            if self.noise_rate > 0 and all(
+                r.label is rule.label or CATEGORY_OF[r.label] is not cat for r in self.rules
+            ):
                 raise ValueError(
-                    f"label {rule.label.value} does not fit concept types {self.concept_types}"
+                    f"label noise needs a second {cat.value} label to flip {rule.label.value} to"
                 )
             if self.len_lo < self.min_length(len(rule.signal)):
                 raise ValueError(
@@ -160,8 +157,6 @@ class SynthSpec:
                     f"len_lo={self.len_lo} leaves {free} beside two placeholders and "
                     f"{signal_tokens} signal tokens"
                 )
-        if self.noise_rate > 0 and len({r.label for r in self.rules}) < 2:
-            raise ValueError("label noise needs at least two distinct labels to flip between")
         if self.distractor_placement is not None:
             if self.distractor_placement not in PLACEMENTS:
                 raise ValueError(f"unknown placement {self.distractor_placement!r}")
@@ -243,9 +238,9 @@ def generate(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLedger]:
     Instances are generated independently, one spawned RNG stream each,
     so output is deterministic in the seed and insensitive to generation
     order.  Gold labels follow the instance's rule except that with
-    probability noise_rate the label flips to another rule's label
-    (ledger records both truth and flip).  Word strings come from pools
-    sized to the spec and built once per call.
+    probability noise_rate the label flips to another label of a rule of
+    the same category (ledger records both truth and flip).  Word strings
+    come from pools sized to the spec and built once per call.
     """
     total = len(spec.rules) * spec.sentences_per_type
     streams = np.random.SeedSequence(spec.seed).spawn(total)
@@ -255,14 +250,15 @@ def generate(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLedger]:
     n_concept_words = spec.concept_vocab_size
     m = spec.concept_tokens
     extra = spec.n_concepts - 2
-    ctype1, ctype2 = spec.concept_types
     instances: list[RelationInstance] = []
     ledger = SynthLedger(spec=spec)
     for rule in spec.rules:
         s = len(rule.signal)
         signal = list(rule.signal)
         p1_lo, gap, tail = spec.geometry(s)
-        others = [t for t in labels if t != rule.label]
+        category = CATEGORY_OF[rule.label]
+        others = [t for t in labels if t != rule.label and CATEGORY_OF[t] is category]
+        ctype1, ctype2 = CATEGORY_PAIR[category]
         for _ in range(spec.sentences_per_type):
             idx = len(instances)
             rng = np.random.default_rng(streams[idx])

@@ -5,7 +5,8 @@ Provides the things the individual test modules lean on:
 * a hypothesis profile tuned for deterministic CI runs,
 * builders for random-but-valid relation instances of any label
   (``build_instance`` / ``encoded_instance``) and for a corpus that spans
-  all three categories (``three_category_corpus``),
+  all three categories (``three_category_corpus``: one spec of the
+  ``THREE_CATEGORY_RULES``, so one ``generate`` call with unique keys),
 * reference helpers: ``finite_diff_grad`` takes central-difference
   gradients, ``grad_max_rel_err`` compares analytic gradients (row
   gradients densified) with them, and
@@ -84,11 +85,11 @@ from relcnn.model import (
 from relcnn.numeric import relu, softmax
 from relcnn.relations import (
     CATEGORY_OF,
+    CATEGORY_PAIR,
     CLASS_INDEX,
     N_CLASSES,
     POSITIVE_TYPES,
     RELATION_TYPES,
-    Category,
     ConceptType,
     RelationType,
 )
@@ -114,33 +115,25 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-# Concept-type pair that realizes each category (order as written in text).
-CATEGORY_PAIR = {
-    Category.TRP: (ConceptType.TREATMENT, ConceptType.PROBLEM),
-    Category.TEP: (ConceptType.TEST, ConceptType.PROBLEM),
-    Category.PP: (ConceptType.PROBLEM, ConceptType.PROBLEM),
-}
-
 # One placement task per category: each label's signal lands in its own region.
-_CATEGORY_TASKS = {
-    Category.TRP: (RelationType.TRIP, RelationType.TRWP, RelationType.NTRP),
-    Category.TEP: (RelationType.TERP, RelationType.TECP, RelationType.NTEP),
-    Category.PP: (RelationType.PIP, RelationType.NPP),
-}
+_CATEGORY_TASKS = (
+    (RelationType.TRIP, RelationType.TRWP, RelationType.NTRP),
+    (RelationType.TERP, RelationType.TECP, RelationType.NTEP),
+    (RelationType.PIP, RelationType.NPP),
+)
+THREE_CATEGORY_RULES = tuple(
+    LabelRule(label, placement, DEFAULT_SIGNAL)
+    for labels in _CATEGORY_TASKS
+    for label, placement in zip(labels, (BEFORE_C1, AFTER_C2, BETWEEN))
+)
 
 
 def three_category_corpus(sentences_per_type: int, seed: int) -> list[RelationInstance]:
-    """Three ``generate`` corpora concatenated, one per category: the first
-    label's signal before the first concept, the second's after the second
-    concept, the third's between them."""
-    instances = []
-    for category, labels in _CATEGORY_TASKS.items():
-        rules = tuple(LabelRule(label, placement, DEFAULT_SIGNAL)
-                      for label, placement in zip(labels, (BEFORE_C1, AFTER_C2, BETWEEN)))
-        spec = SynthSpec(rules=rules, concept_types=CATEGORY_PAIR[category],
-                         sentences_per_type=sentences_per_type, seed=seed)
-        instances += generate(spec)[0]
-    return instances
+    """One ``generate`` corpus of all three categories: in each, the first
+    label's signal lies before the first concept, the second's after the
+    second concept, the third's between them."""
+    spec = SynthSpec(rules=THREE_CATEGORY_RULES, sentences_per_type=sentences_per_type, seed=seed)
+    return generate(spec)[0]
 
 
 _WORDS = [f"tok{i}" for i in range(40)]
@@ -443,7 +436,8 @@ def generate_reference(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLe
             flipped = spec.noise_rate > 0 and bool(rng.random() < spec.noise_rate)
             gold = rule.label
             if flipped:
-                others = [t for t in labels if t != rule.label]
+                others = [t for t in labels
+                          if t != rule.label and CATEGORY_OF[t] == CATEGORY_OF[rule.label]]
                 gold = others[int(rng.integers(0, len(others)))]
 
             m = spec.concept_tokens
@@ -461,9 +455,10 @@ def generate_reference(spec: SynthSpec) -> tuple[list[RelationInstance], SynthLe
                     tokens.extend(c2_words)
                 else:
                     tokens.append(words[pos - 1])
-            c1 = Concept(start=p1, end=p1 + m - 1, ctype=spec.concept_types[0])
+            ct1, ct2 = CATEGORY_PAIR[CATEGORY_OF[rule.label]]
+            c1 = Concept(start=p1, end=p1 + m - 1, ctype=ct1)
             c2_start = p2 + (m - 1)
-            c2 = Concept(start=c2_start, end=c2_start + m - 1, ctype=spec.concept_types[1])
+            c2 = Concept(start=c2_start, end=c2_start + m - 1, ctype=ct2)
             inst = RelationInstance(
                 tokens=tokens,
                 concept1=c1,

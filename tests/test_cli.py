@@ -27,6 +27,7 @@ from relcnn.synthgen import LabelRule, SynthSpec, generate, placement_task_spec
 from relcnn.trainer import GridSpec, TrainConfig
 
 from conftest import (
+    THREE_CATEGORY_RULES,
     rewrite_checkpoint_arrays,
     rewrite_checkpoint_meta,
     three_category_corpus,
@@ -143,7 +144,12 @@ _CROWDED_RULES = [
       "n_concepts": 11},
      "n_concepts=11 needs 9 free positions; len_lo=18 leaves 8 beside two placeholders "
      "and 8 signal tokens"),
-], ids=["no-rules", "string-count", "crowded"])
+    # A rule's label fixes its pair's concept types, so a spec may not set them.
+    ({**asdict(placement_task_spec()), "concept_types": ["test", "problem"]},
+     "unknown keys concept_types (expected rules, sentences_per_type, len_lo, len_hi, window, "
+     "vocab_size, concept_vocab_size, n_concepts, concept_tokens, noise_rate, seed, "
+     "distractor_placement)"),
+], ids=["no-rules", "string-count", "crowded", "concept-types"])
 def test_synth_rejects_a_bad_spec_naming_the_file(tmp_path, capsys, spec, message):
     """One plain-text line: the file, then the reader's or the spec's own message."""
     spec_path = tmp_path / "spec.json"
@@ -174,12 +180,13 @@ def _spec_json(**overrides) -> dict:
     return json.loads(json.dumps(asdict(placement_task_spec(**overrides))))
 
 
-@pytest.mark.parametrize("overrides", [
-    {"sentences_per_type": 3},
-    {"sentences_per_type": 3, "distractor_placement": None, "noise_rate": 0.2},
-], ids=["placement", "no-distractor-noisy"])
-def test_synth_spec_from_asdict_round_trips(tmp_path, overrides):
-    spec = _spec_json(**overrides)
+@pytest.mark.parametrize("synth_spec", [
+    placement_task_spec(sentences_per_type=3),
+    placement_task_spec(sentences_per_type=3, distractor_placement=None, noise_rate=0.2),
+    SynthSpec(rules=THREE_CATEGORY_RULES, sentences_per_type=3, noise_rate=0.2),
+], ids=["placement", "no-distractor-noisy", "three-categories-noisy"])
+def test_synth_spec_from_asdict_round_trips(tmp_path, synth_spec):
+    spec = json.loads(json.dumps(asdict(synth_spec)))
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out = tmp_path / "c.jsonl"

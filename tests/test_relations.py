@@ -66,6 +66,7 @@ def test_category_of_covers_all_types():
         (ConceptType.TEST, ConceptType.TEST, None),
         (ConceptType.TREATMENT, ConceptType.TREATMENT, None),
         (ConceptType.TEST, ConceptType.TREATMENT, None),
+        (ConceptType.TREATMENT, ConceptType.TEST, None),
     ],
 )
 def test_category_for_pair(t1, t2, expected):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from relcnn.corpus import RelationInstance, replace_concepts
 from relcnn.encoding import EncoderConfig, build_vocab, encode_instances
-from relcnn.relations import Category, ConceptType, RelationType
+from relcnn.relations import CATEGORY_OF, Category, ConceptType, RelationType
 from relcnn.synthgen import (
     AFTER_C2,
     BEFORE_C1,
@@ -29,7 +29,12 @@ from relcnn.synthgen import (
     self_check,
 )
 
-from conftest import assert_same_encodings, encode_reference, generate_reference
+from conftest import (
+    THREE_CATEGORY_RULES,
+    assert_same_encodings,
+    encode_reference,
+    generate_reference,
+)
 
 T = RelationType
 
@@ -55,11 +60,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(rules=(LabelRule(T.TERP, "outside", DEFAULT_SIGNAL),))
 
-    def test_label_incompatible_with_concept_types(self):
-        with pytest.raises(ValueError):
-            SynthSpec(rules=(LabelRule(T.TRIP, BEFORE_C1, DEFAULT_SIGNAL),),
-                      concept_types=(ConceptType.TEST, ConceptType.PROBLEM))
-
     def test_sentence_length_feasibility(self):
         spec = _spec()
         lo = spec.min_length(len(DEFAULT_SIGNAL))
@@ -76,9 +76,18 @@ class TestSpecValidation:
             _spec(len_lo=26, len_hi=18)
 
     def test_noise_needs_at_least_two_labels(self):
-        rules = (LabelRule(T.TERP, BEFORE_C1, DEFAULT_SIGNAL),)
-        with pytest.raises(ValueError):
-            SynthSpec(rules=rules, noise_rate=0.2)
+        """Each category with a rule needs a second label of its own to flip to;
+        a label of another category does not count."""
+        for labels, lone in [
+            ((T.TERP,), "TeP label to flip TeRP"),
+            ((T.TERP, T.TERP), "TeP label to flip TeRP"),
+            ((T.TERP, T.TECP, T.PIP), "PP label to flip PIP"),
+            ((T.TRIP, T.PIP, T.NPP, T.TRIP), "TrP label to flip TrIP"),
+        ]:
+            rules = tuple(LabelRule(t, p, DEFAULT_SIGNAL) for t, p in zip(labels, PLACEMENTS * 2))
+            SynthSpec(rules=rules)  # without noise, any labels will do
+            with pytest.raises(ValueError, match=f"^label noise needs a second {lone} to$"):
+                SynthSpec(rules=rules, noise_rate=0.2)
 
     @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
     def test_noise_rate_bounds(self, rate):
@@ -211,6 +220,10 @@ _ORACLE_SPECS = {
     "no-distractor": placement_task_spec(
         sentences_per_type=100, seed=9, distractor_placement=None, concept_vocab_size=3
     ),
+    "noisy-three-categories": SynthSpec(
+        rules=THREE_CATEGORY_RULES, sentences_per_type=40, seed=6, noise_rate=0.3,
+        n_concepts=3, concept_tokens=2
+    ),
 }
 
 
@@ -227,6 +240,31 @@ def test_generate_and_encode_match_the_reference(name):
     vocab = build_vocab(insts[: len(insts) // 2], cfg)
     want = [encode_reference(replace_concepts(inst), vocab, cfg) for inst in ref_insts]
     assert_same_encodings(encode_instances(insts, vocab, cfg), want)
+
+
+# The concept types of each category in text order, written out here rather than
+# read from `relations`.
+_PAIR_OF_CATEGORY = {
+    Category.TRP: (ConceptType.TREATMENT, ConceptType.PROBLEM),
+    Category.TEP: (ConceptType.TEST, ConceptType.PROBLEM),
+    Category.PP: (ConceptType.PROBLEM, ConceptType.PROBLEM),
+}
+
+
+def test_one_noisy_spec_writes_three_categories():
+    """Each instance's concept pair is its gold category's, a noisy flip stays in its
+    rule's category, and the one corpus holds no key twice."""
+    spec = _ORACLE_SPECS["noisy-three-categories"]
+    insts, ledger = generate(spec)
+    assert {inst.gold for inst in insts} >= {rule.label for rule in spec.rules}
+    for inst, entry in zip(insts, ledger.entries):
+        pair = _PAIR_OF_CATEGORY[CATEGORY_OF[inst.gold]]
+        assert (inst.concept1.ctype, inst.concept2.ctype) == pair
+        assert CATEGORY_OF[entry.gold] is CATEGORY_OF[entry.rule_label]
+    flips = [e for e in ledger.entries if e.flipped]
+    assert {CATEGORY_OF[e.gold] for e in flips} == set(Category)
+    assert len({inst.key for inst in insts}) == len(insts) == 8 * 40
+    assert self_check(insts, ledger).rule_accuracy == (len(insts) - len(flips)) / len(insts)
 
 
 # ---------------------------------------------------------------------------
