@@ -238,8 +238,14 @@ def _train_setup(args, run: Run):
     train_insts = read_instances(run.input(args.train))
     if args.dev:
         dev_insts = read_instances(run.input(args.dev))
+        for path, insts, what in (args.train, train_insts, "training"), (args.dev, dev_insts, "dev"):
+            if not insts:
+                raise CliError(f"{path}: empty {what} set")
     else:
-        train_insts, dev_insts = split_dev(train_insts, cfg.dev_fraction, cfg.seed)
+        try:
+            train_insts, dev_insts = split_dev(train_insts, cfg.dev_fraction, cfg.seed)
+        except ValueError as exc:
+            raise CliError(f"{args.train}: {exc}") from None
     train_enc = encode_instances(train_insts, vocab, enc_cfg)
     return vocab, hp, cfg, enc_cfg, train_enc, encode_instances(dev_insts, vocab, enc_cfg)
 
@@ -512,6 +518,8 @@ def cmd_eval(args, run: Run) -> int:
             f"{pred_path}: {len(lines)} prediction records for the "
             f"{len(gold_insts)} instances of {args.gold}"
         )
+    if not gold_insts:
+        raise CliError(f"{args.gold}: nothing to evaluate: no instances")
     gold_labels = [inst.gold for inst in gold_insts]
     pred_labels = []
     for inst, (lineno, line) in zip(gold_insts, lines):

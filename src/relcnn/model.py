@@ -70,6 +70,9 @@ which backward routes its gradient through.  ``predict`` is
 ``predict_batch`` of one instance.  A chunk of one reads what its instance
 keeps (``EncodedInstance``): its own id arrays when no window pads it, its
 pooling segments, and the word layout backward sums the word rows by.
+
+No numpy function runs where an array method gives the same bits: row
+gathers go through ``take``, reductions through array methods.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ import json
 import math
 import zipfile
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -235,7 +237,7 @@ class ModelParams:
 
     def word_rows(self, ids: np.ndarray) -> np.ndarray:
         """Rows `ids` of W, a new array: the stored rows times `word_scale`."""
-        rows = self.w_word[ids]
+        rows = self.w_word.take(ids, axis=0)
         if self.word_scale != 1.0:
             rows *= self.word_scale
         return rows
@@ -391,6 +393,10 @@ def _padded_ids(
     if len(encs) == 1 and encs[0].n_tokens >= k:
         enc = encs[0]
         return enc.token_ids, enc.pos1_ids, enc.pos2_ids, [enc.n_tokens]
+    if all(enc.n_tokens >= k for enc in encs):
+        names = ("token_ids", "pos1_ids", "pos2_ids")
+        tok, pos1, pos2 = (np.concatenate([getattr(enc, a) for enc in encs]) for a in names)
+        return tok, pos1, pos2, [enc.n_tokens for enc in encs]
     radius = (params.w_pos.shape[0] - 1) // 2
     tok, pos1, pos2 = [], [], []
     for enc in encs:
@@ -422,7 +428,8 @@ def embed_sentence(
     i .. i+k-1, one after another.  The sentences' windows follow each other
     in order, and no window straddles two sentences.
     """
-    E = np.concatenate([params.word_rows(tok), params.w_pos[pos1], params.w_pos[pos2]], axis=1)
+    pos_rows = params.w_pos.take
+    E = np.concatenate([params.word_rows(tok), pos_rows(pos1, axis=0), pos_rows(pos2, axis=0)], 1)
     # E is C-contiguous, so window i, tokens i .. i+k-1, is the k d_x floats from flat
     # position i d_x of E: the windows are a strided view of E.  X is a C-contiguous copy
     # of each sentence's windows: the GEMM in ``convolve`` runs faster on it, and its
@@ -432,9 +439,10 @@ def embed_sentence(
     windows = np.ndarray((n - k + 1, k * d_x), E.dtype, buffer=E, strides=(d_x * step, step))
     if len(lengths) == 1:
         return windows.copy()
-    starts = accumulate(lengths[:-1], initial=0)
-    X = np.empty((n - len(lengths) * (k - 1), k * d_x))
-    return np.concatenate([windows[s : s + m - k + 1] for s, m in zip(starts, lengths)], out=X)
+    # Row r of sentence i is view row r + i (k - 1).  (``take`` would copy the whole view.)
+    shift = np.arange(len(lengths)) * (k - 1)
+    rows = np.arange(n - shift[-1] - (k - 1))
+    return windows[rows + np.repeat(shift, np.subtract(lengths, k - 1))]
 
 
 def convolve(X: np.ndarray, w_conv: np.ndarray) -> np.ndarray:
@@ -458,10 +466,14 @@ def pool(
     ranges of one Z.
     """
     d_c = Z.shape[1]
-    pooled = np.full((len(bounds), d_c), empty)
-    arg = np.full((len(bounds), d_c), -1) if argmax else None
+    pooled = np.empty((len(bounds), d_c))
+    arg = np.empty((len(bounds), d_c), dtype=np.intp) if argmax else None
     for i, rng in enumerate(bounds):
-        if rng is not None:
+        if rng is None:
+            pooled[i] = empty
+            if arg is not None:
+                arg[i] = -1
+        else:
             block = Z[rng[0] - 1 : rng[1]]
             np.maximum.reduce(block, axis=0, out=pooled[i])
             if arg is not None:
@@ -489,18 +501,19 @@ def _chunk_bounds(
     return out
 
 
-def concept_features(encs: Sequence[EncodedInstance], params: ModelParams) -> np.ndarray:
+def concept_features(
+    encs: Sequence[EncodedInstance], params: ModelParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """cf_x = [ctype1; ctype2; concept1 words; concept2 words] (padded rows included),
-    one row per instance."""
-    ctypes = [enc.ctype_ids for enc in encs]
+    one row per instance, written into `out` (a view such as rc's tail) when given."""
+    n = len(encs)
     words = np.concatenate([ids for enc in encs for ids in (enc.content1_ids, enc.content2_ids)])
-    return np.concatenate(
-        [
-            params.w_ctype[ctypes].reshape(len(encs), -1),
-            params.word_rows(words).reshape(len(encs), -1),
-        ],
-        axis=1,
-    )
+    d_ct = 2 * params.w_ctype.shape[1]
+    if out is None:
+        out = np.empty((n, d_ct + words.shape[0] // n * params.w_word.shape[1]))
+    out[:, :d_ct] = params.w_ctype.take([enc.ctype_ids for enc in encs], axis=0).reshape(n, -1)
+    out[:, d_ct:] = params.word_rows(words).reshape(n, -1)
+    return out
 
 
 def score(r_x: np.ndarray, cf_x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -534,13 +547,13 @@ def _features(
         Z = convolve(X, params.w_conv[j])
         bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
         maxima, arg = pool(Z, bounds, argmax=traced, empty=-np.inf)
+        maxima = maxima.reshape(n, hp.n_segments, hp.d_c)
+        maxima += params.b_conv[j]
         pooled = rc[:, j * per : (j + 1) * per]
-        blocks = pooled.reshape(n, hp.n_segments, hp.d_c)  # a view of rc
-        np.add(maxima.reshape(blocks.shape), params.b_conv[j], out=blocks)
-        relu(blocks, out=blocks)
+        relu(maxima, out=pooled.reshape(maxima.shape))  # a view of rc
         if traced:
             windows.append(WindowTrace(k, tok, pos1, pos2, X, arg, pooled.reshape(-1)))
-    rc[:, hp.pooled_size :] = concept_features(encs, params)
+    concept_features(encs, params, out=rc[:, hp.pooled_size :])
     return rc, windows
 
 
@@ -693,7 +706,7 @@ def backward(
 
     # Concept features: two type rows, then both concept-content blocks.
     ct1, ct2 = enc.ctype_ids
-    g_ctype = np.zeros_like(params.w_ctype)
+    g_ctype = np.zeros(params.w_ctype.shape)
     g_ctype[ct1] += dcf[: hp.d_ct]
     g_ctype[ct2] += dcf[hp.d_ct : 2 * hp.d_ct]
     grads["w_ctype"] = RowGrad(ALL_ROWS, g_ctype, decay, params.w_ctype.shape)
@@ -715,16 +728,18 @@ def backward(
 
     # Convolution stacks, one per window size.
     per = hp.pooled_per_window
+    filters = np.arange(hp.d_c)
     for j, wt in enumerate(trace.windows):
-        dr_w = dr_x[j * per : (j + 1) * per].reshape(wt.argmax_cols.shape)
         # A pooled value is positive only at a live argmax cell; empty segments pool to 0.
-        live = (wt.pooled > 0.0).reshape(wt.argmax_cols.shape)
+        # Live cells are distinct (row, filter) pairs, since segments do not overlap.
+        live = wt.pooled > 0.0
         dpre = np.zeros((wt.X.shape[0], hp.d_c))
-        dpre[wt.argmax_cols[live], np.nonzero(live)[1]] = dr_w[live]
+        cells = (wt.argmax_cols * hp.d_c + filters).reshape(-1)
+        dpre.put(cells[live], dr_x[j * per : (j + 1) * per][live])
         w_name, b_name = f"w_conv_{j}", f"b_conv_{j}"
         data = np.matmul(dpre.T, wt.X, out=None if out is None else out[w_name].rows)
         grads[w_name] = RowGrad(ALL_ROWS, data, decay, params.w_conv[j].shape)
-        bias = np.sum(dpre, axis=0, out=None if out is None else out[b_name].rows)
+        bias = dpre.sum(axis=0, out=None if out is None else out[b_name].rows)
         grads[b_name] = RowGrad(ALL_ROWS, bias, 0.0, params.b_conv[j].shape)
 
         dX = dpre @ params.w_conv[j]  # (ncols, d_x * k), one window per row

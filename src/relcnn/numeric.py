@@ -36,8 +36,8 @@ def softmax(s: np.ndarray) -> np.ndarray:
 
 def log_sum_exp(s: np.ndarray) -> float:
     """log(sum_i e^{s_i}) with max-subtraction."""
-    m = float(np.max(s))
-    return m + float(np.log(np.sum(np.exp(s - m))))
+    m = float(s.max())
+    return m + float(np.log(np.exp(s - m).sum()))
 
 
 def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

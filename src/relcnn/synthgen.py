@@ -130,12 +130,19 @@ class SynthSpec:
             raise ValueError(f"noise_rate must lie in [0, 1): {self.noise_rate}")
         if self.len_hi < self.len_lo:
             raise ValueError(f"empty length range [{self.len_lo}, {self.len_hi}]")
+        planted: dict[tuple, RelationType] = {}
         for rule in self.rules:
             if rule.placement not in PLACEMENTS:
                 raise ValueError(f"unknown placement {rule.placement!r}")
             if not rule.signal:
                 raise ValueError(f"rule {rule.label.value}: empty signal")
             cat = CATEGORY_OF[rule.label]
+            other = planted.setdefault((cat, rule.placement, tuple(rule.signal)), rule.label)
+            if other is not rule.label:
+                raise ValueError(
+                    f"labels {other.value} and {rule.label.value} plant the same signal "
+                    f"{rule.placement} in category {cat.value}: no reader can tell them apart"
+                )
             if self.noise_rate > 0 and all(
                 r.label is rule.label or CATEGORY_OF[r.label] is not cat for r in self.rules
             ):

@@ -14,6 +14,7 @@ micro-F1 (earliest epoch wins ties), never simply the last epoch.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -234,7 +235,7 @@ def train(
                 trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
                 word_sq = params.word_scale * params.word_scale * stored_sq
                 loss = loss_from_trace(trace, params, hp, word_sq)
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}: lr={hp.lr} is too high "
                         f"for this data/model (loss={loss})"
@@ -247,11 +248,11 @@ def train(
                     for name, g in grads.items():
                         g += extra[name]
             ids = grads["w_word"].ids
-            touched_sq = sq_norm(params.w_word[ids])
+            touched_sq = sq_norm(params.w_word.take(ids, axis=0))
             if apply_sgd(params, grads, hp.lr / len(batch)):
                 stored_sq = sq_norm(params.w_word)
             else:  # the stored rows the step did not touch are unchanged
-                stored_sq += sq_norm(params.w_word[ids]) - touched_sq
+                stored_sq += sq_norm(params.w_word.take(ids, axis=0)) - touched_sq
 
         params.fold()
         for name, arr in params.arrays().items():

@@ -23,7 +23,10 @@ Provides the things the individual test modules lean on:
   the feature map after its bias and relu, as training did before it
   pooled the raw map, ``backward_reference`` is
   ``backward`` as it summed the word rows before instances kept their word
-  layout (in either layout),
+  layout (in either layout), ``features_reference`` and its stages
+  (``embed_sentence_reference``, ``pool_reference``, ...) are the forward
+  stages through numpy's Python-level forms, and ``log_sum_exp_reference``
+  is the loss's normalizer through ``np.max``/``np.sum``,
   ``rewrite_checkpoint_meta`` makes older-format or hand-edited
   checkpoints, ``word_id`` looks one word up in a vocabulary and
   ``tokenize_normalize`` tokenizes one raw line, and
@@ -734,6 +737,126 @@ def backward_reference(
     g_pos = _row_sums(np.concatenate(pos_ids), np.concatenate(pos_rows), params.w_pos.shape[0])
     grads["w_pos"] = RowGrad(ALL_ROWS, g_pos, decay, params.w_pos.shape)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# The forward stages through numpy's Python-level forms, as they stood before the
+# stages moved to C-level equivalents: fancy-index gathers, ``np.full`` fills, each
+# sentence's windows sliced and joined by ``concatenate``, ``np.max``/``np.sum``.
+# Oracles that pin the stages to the same bits.
+# ---------------------------------------------------------------------------
+
+
+def word_rows_reference(params: ModelParams, ids: np.ndarray) -> np.ndarray:
+    rows = params.w_word[ids]
+    if params.word_scale != 1.0:
+        rows *= params.word_scale
+    return rows
+
+
+def padded_ids_reference(
+    encs: Sequence[EncodedInstance], params: ModelParams, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """``model._padded_ids`` as one loop over the instances, whatever their lengths."""
+    radius = (params.w_pos.shape[0] - 1) // 2
+    tok, pos1, pos2 = [], [], []
+    for enc in encs:
+        tok.append(enc.token_ids)
+        pos1.append(enc.pos1_ids)
+        pos2.append(enc.pos2_ids)
+        n = enc.n_tokens
+        if n < k:
+            extra = np.arange(n + 1, k + 1)
+            tok.append(np.full(k - n, PAD_ID, dtype=np.int64))
+            pos1.append(np.clip(extra - enc.p1, -radius, radius) + radius)
+            pos2.append(np.clip(extra - enc.p2, -radius, radius) + radius)
+    lengths = [max(enc.n_tokens, k) for enc in encs]
+    return np.concatenate(tok), np.concatenate(pos1), np.concatenate(pos2), lengths
+
+
+def embed_sentence_reference(
+    tok: np.ndarray,
+    pos1: np.ndarray,
+    pos2: np.ndarray,
+    lengths: Sequence[int],
+    params: ModelParams,
+    k: int,
+) -> np.ndarray:
+    """``model.embed_sentence`` through fancy-index gathers and per-sentence slices of
+    the window view joined by ``concatenate``."""
+    E = np.concatenate(
+        [word_rows_reference(params, tok), params.w_pos[pos1], params.w_pos[pos2]], axis=1
+    )
+    n, d_x = E.shape
+    step = E.itemsize
+    windows = np.ndarray((n - k + 1, k * d_x), E.dtype, buffer=E, strides=(d_x * step, step))
+    starts = accumulate(lengths[:-1], initial=0)
+    X = np.empty((n - len(lengths) * (k - 1), k * d_x))
+    return np.concatenate([windows[s : s + m - k + 1] for s, m in zip(starts, lengths)], out=X)
+
+
+def pool_reference(
+    Z: np.ndarray,
+    bounds: Sequence[tuple[int, int] | None],
+    argmax: bool = True,
+    empty: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``model.pool`` with its outputs filled by ``np.full`` first."""
+    d_c = Z.shape[1]
+    pooled = np.full((len(bounds), d_c), empty)
+    arg = np.full((len(bounds), d_c), -1) if argmax else None
+    for i, rng in enumerate(bounds):
+        if rng is not None:
+            block = Z[rng[0] - 1 : rng[1]]
+            np.maximum.reduce(block, axis=0, out=pooled[i])
+            if arg is not None:
+                block.argmax(axis=0, out=arg[i])
+                arg[i] += rng[0] - 1
+    return pooled.ravel(), arg
+
+
+def concept_features_reference(
+    encs: Sequence[EncodedInstance], params: ModelParams
+) -> np.ndarray:
+    """``model.concept_features`` as the concatenation of the gathered type and word rows."""
+    ctypes = [enc.ctype_ids for enc in encs]
+    words = np.concatenate([ids for enc in encs for ids in (enc.content1_ids, enc.content2_ids)])
+    return np.concatenate(
+        [
+            params.w_ctype[ctypes].reshape(len(encs), -1),
+            word_rows_reference(params, words).reshape(len(encs), -1),
+        ],
+        axis=1,
+    )
+
+
+def features_reference(
+    encs: Sequence[EncodedInstance], params: ModelParams, hp: HyperParams, traced: bool
+) -> tuple[np.ndarray, list[WindowTrace]]:
+    """``model._features`` through the reference stages: the bias added into rc's
+    strided blocks, relu in place there, and the concept features copied in."""
+    n = len(encs)
+    rc = np.empty((n, params.w_classes.shape[1]))
+    per = hp.pooled_per_window
+    windows: list[WindowTrace] = []
+    for j, k in enumerate(hp.windows):
+        tok, pos1, pos2, lengths = padded_ids_reference(encs, params, k)
+        X = embed_sentence_reference(tok, pos1, pos2, lengths, params, k)
+        bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
+        maxima, arg = pool_reference(X @ params.w_conv[j].T, bounds, traced, -np.inf)
+        pooled = rc[:, j * per : (j + 1) * per]
+        blocks = pooled.reshape(n, hp.n_segments, hp.d_c)
+        np.add(maxima.reshape(blocks.shape), params.b_conv[j], out=blocks)
+        relu(blocks, out=blocks)
+        if traced:
+            windows.append(WindowTrace(k, tok, pos1, pos2, X, arg, pooled.reshape(-1)))
+    rc[:, hp.pooled_size :] = concept_features_reference(encs, params)
+    return rc, windows
+
+
+def log_sum_exp_reference(s: np.ndarray) -> float:
+    m = float(np.max(s))
+    return m + float(np.log(np.sum(np.exp(s - m))))
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,13 @@ _CROWDED_RULES = [
      "unknown keys concept_types (expected rules, sentences_per_type, len_lo, len_hi, window, "
      "vocab_size, concept_vocab_size, n_concepts, concept_tokens, noise_rate, seed, "
      "distractor_placement)"),
-], ids=["no-rules", "string-count", "crowded", "concept-types"])
+    # Two labels of one category with one signal in one placement cannot be told apart.
+    ({"rules": [{"label": "TeRP", "placement": "before_c1", "signal": ["siga", "sigb"]},
+                {"label": "TeCP", "placement": "before_c1", "signal": ["siga", "sigb"]}],
+      "sentences_per_type": 5},
+     "labels TeRP and TeCP plant the same signal before_c1 in category TeP: "
+     "no reader can tell them apart"),
+], ids=["no-rules", "string-count", "crowded", "concept-types", "indistinguishable"])
 def test_synth_rejects_a_bad_spec_naming_the_file(tmp_path, capsys, spec, message):
     """One plain-text line: the file, then the reader's or the spec's own message."""
     spec_path = tmp_path / "spec.json"
@@ -486,6 +492,45 @@ def test_eval_bootstrap_below_100_resamples_exits_1(tmp_path, capsys, resamples)
     assert list(work.iterdir()) == []
 
 
+# (command, training file, dev file, the file at fault, message)
+_TOO_SMALL = {
+    "train-one": ("train", "one", None, "one", "need at least 2 instances to split, got 1"),
+    "train-none": ("train", "empty", None, "empty", "need at least 2 instances to split, got 0"),
+    "gridsearch-one": ("gridsearch", "one", None, "one",
+                       "need at least 2 instances to split, got 1"),
+    "empty-dev": ("train", "corpus", "empty", "empty", "empty dev set"),
+    "empty-train": ("train", "empty", "corpus", "empty", "empty training set"),
+    "gridsearch-empty-dev": ("gridsearch", "corpus", "empty", "empty", "empty dev set"),
+    "eval-empty": ("eval", None, None, "empty", "nothing to evaluate: no instances"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TOO_SMALL))
+def test_too_small_input_names_its_file(tmp_path, capsys, case):
+    """A file with too few instances ends in exit 1 and one line naming that file;
+    nothing is written."""
+    command, train_file, dev, bad, message = _TOO_SMALL[case]
+    files = {"corpus": _synth(tmp_path, n=4), "one": tmp_path / "one.jsonl",
+             "empty": tmp_path / "empty.jsonl"}
+    files["one"].write_text(files["corpus"].read_text().splitlines(keepends=True)[0])
+    files["empty"].write_text("")
+    vocab = tmp_path / "v.txt"
+    _mk_vocab(files["corpus"], vocab)
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "out.npz"
+    if command == "eval":
+        argv = ["eval", "--gold", files["empty"], "--pred", files["empty"], "--out", out]
+    else:
+        argv = [command, "--train", files[train_file], "--vocab", vocab, "--epochs", 1]
+        argv += ["--checkpoint", out] if command == "train" else ["--out", out]
+        argv += [] if dev is None else ["--dev", files[dev]]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {files[bad]}: {message}\n"
+    assert list(work.iterdir()) == []
+
+
 def test_train_rejects_empty_dev_set_without_output(tmp_path, capsys):
     corpus = _synth(tmp_path, n=4)
     vocab = tmp_path / "v.txt"
@@ -495,8 +540,7 @@ def test_train_rejects_empty_dev_set_without_output(tmp_path, capsys):
     capsys.readouterr()
     assert run("train", "--train", corpus, "--dev", empty, "--vocab", vocab,
                "--checkpoint", tmp_path / "m.npz", "--epochs", 1) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: empty dev set") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {empty}: empty dev set\n"
     assert not (tmp_path / "m.npz").exists()
     assert not (tmp_path / "m.npz.metrics.json").exists()
     assert not (tmp_path / "m.npz.manifest.json").exists()

@@ -60,6 +60,12 @@ from conftest import (
     TOY_ENC,
     backward_reference,
     build_instance,
+    concept_features_reference,
+    embed_sentence_reference,
+    features_reference,
+    log_sum_exp_reference,
+    padded_ids_reference,
+    pool_reference,
     densify,
     encoded_instance,
     finite_diff_grad,
@@ -955,6 +961,145 @@ def test_inference_pools_the_raw_map_bit_for_bit(windows, pooling, loss):
         for wt, (pooled, arg) in zip(trace.windows, want):
             live = pooled.reshape(arg.shape) > 0.0
             np.testing.assert_array_equal(wt.argmax_cols[live], arg[live])
+
+
+# ---------------------------------------------------------------------------
+# The stages against their Python-level forms, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _chunks_at_windows_4_5():
+    """(name, chunk): a chunk whose sentences all fill a window of 5 (no <pad>), a
+    chunk led by a 3-token sentence, and the ragged last chunk of ``predict_batch``."""
+    encs = _layout_chunk(seed=21, size=PREDICT_CHUNK + 3)
+    unpadded = [enc for enc in encs if enc.n_tokens >= 5]
+    assert len(unpadded) >= 3 and encs[0].n_tokens == 3
+    return [("unpadded", unpadded), ("short-first", encs[:PREDICT_CHUNK]),
+            ("ragged", encs[PREDICT_CHUNK:])]
+
+
+@pytest.mark.parametrize("word_scale", [1.0, 0.625])
+def test_embed_sentence_matches_the_sliced_windows_bitwise(word_scale):
+    """The chunk's ids, and its window matrix X gathered by one fancy index on the
+    window view, equal byte for byte the per-instance loop's ids and each sentence's
+    windows sliced and joined by ``concatenate``; X is C-contiguous."""
+    hp = toy_hp(windows=(4, 5))
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=2)
+    params.word_scale = word_scale
+    for name, chunk in _chunks_at_windows_4_5():
+        for k in hp.windows:
+            ids = _padded_ids(chunk, params, k)
+            want_ids = padded_ids_reference(chunk, params, k)
+            for got, want in zip(ids[:3], want_ids[:3]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert ids[3] == want_ids[3], name
+            X = embed_sentence(*ids, params, k)
+            assert X.flags.c_contiguous, name
+            assert X.tobytes() == embed_sentence_reference(*want_ids, params, k).tobytes(), name
+
+
+@pytest.mark.parametrize("word_scale", [1.0, 0.625])
+def test_concept_features_into_the_rc_tail_match_concatenate(word_scale):
+    """Written into rc's tail (``out=``) or into a new array, the concept features are
+    byte for byte the concatenated type and word rows; rc's head is left alone."""
+    hp = toy_hp()
+    params = toy_params(hp, VOCAB, TOY_ENC, seed=4)
+    params.word_scale = word_scale
+    for name, chunk in _chunks_at_windows_4_5():
+        want = concept_features_reference(chunk, params)
+        rc = np.full((len(chunk), params.w_classes.shape[1]), np.nan)
+        tail = rc[:, hp.pooled_size :]
+        assert concept_features(chunk, params, out=tail) is tail
+        assert tail.tobytes() == want.tobytes(), name
+        assert np.isnan(rc[:, : hp.pooled_size]).all(), name
+        assert concept_features(chunk, params).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("empty", [0.0, -np.inf])
+@pytest.mark.parametrize("argmax", [True, False])
+def test_pool_matches_the_filled_form_bitwise(argmax, empty):
+    """Pooled maxima and argmax rows, empty ranges included, equal byte for byte those
+    of outputs filled by ``np.full`` first; the argmax rows are intp."""
+    Z = np.random.default_rng(8).normal(size=(9, 5))
+    Z[4, 2] = Z[5, 2]  # an exact tie inside a range
+    bounds = [(1, 3), None, (4, 7), (2, 2), None, (1, 9)]
+    pooled, arg = pool(Z, bounds, argmax=argmax, empty=empty)
+    want_pooled, want_arg = pool_reference(Z, bounds, argmax=argmax, empty=empty)
+    assert pooled.tobytes() == want_pooled.tobytes()
+    if argmax:
+        assert arg.dtype == np.intp and arg.tobytes() == want_arg.tobytes()
+    else:
+        assert arg is None and want_arg is None
+
+
+def _ds(trace, hp):
+    """d loss / d scores of a traced sample."""
+    classes = loss_classes(trace.enc.category, hp)
+    ds = np.zeros(N_CLASSES)
+    ds[classes] = softmax(trace.scores[classes])
+    ds[CLASS_INDEX[trace.enc.gold]] -= 1.0
+    return ds
+
+
+def test_backward_scatter_matches_boolean_indexing_bitwise():
+    """backward's convolution and bias gradients equal byte for byte those of the
+    pooled gradient scattered by boolean masks and ``nonzero``, summed by ``np.sum``:
+    under both poolings, with windows longer than a sentence and empty segments."""
+    max_hp = toy_hp(windows=(3, 4), pooling=POOL_MAX, d_c=24, dropout_p=0.3)
+    cases = [*_word_layout_cases(),
+             (max_hp, toy_params(max_hp, VOCAB, TOY_ENC), _layout_chunk(seed=7, size=4))]
+    n_empty = 0
+    for hp, params, encs in cases:
+        dropout_rng = np.random.default_rng(12)
+        for enc in encs:
+            trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
+            grads = backward(trace, params, hp)
+            drc = (params.w_classes.T @ _ds(trace, hp)) * trace.dropout_mask
+            per = hp.pooled_per_window
+            for j, wt in enumerate(trace.windows):
+                n_empty += int((wt.argmax_cols == -1).any())
+                dr_w = drc[j * per : (j + 1) * per].reshape(wt.argmax_cols.shape)
+                live = (wt.pooled > 0.0).reshape(wt.argmax_cols.shape)
+                dpre = np.zeros((wt.X.shape[0], hp.d_c))
+                dpre[wt.argmax_cols[live], np.nonzero(live)[1]] = dr_w[live]
+                assert grads[f"w_conv_{j}"].rows.tobytes() == (dpre.T @ wt.X).tobytes()
+                assert grads[f"b_conv_{j}"].rows.tobytes() == np.sum(dpre, axis=0).tobytes()
+    assert n_empty > 0
+
+
+def test_predict_and_a_step_at_a_live_word_scale_match_the_python_level_forms(monkeypatch):
+    """With the word scale not 1, one-instance ``predict`` and a batch-1 step (forward
+    with dropout, loss, backward, apply_sgd) give byte for byte the probabilities, loss
+    and updated arrays of the same run through the Python-level stages."""
+    hp = toy_hp(windows=(2, 5), beta=0.01, dropout_p=0.3, d_c=6)
+    encs = _layout_chunk(seed=13, size=4)
+    runs = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(model, "_features", features_reference)
+            monkeypatch.setattr(model, "log_sum_exp", log_sum_exp_reference)
+        params = _warm_params(hp)
+        assert params.word_scale != 1.0
+        probs = [predict(enc, params, hp)[1].tobytes() for enc in encs]
+        dropout_rng = np.random.default_rng(14)
+        losses = []
+        for enc in encs:
+            trace = forward(enc, params, hp, train=True, dropout_rng=dropout_rng)
+            losses.append(loss_from_trace(trace, params, hp))
+            grads = (backward_reference if reference else backward)(trace, params, hp)
+            apply_sgd(params, grads, hp.lr)
+        arrays = {name: arr.tobytes() for name, arr in params.arrays().items()}
+        runs.append((probs, losses, arrays, params.word_scale))
+    assert runs[0] == runs[1]
+
+
+def test_a_word_id_past_the_table_raises_index_error():
+    params = toy_params(toy_hp(), VOCAB, TOY_ENC)
+    n = params.w_word.shape[0]
+    ids = np.array([n - 1, -1])  # a negative id wraps, as an index does
+    assert params.word_rows(ids).tobytes() == params.w_word[ids].tobytes()
+    with pytest.raises(IndexError):
+        params.word_rows(np.array([0, n]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from relcnn.numeric import (
     softmax,
 )
 
-from conftest import finite_diff_grad
+from conftest import finite_diff_grad, log_sum_exp_reference
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -98,6 +98,12 @@ class TestLogSumExp:
         s = np.random.default_rng(seed).normal(size=5) * 10
         lse = log_sum_exp(s)
         assert s.max() <= lse <= s.max() + math.log(len(s)) + 1e-12
+
+
+    @given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=12))
+    def test_equals_the_function_form_bitwise(self, values):
+        s = np.array(values)
+        assert log_sum_exp(s) == log_sum_exp_reference(s)
 
 
 class TestGlorotInit:

@@ -89,6 +89,27 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=f"^label noise needs a second {lone} to$"):
                 SynthSpec(rules=rules, noise_rate=0.2)
 
+    def test_rules_a_reader_cannot_tell_apart_are_rejected(self):
+        """Two labels of one category may not plant one signal in one placement;
+        another placement, another signal or another category tells them apart."""
+        with pytest.raises(
+            ValueError,
+            match="^labels TeRP and TeCP plant the same signal before_c1 in category TeP: ",
+        ):
+            SynthSpec(
+                rules=(LabelRule(T.TERP, BEFORE_C1, DEFAULT_SIGNAL),
+                       LabelRule(T.TECP, BEFORE_C1, DEFAULT_SIGNAL)),
+                sentences_per_type=5,
+            )
+        for second in [
+            LabelRule(T.TECP, AFTER_C2, DEFAULT_SIGNAL),
+            LabelRule(T.TECP, BEFORE_C1, ("sigx", "sigy")),
+            LabelRule(T.PIP, BEFORE_C1, DEFAULT_SIGNAL),
+            LabelRule(T.TERP, BEFORE_C1, DEFAULT_SIGNAL),
+        ]:
+            SynthSpec(rules=(LabelRule(T.TERP, BEFORE_C1, DEFAULT_SIGNAL), second))
+        SynthSpec(rules=THREE_CATEGORY_RULES)  # one signal shared across categories
+
     @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
     def test_noise_rate_bounds(self, rate):
         with pytest.raises(ValueError):
