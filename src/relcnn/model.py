@@ -393,10 +393,6 @@ def _padded_ids(
     if len(encs) == 1 and encs[0].n_tokens >= k:
         enc = encs[0]
         return enc.token_ids, enc.pos1_ids, enc.pos2_ids, [enc.n_tokens]
-    if all(enc.n_tokens >= k for enc in encs):
-        names = ("token_ids", "pos1_ids", "pos2_ids")
-        tok, pos1, pos2 = (np.concatenate([getattr(enc, a) for enc in encs]) for a in names)
-        return tok, pos1, pos2, [enc.n_tokens for enc in encs]
     radius = (params.w_pos.shape[0] - 1) // 2
     tok, pos1, pos2 = [], [], []
     for enc in encs:
@@ -502,15 +498,13 @@ def _chunk_bounds(
 
 
 def concept_features(
-    encs: Sequence[EncodedInstance], params: ModelParams, out: np.ndarray | None = None
+    encs: Sequence[EncodedInstance], params: ModelParams, out: np.ndarray
 ) -> np.ndarray:
     """cf_x = [ctype1; ctype2; concept1 words; concept2 words] (padded rows included),
-    one row per instance, written into `out` (a view such as rc's tail) when given."""
+    one row per instance, written into `out` (a view such as rc's tail) and returned."""
     n = len(encs)
     words = np.concatenate([ids for enc in encs for ids in (enc.content1_ids, enc.content2_ids)])
     d_ct = 2 * params.w_ctype.shape[1]
-    if out is None:
-        out = np.empty((n, d_ct + words.shape[0] // n * params.w_word.shape[1]))
     out[:, :d_ct] = params.w_ctype.take([enc.ctype_ids for enc in encs], axis=0).reshape(n, -1)
     out[:, d_ct:] = params.word_rows(words).reshape(n, -1)
     return out

@@ -754,26 +754,6 @@ def word_rows_reference(params: ModelParams, ids: np.ndarray) -> np.ndarray:
     return rows
 
 
-def padded_ids_reference(
-    encs: Sequence[EncodedInstance], params: ModelParams, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """``model._padded_ids`` as one loop over the instances, whatever their lengths."""
-    radius = (params.w_pos.shape[0] - 1) // 2
-    tok, pos1, pos2 = [], [], []
-    for enc in encs:
-        tok.append(enc.token_ids)
-        pos1.append(enc.pos1_ids)
-        pos2.append(enc.pos2_ids)
-        n = enc.n_tokens
-        if n < k:
-            extra = np.arange(n + 1, k + 1)
-            tok.append(np.full(k - n, PAD_ID, dtype=np.int64))
-            pos1.append(np.clip(extra - enc.p1, -radius, radius) + radius)
-            pos2.append(np.clip(extra - enc.p2, -radius, radius) + radius)
-    lengths = [max(enc.n_tokens, k) for enc in encs]
-    return np.concatenate(tok), np.concatenate(pos1), np.concatenate(pos2), lengths
-
-
 def embed_sentence_reference(
     tok: np.ndarray,
     pos1: np.ndarray,
@@ -840,7 +820,7 @@ def features_reference(
     per = hp.pooled_per_window
     windows: list[WindowTrace] = []
     for j, k in enumerate(hp.windows):
-        tok, pos1, pos2, lengths = padded_ids_reference(encs, params, k)
+        tok, pos1, pos2, lengths = _padded_ids(encs, params, k)
         X = embed_sentence_reference(tok, pos1, pos2, lengths, params, k)
         bounds = _chunk_bounds(encs, lengths, k, hp.pooling)
         maxima, arg = pool_reference(X @ params.w_conv[j].T, bounds, traced, -np.inf)

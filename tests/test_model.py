@@ -64,7 +64,6 @@ from conftest import (
     embed_sentence_reference,
     features_reference,
     log_sum_exp_reference,
-    padded_ids_reference,
     pool_reference,
     densify,
     encoded_instance,
@@ -330,11 +329,17 @@ def test_a_rounding_tie_routes_to_the_raw_maximum():
 # ---------------------------------------------------------------------------
 
 
+def _concept_rows(encs, params, hp):
+    """``concept_features`` written into the tail of a fresh rc."""
+    rc = np.empty((len(encs), params.w_classes.shape[1]))
+    return concept_features(encs, params, out=rc[:, hp.pooled_size :])
+
+
 def test_concept_features_layout():
     hp, params, enc = _setup(seed=3)
     other = encoded_instance(np.random.default_rng(4), RelationType.PIP, VOCAB, TOY_ENC)
-    rows = concept_features([other, enc], params)
-    np.testing.assert_array_equal(rows[0], concept_features([other], params)[0])
+    rows = _concept_rows([other, enc], params, hp)
+    np.testing.assert_array_equal(rows[0], _concept_rows([other], params, hp)[0])
     cf = rows[1]
     L = TOY_ENC.concept_len
     assert cf.shape == (2 * hp.d_ct + 2 * L * hp.d_w,)
@@ -903,7 +908,7 @@ def test_window_rows_match_the_column_layout(pooling):
         for wt, want in zip(traces, want_traces):
             np.testing.assert_array_equal(wt.argmax_cols, want.argmax_cols)
             np.testing.assert_allclose(wt.X, want.X.T, rtol=0, atol=1e-12)
-        want_scores.append(score(want_r_x, concept_features(chunk, params), params))
+        want_scores.append(score(want_r_x, _concept_rows(chunk, params, hp), params))
         np.testing.assert_allclose(
             score_chunk(chunk, params, hp), want_scores[-1], rtol=0, atol=1e-12
         )
@@ -980,28 +985,24 @@ def _chunks_at_windows_4_5():
 
 @pytest.mark.parametrize("word_scale", [1.0, 0.625])
 def test_embed_sentence_matches_the_sliced_windows_bitwise(word_scale):
-    """The chunk's ids, and its window matrix X gathered by one fancy index on the
-    window view, equal byte for byte the per-instance loop's ids and each sentence's
-    windows sliced and joined by ``concatenate``; X is C-contiguous."""
+    """A chunk's window matrix X, gathered by one fancy index on the window view,
+    equals byte for byte each sentence's windows sliced and joined by ``concatenate``;
+    X is C-contiguous."""
     hp = toy_hp(windows=(4, 5))
     params = toy_params(hp, VOCAB, TOY_ENC, seed=2)
     params.word_scale = word_scale
     for name, chunk in _chunks_at_windows_4_5():
         for k in hp.windows:
             ids = _padded_ids(chunk, params, k)
-            want_ids = padded_ids_reference(chunk, params, k)
-            for got, want in zip(ids[:3], want_ids[:3]):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-            assert ids[3] == want_ids[3], name
             X = embed_sentence(*ids, params, k)
             assert X.flags.c_contiguous, name
-            assert X.tobytes() == embed_sentence_reference(*want_ids, params, k).tobytes(), name
+            assert X.tobytes() == embed_sentence_reference(*ids, params, k).tobytes(), name
 
 
 @pytest.mark.parametrize("word_scale", [1.0, 0.625])
 def test_concept_features_into_the_rc_tail_match_concatenate(word_scale):
-    """Written into rc's tail (``out=``) or into a new array, the concept features are
-    byte for byte the concatenated type and word rows; rc's head is left alone."""
+    """Written into rc's tail (``out=``), the concept features are byte for byte the
+    concatenated type and word rows; rc's head is left alone."""
     hp = toy_hp()
     params = toy_params(hp, VOCAB, TOY_ENC, seed=4)
     params.word_scale = word_scale
@@ -1012,7 +1013,6 @@ def test_concept_features_into_the_rc_tail_match_concatenate(word_scale):
         assert concept_features(chunk, params, out=tail) is tail
         assert tail.tobytes() == want.tobytes(), name
         assert np.isnan(rc[:, : hp.pooled_size]).all(), name
-        assert concept_features(chunk, params).tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("empty", [0.0, -np.inf])
